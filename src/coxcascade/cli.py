@@ -8,8 +8,9 @@ produce byte-identical output.
 
 Numeric rendering is fixed: 17 significant digits in JSON output, 12 in
 CSV.  Exit codes: 0 success, 1 validation failure, 2 usage or parameter
-error.  The default seed is 24301 and can be overridden with the
-``COXCASCADE_SEED`` environment variable.
+error, including an evaluator that refuses its input or fails to
+converge (reported on one stderr line).  The default seed is 24301 and
+can be overridden with the ``COXCASCADE_SEED`` environment variable.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .reconciliation import (
     make_key_pair,
     reconcile,
 )
+from .special_functions import SeriesNonConvergence
 from .validation import SUITES, run_suites
 
 DEFAULT_SEED = 24301
@@ -130,24 +132,23 @@ def _positive_float(text: str) -> float:
     return v
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
-    return v
+def _int_at_least(lo: int):
+    """An argparse type: an integer no smaller than ``lo``."""
+
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text!r}")
+        return v
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return v
+_positive_int = _int_at_least(1)
+_nonneg_int = _int_at_least(0)
 
 
 def _block_size(text: str) -> int | str:
@@ -223,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-size", type=_block_size, default="auto",
                    help="initial block size, or 'auto' (default)")
     p.add_argument("--passes", type=_positive_int, default=4)
-    p.add_argument("--growth", type=_positive_int, default=2)
+    p.add_argument("--growth", type=_int_at_least(2), default=2,
+                   help="block-size multiplier per pass (>= 2)")
     p.add_argument("--successes", type=_positive_int, default=20,
                    help="consecutive agreeing subset rounds required to stop")
     p.add_argument("--output", default="-", metavar="PATH", help="outcome JSON")
@@ -304,7 +306,7 @@ def _cmd_reconcile(args) -> int:
     config = CascadeConfig(
         initial_block_size=args.block_size,
         num_passes=args.passes,
-        block_growth=max(args.growth, 2),
+        block_growth=args.growth,
         termination_successes=args.successes,
         variant=args.variant,
         seed=seed + 2,
@@ -342,9 +344,7 @@ def _cmd_validate(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _dispatch(args, parser: argparse.ArgumentParser) -> int:
     if args.command in ("pmf", "cdf", "tail", "parity"):
         return _cmd_table(args, args.command)
     if args.command == "blocksize":
@@ -357,6 +357,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_validate(args)
     parser.error(f"unknown command {args.command!r}")
     return 2
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _dispatch(args, parser)
+    except (SeriesNonConvergence, ValueError) as exc:
+        sys.stderr.write(f"coxcascade {args.command}: error: {exc}\n")
+        return 2
 
 
 def entry() -> None:

@@ -322,6 +322,17 @@ def _parity_of(bits: np.ndarray, selection: np.ndarray) -> int:
     return int(bits[selection].sum(dtype=np.int64)) & 1
 
 
+def _prefix_sums(bits: np.ndarray, order: np.ndarray) -> list[int]:
+    """Prefix sums of ``bits[order]``: ``c[i]`` counts the ones in order[:i].
+
+    The parity of order[lo:hi] is then ``(c[hi] - c[lo]) & 1``, so one
+    gather serves every parity read from the same order.
+    """
+    c = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(bits[order], out=c[1:])
+    return c.tolist()
+
+
 def _bisect(
     alice: np.ndarray,
     bob: np.ndarray,
@@ -336,13 +347,18 @@ def _bisect(
     Each halving publicly compares the left half's parities (one event);
     the right half's parity is implied.  When the whole range mismatches,
     exactly one half has an odd difference count, so descending into the
-    mismatching half (left first) always makes progress.  Returns the
-    located position in the coordinates ``order`` maps into.
+    mismatching half (left first) always makes progress.  Both keys are
+    gathered over order[lo:hi] once, into prefix sums; each halving's
+    parities are read off them as differences.  Returns the located
+    position in the coordinates ``order`` maps into.
     """
+    base = lo
+    ca = _prefix_sums(alice, order[lo:hi])
+    cb = _prefix_sums(bob, order[lo:hi])
     while hi - lo > 1:
         mid = lo + (hi - lo + 1) // 2
-        pa = _parity_of(alice, order[lo:mid])
-        pb = _parity_of(bob, order[lo:mid])
+        pa = (ca[mid - base] - ca[lo - base]) & 1
+        pb = (cb[mid - base] - cb[lo - base]) & 1
         transcript.add(Event(BISECT, round_index, lo=lo, hi=mid, parity_a=pa, parity_b=pb))
         if pa != pb:
             hi = mid
@@ -438,6 +454,13 @@ def run_pass(
     key length).  In BBBSS mode the last bit of every compared block is
     deleted once the whole pass has completed.  Returns the number of
     corrections made, including Cascade back-corrections.
+
+    Every block parity of the pass is read off one prefix-sum gather per
+    party.  Alice's key is fixed during a pass, and a block's own
+    correction shifts both ends of every later block's range alike, so
+    later parities stay valid.  A Cascade back-correction, however, may
+    flip bits in later blocks of this pass; Bob's prefix sums are then
+    recomputed.
     """
     n = len(pair)
     if n == 0:
@@ -450,10 +473,11 @@ def run_pass(
         perm = shared_permutation(n, pass_index, config.seed)
     corrections = 0
     doomed: list[int] = []
+    ca = _prefix_sums(pair.alice, perm)
+    cb = _prefix_sums(pair.bob, perm)
     for lo, hi in partition(n, k):
-        sel = perm[lo:hi]
-        pa = _parity_of(pair.alice, sel)
-        pb = _parity_of(pair.bob, sel)
+        pa = (ca[hi] - ca[lo]) & 1
+        pb = (cb[hi] - cb[lo]) & 1
         transcript.add(
             Event(COMPARE_BLOCK, pass_index, lo=lo, hi=hi, parity_a=pa, parity_b=pb)
         )
@@ -463,7 +487,10 @@ def run_pass(
             transcript.add(Event(CORRECT, pass_index, index=found))
             corrections += 1
             if config.variant == CASCADE and history:
-                corrections += cascade_back_correction(pair, history, found, transcript)
+                extra = cascade_back_correction(pair, history, found, transcript)
+                if extra:
+                    corrections += extra
+                    cb = _prefix_sums(pair.bob, perm)
         if config.variant == BBBSS:
             doomed.append(int(perm[hi - 1]))
     if history is not None:
@@ -509,7 +536,7 @@ def random_subset_round(
             round_index,
             parity_a=pa,
             parity_b=pb,
-            subset=tuple(int(i) for i in subset),
+            subset=tuple(subset.tolist()),
         )
     )
     corrected = False

@@ -3,9 +3,14 @@ of seeded invocations, and exit codes (0 ok, 1 validation failure, 2 usage)."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coxcascade
 from coxcascade.cli import DEFAULT_SEED, main, render_json
 from coxcascade.error_model import GammaIntensity, p_odd, pmf, tail
 
@@ -223,6 +228,45 @@ class TestReconcileCommand:
         with pytest.raises(SystemExit) as err:
             main(self.BASE + ["--block-size", "zero"])
         assert err.value.code == 2
+
+    def test_growth_below_two_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(self.BASE + ["--growth", "1"])
+        assert err.value.code == 2
+        assert "--growth: must be >= 2" in capsys.readouterr().err
+
+    def test_growth_three_is_used(self, capsys):
+        _, out2, _ = run_cli(capsys, *self.BASE, "--variant", "cascade")
+        _, out3, _ = run_cli(capsys, *self.BASE, "--variant", "cascade",
+                             "--growth", "3")
+        assert json.loads(out3)["success"] is True
+        assert out2 != out3
+
+
+class TestEvaluatorErrors:
+    def test_nonconvergence_exit_2_one_line(self):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(coxcascade.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxcascade", "tail", "--a", "10", "--b", "1e-4",
+             "--m", "3"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("coxcascade tail: error: ")
+        assert "did not converge" in proc.stderr
+
+    def test_value_error_exit_2(self, capsys, monkeypatch):
+        def refuse(m, g):
+            raise ValueError("m out of range")
+
+        monkeypatch.setattr("coxcascade.cli.cdf", refuse)
+        code, out, err = run_cli(capsys, "cdf", "--a", "1", "--b", "1", "--m", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "coxcascade cdf: error: m out of range\n"
 
 
 class TestValidateCommand:

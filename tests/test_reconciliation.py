@@ -4,14 +4,18 @@ The fixed 31-bit regression (six planted errors, five-bit blocks, second
 and sixth block parities disagreeing) pins the block pass; bisection is
 checked against a hand-simulated halving oracle and exhaustive error
 placements; Cascade back-correction against a crafted two-pass scenario;
-statistical behaviour against seeded Monte Carlo.
+statistical behaviour against seeded Monte Carlo; a pinned digest over a
+seed × length × variant × block-size grid keeps transcripts byte-identical.
 """
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxcascade.error_model import ErrorPattern, GammaIntensity, TimeUnitLayout, sample_error_pattern
 from coxcascade.reconciliation import (
@@ -28,6 +32,7 @@ from coxcascade.reconciliation import (
     KeyPair,
     ProtocolError,
     Transcript,
+    _bisect,
     bisect_error,
     bits_from_string,
     cascade_back_correction,
@@ -204,6 +209,56 @@ class TestBisectError:
         bob[[1, 4]] ^= 1
         with pytest.raises(ProtocolError):
             bisect_error(alice, bob, (0, 6), Transcript(), 0)
+
+
+def reference_bisect(alice, bob, order, lo, hi, transcript, round_index):
+    """Per-halving reference: each halving sums its own left half afresh."""
+    while hi - lo > 1:
+        mid = lo + (hi - lo + 1) // 2
+        pa = int(alice[order[lo:mid]].sum()) % 2
+        pb = int(bob[order[lo:mid]].sum()) % 2
+        transcript.add(Event(BISECT, round_index, lo=lo, hi=mid, parity_a=pa, parity_b=pb))
+        if pa != pb:
+            hi = mid
+        else:
+            lo = mid
+    return int(order[lo])
+
+
+@st.composite
+def bisect_cases(draw):
+    """Random keys, order and [lo, hi) with an odd number of differences in
+    order[lo:hi]; positions outside the range may differ too."""
+    n = draw(st.integers(1, 80))
+    alice = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                     dtype=np.uint8)
+    order = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    m = draw(st.integers(1, n))  # orders may cover only part of the key
+    order = order[:m]
+    lo = draw(st.integers(0, m - 1))
+    hi = draw(st.integers(lo + 1, m))
+    inside = draw(st.sets(st.integers(lo, hi - 1), min_size=1))
+    if len(inside) % 2 == 0:
+        inside.discard(min(inside))
+    outside = draw(st.sets(st.integers(0, n - 1)))
+    outside -= set(order[lo:hi].tolist())
+    bob = alice.copy()
+    bob[order[sorted(inside)]] ^= 1
+    bob[sorted(outside)] ^= 1
+    return alice, bob, order, lo, hi
+
+
+class TestPrefixBisect:
+    @settings(max_examples=300, deadline=None)
+    @given(bisect_cases(), st.integers(0, 5))
+    def test_matches_per_halving_reference(self, case, round_index):
+        alice, bob, order, lo, hi = case
+        t_new, t_ref = Transcript(), Transcript()
+        found = _bisect(alice, bob, order, lo, hi, t_new, round_index)
+        expected = reference_bisect(alice, bob, order, lo, hi, t_ref, round_index)
+        assert found == expected
+        assert alice[found] != bob[found]
+        assert t_new.events == t_ref.events
 
 
 class TestRunPass:
@@ -480,6 +535,36 @@ class TestReconcile:
         assert out.deleted_bits == 0
         assert out.final_length == 128
         assert not any(e.kind == DELETE for e in t.events)
+
+
+# SHA-256 over every transcript line and outcome repr of the grid below,
+# computed with one fresh gather per block and per halving: how parities
+# are computed must not change a byte of the public channel.  Block size 3
+# makes Cascade back-corrections flip bits in later blocks of the pass in
+# progress.
+GOLDEN_DIGEST = "44693185e7f3e805612cfe81880c1dc226ba0f5289e91472ce6a539ae684746e"
+
+
+class TestGoldenTranscripts:
+    def test_grid_digest(self):
+        g = GammaIntensity(10.0, 2.0)
+        layout = TimeUnitLayout(250)
+        h = hashlib.sha256()
+        for seed in range(4):
+            for n in (64, 1000, 4096):
+                pattern = sample_error_pattern(n, layout, g, seed)
+                for variant in (BBBSS, CASCADE):
+                    for k in ("auto", 3, 17):
+                        pair = make_key_pair(n, pattern, seed + 1)
+                        config = CascadeConfig(
+                            initial_block_size=k, variant=variant, seed=seed + 2
+                        ).resolve(layout, g)
+                        t = Transcript()
+                        out = reconcile(pair, config, t)
+                        for line in t.to_lines():
+                            h.update(line.encode() + b"\n")
+                        h.update(repr(out).encode() + b"\n")
+        assert h.hexdigest() == GOLDEN_DIGEST
 
 
 class TestTranscriptSerialization:
