@@ -1,7 +1,7 @@
 """Error scattering model and reconciliation simulator for QKD raw keys.
 
-The package has four layers: a numeric kernel for log-gamma, Pochhammer
-symbols and truncated hypergeometric series (:mod:`special_functions`);
+The package has four layers: a numeric kernel for log-Pochhammer symbols
+and truncated hypergeometric series (:mod:`special_functions`);
 the gamma-mixed Poisson error model with closed-form count and parity
 probabilities plus a seeded sampler (:mod:`error_model`); a deterministic
 two-party simulator of the BBBSS and Cascade interactive reconciliation
@@ -34,7 +34,6 @@ from .reconciliation import (
     ProtocolError,
     ReconcileOutcome,
     Transcript,
-    bisect_error,
     bits_from_string,
     cascade_back_correction,
     make_key_pair,
@@ -52,9 +51,7 @@ from .special_functions import (
     SeriesSum,
     hyp2f1_one,
     hyp3f2,
-    ln_gamma,
     ln_pochhammer,
-    pochhammer,
 )
 from .validation import (
     CheckRecord,

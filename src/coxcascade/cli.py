@@ -8,14 +8,16 @@ produce byte-identical output.
 
 Numeric rendering is fixed: 17 significant digits in JSON output, 12 in
 CSV.  Exit codes: 0 success, 1 validation failure, 2 usage or parameter
-error, including an evaluator that refuses its input or fails to
-converge (reported on one stderr line).  The default seed is 24301 and
-can be overridden with the ``COXCASCADE_SEED`` environment variable.
+error, including an evaluator that refuses its input, fails to converge
+or returns a non-finite value (reported on one stderr line).  The
+default seed is 24301 and can be overridden with the ``COXCASCADE_SEED``
+environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Iterable, Sequence
@@ -39,7 +41,7 @@ from .reconciliation import (
     reconcile,
 )
 from .special_functions import SeriesNonConvergence
-from .validation import SUITES, run_suites
+from .validation import SUITES, CheckRecord, run_suites
 
 DEFAULT_SEED = 24301
 
@@ -85,6 +87,8 @@ def render_json(obj, digits: int = JSON_DIGITS) -> str:
 
 
 def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
     if isinstance(v, float):
         return format(v, f".{CSV_DIGITS}g")
     return str(v)
@@ -237,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(SUITES) + ["all"],
                    help="suite to run (repeatable; default all)")
     p.add_argument("--output", default=None, metavar="PATH",
-                   help="also write machine-readable records CSV")
+                   help="also write machine-readable records CSV "
+                        "('-' for stdout, after the report)")
 
     return parser
 
@@ -257,6 +262,14 @@ def _cmd_table(args, kind: str) -> int:
         header = ("m", "p_odd_finite", "p_odd_limit")
         limit = p_odd(g)
         rows = [(m, p_odd_finite(m, g), limit) for m in args.m]
+    for row in rows:
+        for name, v in zip(header[1:], row[1:]):
+            if not math.isfinite(v):
+                func = kind if name == "probability" else name
+                raise ValueError(
+                    f"{func}({header[0]}={row[0]}) = {v} at a={g.a!r}, b={g.b!r} "
+                    "is not a finite probability"
+                )
     _emit(_table_text(header, rows, args.format), args.output)
     return 0
 
@@ -340,7 +353,8 @@ def _cmd_validate(args) -> int:
     report = run_suites(names)
     sys.stdout.write(report.to_text() + "\n")
     if args.output is not None:
-        report.write_csv(args.output)
+        rows = [r.to_row() for r in report.sorted_records()]
+        _emit(_table_text(CheckRecord.FIELDS, rows, "csv"), args.output)
     return 0 if report.all_passed else 1
 
 

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import (
-    DEFAULT_CONTROL,
-    SeriesControl,
-    hyp2f1_one,
-    hyp3f2,
-    ln_pochhammer,
-)
+from .special_functions import hyp2f1_one, hyp3f2, ln_pochhammer
 
 __all__ = [
     "ErrorPattern",
@@ -134,7 +128,7 @@ def pmf(k: int, g: GammaIntensity, dt: float = 1.0) -> float:
     return math.exp(log_p)
 
 
-def tail(m: int, g: GammaIntensity, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def tail(m: int, g: GammaIntensity) -> float:
     """Probability of seeing more than ``m`` errors in one time unit.
 
     Closed form: b**a (a)_{m+1} / ((m+1)! (b+1)**(a+m+1))
@@ -148,12 +142,12 @@ def tail(m: int, g: GammaIntensity, ctrl: SeriesControl = DEFAULT_CONTROL) -> fl
         - math.lgamma(m + 2)
         - (a + m + 1) * math.log(b + 1)
     )
-    return math.exp(log_pref) * hyp2f1_one(m + a + 1, m + 2, 1.0 / (b + 1), ctrl)
+    return math.exp(log_pref) * hyp2f1_one(m + a + 1, m + 2, 1.0 / (b + 1))
 
 
-def cdf(m: int, g: GammaIntensity, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def cdf(m: int, g: GammaIntensity) -> float:
     """Probability of at most ``m`` errors in one time unit (1 - tail)."""
-    return 1.0 - tail(m, g, ctrl)
+    return 1.0 - tail(m, g)
 
 
 def mean(g: GammaIntensity) -> float:
@@ -178,7 +172,7 @@ def p_odd(g: GammaIntensity) -> float:
     return -0.5 * math.expm1(a * (math.log(b) - math.log(b + 2.0)))
 
 
-def p_odd_finite(m: int, g: GammaIntensity, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def p_odd_finite(m: int, g: GammaIntensity) -> float:
     """Probability of an odd error count that is at most ``2m + 1``.
 
     The infinite-string value ``p_odd`` minus a correction term
@@ -203,7 +197,6 @@ def p_odd_finite(m: int, g: GammaIntensity, ctrl: SeriesControl = DEFAULT_CONTRO
         m + 2.0,
         m + 2.5,
         1.0 / (b + 1) ** 2,
-        ctrl,
     )
     return p_odd(g) - correction
 

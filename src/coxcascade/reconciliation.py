@@ -43,7 +43,6 @@ __all__ = [
     "ProtocolError",
     "ReconcileOutcome",
     "Transcript",
-    "bisect_error",
     "bits_from_string",
     "cascade_back_correction",
     "make_key_pair",
@@ -100,17 +99,6 @@ class KeyPair:
 
     def __len__(self) -> int:
         return int(self.alice.shape[0])
-
-    @property
-    def n(self) -> int:
-        return len(self)
-
-    @classmethod
-    def from_strings(cls, alice: str, bob: str) -> "KeyPair":
-        return cls(bits_from_string(alice), bits_from_string(bob))
-
-    def difference_positions(self) -> np.ndarray:
-        return np.nonzero(self.alice != self.bob)[0]
 
     def residual_errors(self) -> int:
         return int(np.count_nonzero(self.alice != self.bob))
@@ -241,11 +229,6 @@ class Transcript:
     def to_lines(self) -> list[str]:
         return [e.to_line() for e in self.events]
 
-    def write(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            for line in self.to_lines():
-                fh.write(line + "\n")
-
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "Transcript":
         t = cls()
@@ -371,20 +354,6 @@ def _bisect(
             "even number of differences"
         )
     return found
-
-
-def bisect_error(
-    alice: np.ndarray,
-    bob: np.ndarray,
-    span: tuple[int, int],
-    transcript: Transcript,
-    round_index: int = 0,
-) -> int:
-    """Bisective search over a contiguous span with mismatched parity."""
-    if parity(alice, span) == parity(bob, span):
-        raise ProtocolError(f"span {span!r} parities agree; nothing to bisect")
-    lo, hi = span
-    return _bisect(alice, bob, np.arange(len(alice)), lo, hi, transcript, round_index)
 
 
 def _apply_deletions(

@@ -1,4 +1,4 @@
-"""Log-gamma, Pochhammer symbols, and truncated hypergeometric series.
+"""Log-Pochhammer symbols and truncated hypergeometric series.
 
 Everything in this module is a pure function of its arguments, with no
 caches or globals, so concurrent callers are safe.  The series evaluators
@@ -6,9 +6,9 @@ only accept arguments in [0, 1), where the term ratio settles below 1 and
 the partial sums converge at a geometric rate.
 
 Gamma-ratio prefactors elsewhere in the package are assembled from
-``ln_gamma``/``ln_pochhammer`` and exponentiated once, because the ratios
-overflow a naive gamma evaluation long before the quantities of interest
-leave the representable range.
+``ln_pochhammer`` and ``math.lgamma`` and exponentiated once, because
+the ratios overflow a naive gamma evaluation long before the quantities
+of interest leave the representable range.
 """
 
 from __future__ import annotations
@@ -26,14 +26,8 @@ __all__ = [
     "hyp2f1_one_sum",
     "hyp3f2",
     "hyp3f2_sum",
-    "ln_gamma",
     "ln_pochhammer",
-    "pochhammer",
 ]
-
-# Above this many factors a direct rising-factorial product accumulates
-# more rounding than the log-gamma route; all factors are positive there.
-_POCHHAMMER_DIRECT_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -83,29 +77,6 @@ class SeriesSum(NamedTuple):
     value: float
     terms_used: int
     last_ratio: float
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
-def pochhammer(x: float, n: int) -> float:
-    """Rising factorial x (x+1) ... (x+n-1); the empty product is 1."""
-    if n < 0:
-        raise ValueError(f"pochhammer order must be >= 0, got {n!r}")
-    if n == 0:
-        return 1.0
-    if x > 0.0 and n > _POCHHAMMER_DIRECT_LIMIT:
-        log_value = ln_pochhammer(x, n)
-        # overflow to inf, matching what the direct product would produce
-        return math.exp(log_value) if log_value < 709.0 else math.inf
-    out = 1.0
-    for i in range(n):
-        out *= x + i
-    return out
 
 
 def ln_pochhammer(x: float, n: int) -> float:

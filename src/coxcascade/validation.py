@@ -15,7 +15,7 @@ identical records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -40,6 +40,7 @@ from .reconciliation import (
     PARITY_EVENT_KINDS,
     CascadeConfig,
     Transcript,
+    bits_from_string,
     make_key_pair,
     parity,
     partition,
@@ -106,7 +107,7 @@ def _record(name: str, params: str, analytic: float, oracle: float,
 
 
 class ValidationReport:
-    """Collection of check records with text and CSV renderings."""
+    """Collection of check records with a text rendering."""
 
     def __init__(self, records: Iterable[CheckRecord] = ()):
         self.records: list[CheckRecord] = list(records)
@@ -133,24 +134,6 @@ class ValidationReport:
         n_fail = sum(not r.passed for r in self.records)
         lines.append(f"{len(self.records)} checks, {n_fail} failed")
         return "\n".join(lines)
-
-    def to_csv_lines(self) -> list[str]:
-        def cell(v):
-            if isinstance(v, bool):
-                return "true" if v else "false"
-            if isinstance(v, float):
-                return format(v, ".12g")
-            return str(v)
-
-        lines = [",".join(CheckRecord.FIELDS)]
-        for r in self.sorted_records():
-            lines.append(",".join(cell(v) for v in r.to_row()))
-        return lines
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            for line in self.to_csv_lines():
-                fh.write(line + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +392,7 @@ def _worked_example_records() -> list[CheckRecord]:
     """Fixed 31-bit regression: parities and the mismatching block set."""
     n = len(EXAMPLE_KEY_BITS)
     pattern = ErrorPattern(n, EXAMPLE_ERROR_POSITIONS)
-    alice = np.frombuffer(EXAMPLE_KEY_BITS.encode(), dtype=np.uint8) - ord("0")
+    alice = bits_from_string(EXAMPLE_KEY_BITS)
     bob = alice.copy()
     bob[list(pattern.positions)] ^= 1
     spans = partition(n, 5)
@@ -424,15 +407,9 @@ def _worked_example_records() -> list[CheckRecord]:
     parity_params = ("alice=" + "".join(map(str, pa))
                      + ";bob=" + "".join(map(str, pb)))
     return [
-        CheckRecord("worked_example_parities", parity_params,
-                    1.0, 1.0 if ok_parities else 0.0,
-                    0.0 if ok_parities else 1.0,
-                    0.0 if ok_parities else 1.0, 0.0, ok_parities),
-        CheckRecord("worked_example_mismatch_blocks",
-                    "blocks=" + "+".join(map(str, mismatch)),
-                    1.0, 1.0 if ok_blocks else 0.0,
-                    0.0 if ok_blocks else 1.0,
-                    0.0 if ok_blocks else 1.0, 0.0, ok_blocks),
+        _record("worked_example_parities", parity_params, 1.0, float(ok_parities), 0.0),
+        _record("worked_example_mismatch_blocks",
+                "blocks=" + "+".join(map(str, mismatch)), 1.0, float(ok_blocks), 0.0),
     ]
 
 
@@ -470,9 +447,7 @@ def check_reconciliation(
     ok_clean = (out_clean.success and t_clean.corrections_made == 0 and
                 out_clean.subset_rounds == config.termination_successes)
     records.append(
-        CheckRecord("reconcile_zero_error", f"n=256;seed={seed}", 1.0,
-                    1.0 if ok_clean else 0.0, 0.0 if ok_clean else 1.0,
-                    0.0 if ok_clean else 1.0, 0.0, ok_clean)
+        _record("reconcile_zero_error", f"n=256;seed={seed}", 1.0, float(ok_clean), 0.0)
     )
 
     successes = 0
@@ -484,16 +459,8 @@ def check_reconciliation(
     for r in range(runs):
         pattern = sample_error_pattern(n, layout, g, seed + 3 * r)
         pair = make_key_pair(n, pattern, seed + 3 * r + 1)
-        run_config = CascadeConfig(
-            initial_block_size=config.initial_block_size,
-            num_passes=config.num_passes,
-            block_growth=config.block_growth,
-            termination_successes=config.termination_successes,
-            variant=config.variant,
-            seed=seed + 3 * r + 2,
-        )
         t = Transcript()
-        out = reconcile(pair, run_config, t)
+        out = reconcile(pair, replace(config, seed=seed + 3 * r + 2), t)
         if out.success:
             successes += 1
             residual_on_success += out.residual_error_count

@@ -1,6 +1,7 @@
 """Command-line surface tests: table contracts, file outputs, determinism
 of seeded invocations, and exit codes (0 ok, 1 validation failure, 2 usage)."""
 
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 import coxcascade
 from coxcascade.cli import DEFAULT_SEED, main, render_json
 from coxcascade.error_model import GammaIntensity, p_odd, pmf, tail
+from coxcascade.validation import check_reconciliation
 
 
 def run_cli(capsys, *argv):
@@ -258,6 +260,18 @@ class TestEvaluatorErrors:
         assert proc.stderr.startswith("coxcascade tail: error: ")
         assert "did not converge" in proc.stderr
 
+    @pytest.mark.parametrize("cmd,func", [("tail", "tail"), ("cdf", "cdf"),
+                                          ("parity", "p_odd_finite")])
+    def test_non_finite_value_exit_2(self, capsys, cmd, func):
+        # at b = 1e-4 the a = 100 prefactor underflows while the series
+        # overflows: the product is nan, which is no probability
+        code, out, err = run_cli(capsys, cmd, "--a", "100", "--b", "1e-4",
+                                 "--m", "0..1", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err == (f"coxcascade {cmd}: error: {func}(m=0) = nan at a=100.0, "
+                       "b=0.0001 is not a finite probability\n")
+
     def test_value_error_exit_2(self, capsys, monkeypatch):
         def refuse(m, g):
             raise ValueError("m out of range")
@@ -277,13 +291,28 @@ class TestValidateCommand:
         assert "partial_sum_identity" in out
 
     def test_records_file(self, capsys, tmp_path):
-        path = tmp_path / "records.csv"
-        code, _, _ = run_cli(capsys, "validate", "--suite", "identities",
-                             "--output", str(path))
-        assert code == 0
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("check,params,")
+        paths = [tmp_path / "r1.csv", tmp_path / "r2.csv"]
+        for path in paths:
+            code, out, _ = run_cli(capsys, "validate", "--suite", "identities",
+                                   "--output", str(path))
+            assert code == 0
+        lines = paths[0].read_text().splitlines()
+        assert lines[0] == "check,params,analytic,oracle,abs_dev,rel_dev,tolerance,passed"
+        n_records = int(out.splitlines()[-1].split()[0])
+        assert len(lines) == n_records + 1
         assert all(line.endswith("true") for line in lines[1:])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_output_dash_is_stdout(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        record_file = tmp_path / "records.csv"
+        _, report, _ = run_cli(capsys, "validate", "--suite", "identities",
+                               "--output", str(record_file))
+        code, out, _ = run_cli(capsys, "validate", "--suite", "identities",
+                               "--output", "-")
+        assert code == 0
+        assert out == report + record_file.read_text()
+        assert not (tmp_path / "-").exists()
 
     def test_unknown_suite_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -331,3 +360,45 @@ class TestSeedDefaulting:
         monkeypatch.setenv("COXCASCADE_SEED", "not-a-number")
         with pytest.raises(SystemExit):
             main(["sample", "--a", "10", "--b", "2", "--f", "100", "--n", "100"])
+
+
+# SHA-256 over the stdout and files of the invocations below plus the
+# records of a 100-run reconciliation check.  Tables, transcripts and the
+# records CSV are rendered by the CLI alone; a change to the library
+# behind them must not alter a byte.
+GOLDEN_OUTPUT_DIGEST = "599b93a16823a6df27f9599e776b34f0f05f5cdbb3f8b3321b88c9dd6dd17ae9"
+
+
+class TestGoldenOutputs:
+    MODEL = ["--a", "10", "--b", "2"]
+
+    def test_invocation_digest(self, capsys, tmp_path):
+        h = hashlib.sha256()
+
+        def feed(label, *argv, files=()):
+            code, out, err = run_cli(capsys, *argv)
+            h.update(f"{label} exit={code}\n".encode() + out.encode() + err.encode())
+            for path in files:
+                h.update(path.read_bytes())
+
+        for cmd, span in (("pmf", ["--k", "0..25"]), ("cdf", ["--m", "0..10"]),
+                          ("tail", ["--m", "0..10"]), ("parity", ["--m", "0..10"])):
+            for fmt in ("csv", "json"):
+                feed(f"{cmd} {fmt}", cmd, *self.MODEL, *span, "--format", fmt)
+        for fmt in ("text", "json"):
+            feed(f"blocksize {fmt}", "blocksize", *self.MODEL, "--f", "1000",
+                 "--format", fmt)
+        pattern = tmp_path / "pattern.txt"
+        feed("sample", "sample", *self.MODEL, "--f", "100", "--n", "2000",
+             "--seed", "7", "--pattern-out", str(pattern), files=[pattern])
+        for variant in ("bbbss", "cascade"):
+            transcript = tmp_path / f"{variant}.log"
+            feed(f"reconcile {variant}", "reconcile", *self.MODEL, "--f", "250",
+                 "--n", "4096", "--seed", "17", "--variant", variant,
+                 "--transcript-out", str(transcript), files=[transcript])
+        records = tmp_path / "records.csv"
+        feed("validate", "validate", "--suite", "normalization", "--suite", "parity",
+             "--suite", "identities", "--output", str(records), files=[records])
+        rows = [r.to_row() for r in check_reconciliation(runs=100)]
+        h.update(repr(rows).encode())
+        assert h.hexdigest() == GOLDEN_OUTPUT_DIGEST

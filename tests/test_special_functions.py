@@ -1,9 +1,9 @@
-"""Kernel tests: log-gamma, Pochhammer products, hypergeometric series.
+"""Kernel tests: Pochhammer symbols and hypergeometric series.
 
 Brute-force oracles are written out here independently of the library
-paths they check: factorials for ln_gamma, explicit products for
-Pochhammer symbols, and term-by-term summation (no recurrence) for the
-series evaluators.
+paths they check: factorials and explicit products for Pochhammer
+symbols (checked as ``exp(ln_pochhammer)``), and term-by-term summation
+(no recurrence) for the series evaluators.
 """
 
 import math
@@ -21,9 +21,7 @@ from coxcascade.special_functions import (
     hyp2f1_one_sum,
     hyp3f2,
     hyp3f2_sum,
-    ln_gamma,
     ln_pochhammer,
-    pochhammer,
 )
 
 
@@ -32,6 +30,11 @@ def poch_oracle(x, n):
     for i in range(n):
         out *= x + i
     return out
+
+
+def pochhammer(x, n):
+    """Rising factorial (x)_n from the kernel's log route."""
+    return math.exp(ln_pochhammer(x, n))
 
 
 def hyp2f1_direct(a2, c1, z, terms):
@@ -56,55 +59,25 @@ def hyp3f2_direct(a2, a3, c1, c2, z, terms):
     return total
 
 
-class TestLnGamma:
-    def test_one_and_two_are_exact_zeros(self):
-        assert ln_gamma(1.0) == 0.0
-        assert ln_gamma(2.0) == 0.0
-
-    def test_factorial_oracle(self):
-        # Gamma(n) = (n-1)!
-        for n in range(3, 50):
-            expected = math.log(math.factorial(n - 1))
-            assert ln_gamma(n) == pytest.approx(expected, rel=1e-13)
-
-    def test_recurrence(self):
-        # ln Gamma(x+1) = ln x + ln Gamma(x)
-        for x in (1e-3, 0.37, 1.5, 12.0, 4096.5, 1e6):
-            assert ln_gamma(x + 1) == pytest.approx(
-                math.log(x) + ln_gamma(x), rel=1e-12, abs=1e-13
-            )
-
-    def test_ln_120(self):
-        assert ln_gamma(6.0) == pytest.approx(math.log(120.0), rel=1e-14)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
-    def test_domain_error(self, bad):
-        with pytest.raises(ValueError):
-            ln_gamma(bad)
-
-
 class TestPochhammer:
     def test_empty_product(self):
-        for x in (-3.2, 0.0, 0.5, 7.0):
+        for x in (1e-3, 0.5, 7.0):
             assert pochhammer(x, 0) == 1.0
 
     def test_one_rising_is_factorial(self):
-        assert pochhammer(1.0, 5) == 120.0
+        # exp of a log-gamma difference lands within a few ulps of k!
+        assert pochhammer(1.0, 5) == pytest.approx(120.0, rel=1e-14)
         for k in range(10):
-            assert pochhammer(1.0, k) == float(math.factorial(k))
+            assert pochhammer(1.0, k) == pytest.approx(math.factorial(k), rel=1e-14)
 
     def test_three_halves_example(self):
         # (3/2)_k = (2k+1)! / (k! 4**k) at k = 2 gives 3.75
         assert pochhammer(1.5, 2) == pytest.approx(3.75, rel=1e-15)
 
-    def test_matches_product_for_negative_x(self):
-        assert pochhammer(-2.5, 4) == pytest.approx(poch_oracle(-2.5, 4), rel=1e-14)
-        assert pochhammer(-3.0, 5) == 0.0  # hits the zero factor
-
     def test_two_rising(self):
         # (2)_k = (k+1)!
         for k in range(8):
-            assert pochhammer(2.0, k) == float(math.factorial(k + 1))
+            assert pochhammer(2.0, k) == pytest.approx(math.factorial(k + 1), rel=1e-14)
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 7.3])
     @pytest.mark.parametrize("k", list(range(21)))
@@ -129,17 +102,19 @@ class TestPochhammer:
         assert pochhammer(1.5, k) == pytest.approx(rhs, rel=1e-12)
 
     def test_log_space_branch_agrees(self):
-        # n above the direct-product limit goes through lgamma; a tiny x keeps
-        # this 257-factor product inside float range on both routes
+        # a tiny x keeps this 257-factor product inside float range on both
+        # the lgamma route and the explicit product
         x, n = 1e-200, 257
         assert pochhammer(x, n) == pytest.approx(poch_oracle(x, n), rel=1e-9)
 
-    def test_log_space_branch_overflows_to_inf(self):
-        assert math.isinf(pochhammer(2.5, 300))
-
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
-            pochhammer(1.0, -1)
+            ln_pochhammer(1.0, -1)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
+    def test_ln_pochhammer_domain(self, bad):
+        with pytest.raises(ValueError):
+            ln_pochhammer(bad, 1)
 
     def test_ln_pochhammer_matches_product(self):
         for x in (0.5, 3.0, 10.0):
