@@ -45,12 +45,10 @@ from .reconciliation import (
     shared_permutation,
 )
 from .special_functions import (
-    DEFAULT_CONTROL,
-    SeriesControl,
     SeriesNonConvergence,
     SeriesSum,
-    hyp2f1_one,
-    hyp3f2,
+    hyp2f1_one_sum,
+    hyp3f2_sum,
     ln_pochhammer,
 )
 from .validation import (

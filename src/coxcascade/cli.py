@@ -8,8 +8,10 @@ produce byte-identical output.
 
 Numeric rendering is fixed: 17 significant digits in JSON output, 12 in
 CSV.  Exit codes: 0 success, 1 validation failure, 2 usage or parameter
-error, including an evaluator that refuses its input, fails to converge
-or returns a non-finite value (reported on one stderr line).  The
+error, including an evaluator that refuses its input, whose series does
+not converge or overflows or whose value overflows, a bad
+``COXCASCADE_SEED`` and an output path that cannot be written (each
+reported on one stderr line).  The
 default seed is 24301 and can be overridden with the ``COXCASCADE_SEED``
 environment variable.
 """
@@ -17,7 +19,6 @@ environment variable.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import Iterable, Sequence
@@ -53,14 +54,13 @@ def _default_seed() -> int:
     raw = os.environ.get("COXCASCADE_SEED")
     if raw is None:
         return DEFAULT_SEED
+    msg = f"COXCASCADE_SEED must be a nonnegative integer, got {raw!r}"
     try:
         seed = int(raw)
-        if seed < 0:
-            raise ValueError
     except ValueError:
-        raise SystemExit(
-            f"coxcascade: COXCASCADE_SEED must be a nonnegative integer, got {raw!r}"
-        )
+        raise ValueError(msg) from None
+    if seed < 0:
+        raise ValueError(msg)
     return seed
 
 
@@ -262,14 +262,6 @@ def _cmd_table(args, kind: str) -> int:
         header = ("m", "p_odd_finite", "p_odd_limit")
         limit = p_odd(g)
         rows = [(m, p_odd_finite(m, g), limit) for m in args.m]
-    for row in rows:
-        for name, v in zip(header[1:], row[1:]):
-            if not math.isfinite(v):
-                func = kind if name == "probability" else name
-                raise ValueError(
-                    f"{func}({header[0]}={row[0]}) = {v} at a={g.a!r}, b={g.b!r} "
-                    "is not a finite probability"
-                )
     _emit(_table_text(header, rows, args.format), args.output)
     return 0
 
@@ -378,7 +370,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args, parser)
-    except (SeriesNonConvergence, ValueError) as exc:
+    except (SeriesNonConvergence, ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"coxcascade {args.command}: error: {exc}\n")
         return 2
 

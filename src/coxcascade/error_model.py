@@ -10,7 +10,11 @@ the probability of an odd count (the event a single parity check can
 detect), each in closed form.
 
 All probabilities are assembled from log-gamma terms and exponentiated
-once, so large shape parameters and long strings stay in range.
+once, so large shape parameters and long strings stay in range.  An
+evaluator returns a finite float or raises: ``ValueError`` for input
+outside its domain or a value lost to float arithmetic (``nan``/``inf``),
+``SeriesNonConvergence`` from the series kernel, ``OverflowError`` from
+``math``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import hyp2f1_one, hyp3f2, ln_pochhammer
+from .special_functions import hyp2f1_one_sum, hyp3f2_sum, ln_pochhammer
 
 __all__ = [
     "ErrorPattern",
@@ -41,16 +45,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GammaIntensity:
-    """Gamma law of the error intensity: shape ``a``, rate ``b`` (both > 0)."""
+    """Gamma law of the error intensity: shape ``a``, rate ``b`` (both finite, > 0)."""
 
     a: float
     b: float
 
     def __post_init__(self) -> None:
-        if not self.a > 0.0:
-            raise ValueError(f"gamma shape a must be > 0, got {self.a!r}")
-        if not self.b > 0.0:
-            raise ValueError(f"gamma rate b must be > 0, got {self.b!r}")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError(f"gamma shape a must be finite and > 0, got {self.a!r}")
+        if not 0.0 < self.b < math.inf:
+            raise ValueError(f"gamma rate b must be finite and > 0, got {self.b!r}")
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,8 @@ def pmf(k: int, g: GammaIntensity, dt: float = 1.0) -> float:
     a negative binomial law; ``dt = 1`` is the per-time-unit case.
     """
     _validate_count(k)
-    if not dt > 0.0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     a, b = g.a, g.b
     log_p = (
         ln_pochhammer(a, k)
@@ -142,7 +146,12 @@ def tail(m: int, g: GammaIntensity) -> float:
         - math.lgamma(m + 2)
         - (a + m + 1) * math.log(b + 1)
     )
-    return math.exp(log_pref) * hyp2f1_one(m + a + 1, m + 2, 1.0 / (b + 1))
+    p = math.exp(log_pref) * hyp2f1_one_sum(m + a + 1, m + 2, 1.0 / (b + 1)).value
+    if not math.isfinite(p):
+        # a*log(b) overflows before lgamma(a) does, so the log prefactor
+        # can be inf - inf (a ~ 2.5e305)
+        raise ValueError(f"tail(m={m}) = {p} at a={a!r}, b={b!r} is not a finite probability")
+    return p
 
 
 def cdf(m: int, g: GammaIntensity) -> float:
@@ -191,13 +200,13 @@ def p_odd_finite(m: int, g: GammaIntensity) -> float:
         - math.lgamma(2 * m + 4)
         - (2 * m + 3 + a) * math.log(b + 1)
     )
-    correction = math.exp(log_corr) * hyp3f2(
+    correction = math.exp(log_corr) * hyp3f2_sum(
         m + 2 + a / 2.0,
         m + 1.5 + a / 2.0,
         m + 2.0,
         m + 2.5,
         1.0 / (b + 1) ** 2,
-    )
+    ).value
     return p_odd(g) - correction
 
 

@@ -34,7 +34,6 @@ from .error_model import (
     sample_process,
 )
 from .reconciliation import (
-    BBBSS,
     COMPARE_BLOCK,
     COMPARE_SUBSET,
     PARITY_EVENT_KINDS,
@@ -46,7 +45,7 @@ from .reconciliation import (
     partition,
     reconcile,
 )
-from .special_functions import hyp2f1_one, hyp3f2
+from .special_functions import hyp2f1_one_sum, hyp3f2_sum
 
 __all__ = [
     "CheckRecord",
@@ -62,7 +61,6 @@ __all__ = [
     "check_reconciliation",
     "check_simulator_statistics",
     "odd_sum_oracle",
-    "pmf_partial_sum",
     "run_suites",
 ]
 
@@ -139,11 +137,6 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 # brute-force oracles
 
-def pmf_partial_sum(m: int, g: GammaIntensity, dt: float = 1.0) -> float:
-    """Direct truncated summation of the pmf up to and including m."""
-    return math.fsum(pmf(k, g, dt) for k in range(m + 1))
-
-
 def odd_sum_oracle(m: int, g: GammaIntensity) -> float:
     """Direct summation of the odd-count probabilities up to 2m + 1."""
     return math.fsum(pmf(2 * j + 1, g) for j in range(m + 1))
@@ -169,39 +162,32 @@ def adaptive_pmf_sum(g: GammaIntensity) -> tuple[float, int]:
 # ---------------------------------------------------------------------------
 # closed-form checks
 
-def check_pmf_normalization(
-    g: GammaIntensity, k_max: int | None = None, tolerance: float = 1e-10
-) -> list[CheckRecord]:
-    """Compare the truncated pmf sum to 1 and to the closed-form cdf."""
-    if k_max is None:
-        total, k_max = adaptive_pmf_sum(g)
-    else:
-        if k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {k_max!r}")
-        total = pmf_partial_sum(k_max, g)
+def check_pmf_normalization(g: GammaIntensity) -> list[CheckRecord]:
+    """Compare the adaptively truncated pmf sum to 1 and to the closed-form
+    cdf at the cutoff, both at 1e-10."""
+    total, k_max = adaptive_pmf_sum(g)
     params = f"a={g.a:g};b={g.b:g};k_max={k_max}"
     return [
-        _record("pmf_normalization", params, 1.0, total, tolerance),
-        _record("pmf_sum_vs_cdf", params, cdf(k_max, g), total, tolerance),
+        _record("pmf_normalization", params, 1.0, total, 1e-10),
+        _record("pmf_sum_vs_cdf", params, cdf(k_max, g), total, 1e-10),
     ]
 
 
-def check_parity_formulas(
-    g: GammaIntensity,
-    m_grid: Iterable[int] = range(21),
-    limit_m: int = 200,
-    tolerance: float = 1e-10,
-    limit_tolerance: float = 1e-8,
-) -> list[CheckRecord]:
+def check_parity_formulas(g: GammaIntensity) -> list[CheckRecord]:
     """Certify the odd-count probabilities against direct odd-term sums.
 
-    Also records how far the rejected parity-failure variant
+    ``p_odd_finite`` is checked for m = 0..20 at 1e-10; the limit ``p_odd``
+    against ``p_odd_finite`` and the odd sum at m = 200, at 1e-8.  Also
+    records how far the rejected parity-failure variant
     (1 - (b/(b+1))**a) / 2, which is half the probability of any errors
     at all, lands from the brute-force odd sum.
     """
+    tolerance = 1e-10
+    limit_m = 200
+    limit_tolerance = 1e-8
     base = f"a={g.a:g};b={g.b:g}"
     records = []
-    for m in m_grid:
+    for m in range(21):
         records.append(
             _record("p_odd_finite_vs_oracle", f"{base};m={m}",
                     p_odd_finite(m, g), odd_sum_oracle(m, g), tolerance)
@@ -226,12 +212,7 @@ def check_parity_formulas(
     return records
 
 
-def check_partial_sum_identities(
-    a_grid: Iterable[float] = (0.5, 2.0, 10.0),
-    c_grid: Iterable[float] = (1.5, 3.0, 11.0),
-    m_max: int = 30,
-    tolerance: float = 1e-9,
-) -> list[CheckRecord]:
+def check_partial_sum_identities() -> list[CheckRecord]:
     """Closed forms of the raw partial sums versus direct summation.
 
     For G(m) = sum_{k<=m} Gamma(k+a) / (k! c**k) the closed form is
@@ -241,11 +222,14 @@ def check_partial_sum_identities(
 
     and the odd-index analogue sum_{k<=m} Gamma(2k+1+a) / ((2k+1)! c**(2k+1))
     equals a two-sided-binomial first term minus a 3F2 correction.  Both
-    identities are checked on a grid, worst case over m recorded.
+    identities are checked for a in {0.5, 2, 10}, c in {1.5, 3, 11} at 1e-9
+    relative, worst case over m = 0..30 recorded.
     """
+    m_max = 30
+    tolerance = 1e-9
     records = []
-    for a in a_grid:
-        for c in c_grid:
+    for a in (0.5, 2.0, 10.0):
+        for c in (1.5, 3.0, 11.0):
             worst_g = 0.0
             worst_odd = 0.0
             for m in range(m_max + 1):
@@ -257,7 +241,7 @@ def check_partial_sum_identities(
                     math.lgamma(a) - a * (math.log(c - 1) - math.log(c))
                 ) - math.exp(
                     math.lgamma(m + 1 + a) - math.lgamma(m + 2) - (m + 1) * math.log(c)
-                ) * hyp2f1_one(m + a + 1, m + 2, 1.0 / c)
+                ) * hyp2f1_one_sum(m + a + 1, m + 2, 1.0 / c).value
                 worst_g = max(worst_g, abs(direct - closed) / abs(direct))
 
                 direct_odd = math.fsum(
@@ -274,7 +258,9 @@ def check_partial_sum_identities(
                     math.lgamma(2 * m + 3 + a)
                     - math.lgamma(2 * m + 4)
                     - (2 * m + 3) * math.log(c)
-                ) * hyp3f2(m + 2 + a / 2, m + 1.5 + a / 2, m + 2, m + 2.5, z * z)
+                ) * hyp3f2_sum(
+                    m + 2 + a / 2, m + 1.5 + a / 2, m + 2, m + 2.5, z * z
+                ).value
                 closed_odd = head - corr
                 worst_odd = max(worst_odd, abs(direct_odd - closed_odd) / abs(direct_odd))
             params = f"a={a:g};c={c:g};m<={m_max}"
@@ -343,19 +329,20 @@ def check_assumption_one(
 
 
 def check_simulator_statistics(
-    layout: TimeUnitLayout,
-    g: GammaIntensity,
-    trials: int = 100_000,
-    seed: int = _MC_SEED,
-    batches: int = 100,
+    trials: int = 100_000, seed: int = _MC_SEED
 ) -> list[CheckRecord]:
-    """Sampler statistics versus the model over whole time units.
+    """Sampler statistics versus the model over ``trials`` whole time units
+    of 100 bits at a = 10, b = 2.
 
     Gates, all at three standard errors: per-unit mean against a/b;
     variance-to-mean ratio against 1 + 1/b (and strictly above 1, the
     over-dispersion signature separating the mixture from a plain Poisson
-    law); frequency of odd per-unit counts against ``p_odd``.
+    law); frequency of odd per-unit counts against ``p_odd``.  The
+    dispersion gate comes from the spread over 100 batches of units.
     """
+    layout = TimeUnitLayout(100)
+    g = GammaIntensity(10.0, 2.0)
+    batches = 100
     if trials < 1_000:
         raise ValueError(f"trials must be >= 1000, got {trials!r}")
     sample = sample_process(trials * layout.f, layout, g, seed)
@@ -413,30 +400,24 @@ def _worked_example_records() -> list[CheckRecord]:
     ]
 
 
-def check_reconciliation(
-    g: GammaIntensity = GammaIntensity(10.0, 2.0),
-    layout: TimeUnitLayout = TimeUnitLayout(250),
-    n: int = 4096,
-    config: CascadeConfig | None = None,
-    runs: int = 500,
-    seed: int = _MC_SEED,
-) -> list[CheckRecord]:
+def check_reconciliation(runs: int = 500, seed: int = _MC_SEED) -> list[CheckRecord]:
     """End-to-end protocol checks over seeded runs plus the fixed regression.
 
-    Defaults plant roughly a 2 percent error rate (a/b errors per f bits)
-    and run the BBBSS variant with the auto block size.  Records cover the
-    success rate, residual errors, the leak ledger identity (leaked
-    parities equals the count of comparison and bisection events) and the
-    BBBSS length accounting (one deleted bit per block or subset
-    comparison).
+    Each run plants roughly a 2 percent error rate (a = 10, b = 2: a/b
+    errors per f = 250 bits) in a 4096-bit key and runs the BBBSS variant
+    with the auto block size.  Records cover the success rate, residual
+    errors, the leak ledger identity (leaked parities equals the count of
+    comparison and bisection events) and the BBBSS length accounting (one
+    deleted bit per block or subset comparison).
     """
     if runs < 100:
         raise ValueError(f"runs must be >= 100, got {runs!r}")
     records = _worked_example_records()
 
-    if config is None:
-        config = CascadeConfig()
-    config = config.resolve(layout, g)
+    g = GammaIntensity(10.0, 2.0)
+    layout = TimeUnitLayout(250)
+    n = 4096
+    config = CascadeConfig().resolve(layout, g)
 
     # an error-free pair must terminate in exactly the configured number of
     # agreeing subset rounds with no corrections
@@ -467,14 +448,13 @@ def check_reconciliation(
         parity_events = sum(1 for e in t.events if e.kind in PARITY_EVENT_KINDS)
         if out.leaked_parities != t.parities_revealed or parity_events != t.parities_revealed:
             ledger_mismatch += 1
-        if config.variant == BBBSS:
-            comparisons = sum(
-                1 for e in t.events if e.kind in (COMPARE_BLOCK, COMPARE_SUBSET)
-            )
-            # back-correction never runs under BBBSS, so every comparison
-            # deleted exactly one bit
-            if out.final_length != n - comparisons or out.deleted_bits != comparisons:
-                accounting_mismatch += 1
+        comparisons = sum(
+            1 for e in t.events if e.kind in (COMPARE_BLOCK, COMPARE_SUBSET)
+        )
+        # back-correction never runs under BBBSS, so every comparison
+        # deleted exactly one bit
+        if out.final_length != n - comparisons or out.deleted_bits != comparisons:
+            accounting_mismatch += 1
         leaked[r] = out.leaked_parities
         deleted[r] = out.deleted_bits
 
@@ -486,9 +466,8 @@ def check_reconciliation(
                            residual_on_success, 0.0))
     records.append(_record("reconcile_leak_ledger_identity", params, 0.0,
                            ledger_mismatch, 0.0))
-    if config.variant == BBBSS:
-        records.append(_record("reconcile_length_accounting", params, 0.0,
-                               accounting_mismatch, 0.0))
+    records.append(_record("reconcile_length_accounting", params, 0.0,
+                           accounting_mismatch, 0.0))
     records.append(_record("reconcile_mean_leaked_parities", params,
                            float(leaked.mean()), float(leaked.mean()), 0.0))
     records.append(_record("reconcile_mean_deleted_bits", params,
@@ -523,29 +502,17 @@ def _suite_parity() -> list[CheckRecord]:
     return records
 
 
-def _suite_identities() -> list[CheckRecord]:
-    return check_partial_sum_identities()
-
-
 def _suite_assumption1() -> list[CheckRecord]:
     return check_assumption_one(TimeUnitLayout(1000), GammaIntensity(10.0, 2.0))
-
-
-def _suite_sampler() -> list[CheckRecord]:
-    return check_simulator_statistics(TimeUnitLayout(100), GammaIntensity(10.0, 2.0))
-
-
-def _suite_reconciliation() -> list[CheckRecord]:
-    return check_reconciliation()
 
 
 SUITES: dict[str, Callable[[], list[CheckRecord]]] = {
     "normalization": _suite_normalization,
     "parity": _suite_parity,
-    "identities": _suite_identities,
+    "identities": check_partial_sum_identities,
     "assumption1": _suite_assumption1,
-    "sampler": _suite_sampler,
-    "reconciliation": _suite_reconciliation,
+    "sampler": check_simulator_statistics,
+    "reconciliation": check_reconciliation,
 }
 
 

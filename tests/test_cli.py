@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import coxcascade
+from coxcascade import error_model
 from coxcascade.cli import DEFAULT_SEED, main, render_json
 from coxcascade.error_model import GammaIntensity, p_odd, pmf, tail
+from coxcascade.special_functions import SeriesNonConvergence
 from coxcascade.validation import check_reconciliation
 
 
@@ -262,15 +264,58 @@ class TestEvaluatorErrors:
 
     @pytest.mark.parametrize("cmd,func", [("tail", "tail"), ("cdf", "cdf"),
                                           ("parity", "p_odd_finite")])
-    def test_non_finite_value_exit_2(self, capsys, cmd, func):
-        # at b = 1e-4 the a = 100 prefactor underflows while the series
-        # overflows: the product is nan, which is no probability
+    def test_overflowing_series_exit_2(self, capsys, cmd, func):
+        # at b = 1e-4 the a = 100 series overflows (its prefactor underflows,
+        # so the product would be nan); the evaluator itself refuses it
+        with pytest.raises(SeriesNonConvergence):
+            getattr(error_model, func)(0, GammaIntensity(100, 1e-4))
         code, out, err = run_cli(capsys, cmd, "--a", "100", "--b", "1e-4",
                                  "--m", "0..1", "--format", "json")
         assert code == 2
         assert out == ""
-        assert err == (f"coxcascade {cmd}: error: {func}(m=0) = nan at a=100.0, "
-                       "b=0.0001 is not a finite probability\n")
+        assert err.count("\n") == 1
+        assert err.startswith(f"coxcascade {cmd}: error: ")
+        assert "did not converge" in err
+        if cmd == "tail":
+            assert err == ("coxcascade tail: error: hyp2f1_one did not converge "
+                           "within 50530 terms (partial sum inf)\n")
+
+    @pytest.mark.parametrize("cmd,func", [("tail", "tail"), ("cdf", "cdf"),
+                                          ("parity", "p_odd_finite")])
+    def test_non_finite_value_exit_2(self, capsys, cmd, func):
+        # inf passes the flag's "> 0" check; the model refuses it before an
+        # evaluator could turn it into nan (log(inf) - log(inf + 1))
+        with pytest.raises(ValueError, match="must be finite"):
+            getattr(error_model, func)(0, GammaIntensity(10, math.inf))
+        code, out, err = run_cli(capsys, cmd, "--a", "10", "--b", "inf", "--m", "0..1",
+                                 "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err == (f"coxcascade {cmd}: error: gamma rate b must be finite "
+                       "and > 0, got inf\n")
+
+    def test_non_finite_shape_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "pmf", "--a", "inf", "--b", "2", "--k", "0..2")
+        assert code == 2
+        assert out == ""
+        assert err == "coxcascade pmf: error: gamma shape a must be finite and > 0, got inf\n"
+
+    def test_lost_prefactor_exit_2(self, capsys):
+        # finite input whose log prefactor is inf - inf: refused, not printed
+        code, out, err = run_cli(capsys, "tail", "--a", "2.535e305", "--b", "1e308",
+                                 "--m", "0")
+        assert code == 2
+        assert out == ""
+        assert err == ("coxcascade tail: error: tail(m=0) = nan at a=2.535e+305, "
+                       "b=1e+308 is not a finite probability\n")
+
+    def test_math_overflow_exit_2(self, capsys):
+        # 1/(b+1)**2 overflows in p_odd_finite's series argument
+        code, out, err = run_cli(capsys, "parity", "--a", "1", "--b", "1e200", "--m", "1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("coxcascade parity: error: ")
 
     def test_value_error_exit_2(self, capsys, monkeypatch):
         def refuse(m, g):
@@ -281,6 +326,25 @@ class TestEvaluatorErrors:
         assert code == 2
         assert out == ""
         assert err == "coxcascade cdf: error: m out of range\n"
+
+    def test_unwritable_output_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "tail", "--a", "10", "--b", "2", "--m", "1",
+                                 "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("coxcascade tail: error: ")
+        assert not path.exists()
+
+    def test_unwritable_transcript_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "t.log"
+        code, _, err = run_cli(capsys, "reconcile", "--a", "10", "--b", "2", "--f", "250",
+                               "--n", "256", "--seed", "1", "--transcript-out", str(path))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith("coxcascade reconcile: error: ")
+        assert not path.exists()
 
 
 class TestValidateCommand:
@@ -357,9 +421,15 @@ class TestSeedDefaulting:
         assert out_a.read_bytes() != out_b.read_bytes()
 
     def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("COXCASCADE_SEED", "not-a-number")
-        with pytest.raises(SystemExit):
-            main(["sample", "--a", "10", "--b", "2", "--f", "100", "--n", "100"])
+        # a usage error (2), not the validation-failure code (1)
+        for raw in ("not-a-number", "-3"):
+            monkeypatch.setenv("COXCASCADE_SEED", raw)
+            code, out, err = run_cli(capsys, "sample", "--a", "10", "--b", "2",
+                                     "--f", "100", "--n", "100")
+            assert code == 2
+            assert out == ""
+            assert err == ("coxcascade sample: error: COXCASCADE_SEED must be a "
+                           f"nonnegative integer, got {raw!r}\n")
 
 
 # SHA-256 over the stdout and files of the invocations below plus the

@@ -29,6 +29,7 @@ from coxcascade.error_model import (
     sample_process,
     tail,
 )
+from coxcascade.special_functions import SeriesNonConvergence
 
 G_MAIN = GammaIntensity(10.0, 2.0)
 G_UNIT = GammaIntensity(1.0, 1.0)
@@ -57,7 +58,8 @@ def partial_sum(m, g, dt=1.0):
 
 
 class TestTypes:
-    @pytest.mark.parametrize("a,b", [(0, 1), (-1, 1), (1, 0), (1, -2)])
+    @pytest.mark.parametrize("a,b", [(0, 1), (-1, 1), (1, 0), (1, -2),
+                                     (math.inf, 1), (1, math.inf), (math.nan, 1)])
     def test_gamma_intensity_domain(self, a, b):
         with pytest.raises(ValueError):
             GammaIntensity(a, b)
@@ -109,6 +111,8 @@ class TestPmf:
             pmf(0, G_MAIN, dt=0.0)
         with pytest.raises(ValueError):
             pmf(0, G_MAIN, dt=-1.0)
+        with pytest.raises(ValueError):
+            pmf(1, G_MAIN, dt=math.inf)
 
     @pytest.mark.parametrize("g", GRID, ids=lambda g: f"a{g.a}b{g.b}")
     def test_normalization(self, g):
@@ -243,6 +247,31 @@ class TestParityProbabilities:
     def test_large_m_prefactor_stays_in_range(self):
         # the correction prefactor would overflow a naive gamma evaluation
         assert p_odd_finite(500, G_MAIN) == pytest.approx(p_odd(G_MAIN), abs=1e-12)
+
+
+def test_finite_or_refused_over_stiff_grid():
+    # a closed form either returns a finite number or refuses: at large a
+    # and tiny b the series overflows while its prefactor underflows, and
+    # that product (0 * inf) must never come back as nan
+    for a in (0.5, 100.0):
+        for b in (1e-6, 1e-4, 1e-2, 1.0, 100.0):
+            g = GammaIntensity(a, b)
+            for m in (0, 30):
+                for fn in (tail, cdf, p_odd_finite):
+                    try:
+                        value = fn(m, g)
+                    except SeriesNonConvergence:
+                        continue
+                    assert isinstance(value, float) and math.isfinite(value), (
+                        fn.__name__, a, b, m, value)
+
+
+@pytest.mark.parametrize("fn", [tail, cdf])
+def test_lost_prefactor_refused(fn):
+    # a*log(b) overflows while lgamma(a) does not, so the log prefactor is
+    # inf - inf; the evaluator refuses the nan instead of returning it
+    with pytest.raises(ValueError, match="is not a finite probability"):
+        fn(0, GammaIntensity(2.535e305, 1e308))
 
 
 class TestBlockSize:

@@ -13,13 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxcascade import special_functions
 from coxcascade.special_functions import (
-    DEFAULT_CONTROL,
-    SeriesControl,
     SeriesNonConvergence,
-    hyp2f1_one,
     hyp2f1_one_sum,
-    hyp3f2,
     hyp3f2_sum,
     ln_pochhammer,
 )
@@ -124,47 +121,46 @@ class TestPochhammer:
                 )
 
 
-class TestSeriesControl:
-    def test_defaults(self):
-        assert DEFAULT_CONTROL.rel_tol == 1e-14
-        assert DEFAULT_CONTROL.max_terms == 100_000
+class TestStoppingRule:
+    def test_constants(self):
+        assert special_functions._REL_TOL == 1e-14
+        assert special_functions._MAX_TERMS == 100_000
 
-    @pytest.mark.parametrize("tol", [0.0, 1.0, -0.1, 2.0])
-    def test_rel_tol_domain(self, tol):
-        with pytest.raises(ValueError):
-            SeriesControl(rel_tol=tol)
-
-    def test_max_terms_domain(self):
-        with pytest.raises(ValueError):
-            SeriesControl(max_terms=0)
+    def test_overflow_refused(self):
+        # the terms of 2F1(1, 101; 2; 1/(1 + 1e-4)) pass the float range
+        # before they decay; the inf sum must not come back as a value
+        with pytest.raises(SeriesNonConvergence) as err:
+            hyp2f1_one_sum(101.0, 2.0, 1.0 / (1.0 + 1e-4))
+        assert math.isinf(err.value.partial_sum)
+        assert err.value.terms_used < special_functions._MAX_TERMS
 
 
 class TestHyp2F1One:
     def test_z_zero_is_one(self):
         for a2, c1 in ((2.0, 3.0), (0.5, 1.5), (40.0, 2.0)):
-            assert hyp2f1_one(a2, c1, 0.0) == 1.0
+            assert hyp2f1_one_sum(a2, c1, 0.0).value == 1.0
 
     def test_geometric_reduction(self):
         # equal upper and lower parameter cancels: 1 / (1 - z)
-        assert hyp2f1_one(2.0, 2.0, 0.5) == pytest.approx(2.0, rel=1e-13)
-        assert hyp2f1_one(7.3, 7.3, 0.25) == pytest.approx(4.0 / 3.0, rel=1e-13)
+        assert hyp2f1_one_sum(2.0, 2.0, 0.5).value == pytest.approx(2.0, rel=1e-13)
+        assert hyp2f1_one_sum(7.3, 7.3, 0.25).value == pytest.approx(4.0 / 3.0, rel=1e-13)
 
     def test_binomial_closed_form(self):
         # a * 2F1(1, 1+a; 2; 1/c) = c ((1 - 1/c)**-a - 1) at a=2, c=3
         a, c = 2.0, 3.0
-        lhs = a * hyp2f1_one(1.0 + a, 2.0, 1.0 / c)
+        lhs = a * hyp2f1_one_sum(1.0 + a, 2.0, 1.0 / c).value
         rhs = c * ((1.0 - 1.0 / c) ** -a - 1.0)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_against_direct_summation(self):
-        val = hyp2f1_one(2.5, 4.0, 0.3)
+        val = hyp2f1_one_sum(2.5, 4.0, 0.3).value
         oracle = hyp2f1_direct(2.5, 4.0, 0.3, 200)
         assert val == pytest.approx(oracle, rel=1e-12)
 
     def test_growing_terms_still_converge(self):
         # upper parameter far above lower: terms grow before they decay
         res = hyp2f1_one_sum(26.0, 2.0, 2.0 / 3.0)
-        assert res.terms_used < DEFAULT_CONTROL.max_terms
+        assert res.terms_used < special_functions._MAX_TERMS
         assert res.last_ratio < 1.0
         assert math.isfinite(res.value)
 
@@ -174,50 +170,52 @@ class TestHyp2F1One:
             assert res.last_ratio < 1.0
 
     def test_non_convergence_signal(self):
-        ctrl = SeriesControl(rel_tol=1e-14, max_terms=5)
+        # the series behind tail(3) at a=10, b=1e-4: z is within 1e-4 of 1
         with pytest.raises(SeriesNonConvergence) as err:
-            hyp2f1_one(2.0, 3.0, 0.9, ctrl)
-        assert err.value.terms_used == 5
+            hyp2f1_one_sum(14.0, 5.0, 1.0 / (1.0 + 1e-4))
+        assert err.value.terms_used == 100_000
 
     @pytest.mark.parametrize("z", [-0.1, 1.0, 1.5])
     def test_argument_domain(self, z):
         with pytest.raises(ValueError):
-            hyp2f1_one(2.0, 3.0, z)
+            hyp2f1_one_sum(2.0, 3.0, z)
 
     @pytest.mark.parametrize("c1", [0.0, -1.0, -7.0])
     def test_lower_parameter_domain(self, c1):
         with pytest.raises(ValueError):
-            hyp2f1_one(2.0, c1, 0.5)
+            hyp2f1_one_sum(2.0, c1, 0.5)
 
 
 class TestHyp3F2:
     def test_z_zero_is_one(self):
-        assert hyp3f2(2.0, 3.0, 4.0, 5.0, 0.0) == 1.0
+        assert hyp3f2_sum(2.0, 3.0, 4.0, 5.0, 0.0).value == 1.0
 
     def test_parameter_cancellation(self):
         # matching upper/lower parameter reduces to the 2F1 evaluator
         a2, a3, c2, z = 2.5, 6.0, 4.0, 0.3
-        assert hyp3f2(a2, a3, a3, c2, z) == pytest.approx(
-            hyp2f1_one(a2, c2, z), rel=1e-12
+        assert hyp3f2_sum(a2, a3, a3, c2, z).value == pytest.approx(
+            hyp2f1_one_sum(a2, c2, z).value, rel=1e-12
         )
 
     def test_against_direct_summation(self):
-        val = hyp3f2(2.0, 1.5, 2.0, 2.5, 0.25)
+        val = hyp3f2_sum(2.0, 1.5, 2.0, 2.5, 0.25).value
         oracle = hyp3f2_direct(2.0, 1.5, 2.0, 2.5, 0.25, 200)
         assert val == pytest.approx(oracle, rel=1e-12)
 
     def test_stop_ratio_below_one(self):
         res = hyp3f2_sum(7.0, 6.5, 2.0, 2.5, 1.0 / 9.0)
         assert res.last_ratio < 1.0
-        assert res.terms_used < DEFAULT_CONTROL.max_terms
+        assert res.terms_used < special_functions._MAX_TERMS
 
     def test_non_convergence_signal(self):
-        with pytest.raises(SeriesNonConvergence):
-            hyp3f2(4.0, 5.0, 2.0, 2.5, 0.9, SeriesControl(max_terms=3))
+        # the series behind p_odd_finite(3) at a=10, b=1e-4
+        with pytest.raises(SeriesNonConvergence) as err:
+            hyp3f2_sum(10.0, 9.5, 5.0, 5.5, 1.0 / (1.0 + 1e-4) ** 2)
+        assert err.value.terms_used == 100_000
 
     def test_lower_parameter_domain(self):
         with pytest.raises(ValueError):
-            hyp3f2(2.0, 3.0, 4.0, -2.0, 0.5)
+            hyp3f2_sum(2.0, 3.0, 4.0, -2.0, 0.5)
 
 
 class TestClassicalIdentities:
@@ -249,7 +247,7 @@ class TestClassicalIdentities:
 )
 @settings(max_examples=200, deadline=None)
 def test_series_matches_direct_summation_property(a2, c1, z):
-    val = hyp2f1_one(a2, c1, z)
+    val = hyp2f1_one_sum(a2, c1, z).value
     oracle = hyp2f1_direct(a2, c1, z, 400)
     assert val == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
@@ -257,7 +255,7 @@ def test_series_matches_direct_summation_property(a2, c1, z):
 def test_thread_safety_smoke():
     # pure functions: concurrent evaluation must agree with serial results
     args = [(2.0 + i * 0.1, 3.0 + i * 0.05, 0.4) for i in range(64)]
-    serial = [hyp2f1_one(*a) for a in args]
+    serial = [hyp2f1_one_sum(*a).value for a in args]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(lambda a: hyp2f1_one(*a), args))
+        parallel = list(pool.map(lambda a: hyp2f1_one_sum(*a).value, args))
     assert serial == parallel

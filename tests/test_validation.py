@@ -34,28 +34,26 @@ class TestFixture:
 
 class TestNormalizationChecks:
     def test_main_parameters_at_explicit_cutoff(self):
-        records = check_pmf_normalization(G, k_max=400)
+        records = check_pmf_normalization(G)
         assert all(r.passed for r in records)
         assert all(r.abs_dev < 1e-10 for r in records)
+        assert math.fsum(pmf(k, G) for k in range(401)) == pytest.approx(1.0, abs=1e-10)
 
     def test_geometric_cutoff_sixty(self):
-        # the truncated geometric sum is exactly 1 - 2**-61
-        records = check_pmf_normalization(GammaIntensity(1, 1), k_max=60)
-        vs_one = next(r for r in records if r.name == "pmf_normalization")
+        g = GammaIntensity(1, 1)
+        vs_one = next(r for r in check_pmf_normalization(g) if r.name == "pmf_normalization")
         assert vs_one.passed
-        assert vs_one.abs_dev == pytest.approx(2.0**-61, rel=1e-6)
+        # the truncated geometric sum to k = 60 is exactly 1 - 2**-61
+        total = math.fsum(pmf(k, g) for k in range(61))
+        assert 1.0 - total == pytest.approx(2.0**-61, rel=1e-6)
 
     def test_half_shape(self):
-        assert all(r.passed for r in check_pmf_normalization(GammaIntensity(0.5, 4), 200))
+        assert all(r.passed for r in check_pmf_normalization(GammaIntensity(0.5, 4)))
 
     def test_adaptive_cutoff(self):
         total, cutoff = adaptive_pmf_sum(G)
         assert total == pytest.approx(1.0, abs=1e-10)
         assert pmf(cutoff, G) < 1e-15
-
-    def test_bad_k_max(self):
-        with pytest.raises(ValueError):
-            check_pmf_normalization(G, k_max=0)
 
 
 class TestParityChecks:
@@ -76,7 +74,7 @@ class TestParityChecks:
         assert max(r.abs_dev for r in finite) < 1e-10
 
     def test_limit_correction_is_tiny(self):
-        records = check_parity_formulas(G, m_grid=(), limit_m=200)
+        records = check_parity_formulas(G)
         limit = next(r for r in records if r.name == "p_odd_limit")
         assert limit.abs_dev < 1e-8
 
@@ -110,8 +108,7 @@ class TestAssumptionOne:
 
 class TestSimulatorStatistics:
     def test_gates_pass(self):
-        records = check_simulator_statistics(TimeUnitLayout(100), G,
-                                             trials=20_000, seed=3)
+        records = check_simulator_statistics(trials=20_000, seed=3)
         assert all(r.passed for r in records)
         by_name = {r.name: r for r in records}
         assert by_name["sampler_unit_mean"].analytic == 5.0
@@ -120,7 +117,7 @@ class TestSimulatorStatistics:
 
     def test_minimum_trials(self):
         with pytest.raises(ValueError):
-            check_simulator_statistics(TimeUnitLayout(100), G, trials=10)
+            check_simulator_statistics(trials=10)
 
 
 class TestReconciliationChecks:
