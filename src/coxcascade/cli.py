@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import ExitStack
 from typing import Iterable, Sequence
 
 from .error_model import (
@@ -64,23 +65,22 @@ def _default_seed() -> int:
     return seed
 
 
-def render_json(obj, digits: int = JSON_DIGITS) -> str:
+def render_json(obj) -> str:
     """Serialize to JSON with floats at a fixed significant-digit count."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return format(obj, f".{digits}g")
+        return format(obj, f".{JSON_DIGITS}g")
     if isinstance(obj, str):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
     if isinstance(obj, dict):
-        inner = ", ".join(f'{render_json(str(k))}: {render_json(v, digits)}'
-                          for k, v in obj.items())
+        inner = ", ".join(f'{render_json(str(k))}: {render_json(v)}' for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(render_json(v, digits) for v in obj) + "]"
+        return "[" + ", ".join(render_json(v) for v in obj) + "]"
     if obj is None:
         return "null"
     raise TypeError(f"cannot render {type(obj).__name__} as JSON")
@@ -94,11 +94,18 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="\n") as fh:
+def _emit(*outputs: tuple[str, str]) -> None:
+    """Write each rendered ``(text, path)`` in order; path ``-`` is stdout.
+
+    Every file is opened before anything is written, so a path that cannot
+    be opened fails the command with nothing on stdout.
+    """
+    with ExitStack() as stack:
+        handles = [
+            sys.stdout if path == "-" else stack.enter_context(open(path, "w", newline="\n"))
+            for _, path in outputs
+        ]
+        for (text, _), fh in zip(outputs, handles):
             fh.write(text)
 
 
@@ -262,7 +269,7 @@ def _cmd_table(args, kind: str) -> int:
         header = ("m", "p_odd_finite", "p_odd_limit")
         limit = p_odd(g)
         rows = [(m, p_odd_finite(m, g), limit) for m in args.m]
-    _emit(_table_text(header, rows, args.format), args.output)
+    _emit((_table_text(header, rows, args.format), args.output))
     return 0
 
 
@@ -276,9 +283,9 @@ def _cmd_blocksize(args) -> int:
         f"{format(expected, '.12g')} (target 1)"
     )
     if args.format == "json":
-        _emit(render_json({"block_size": n, "rationale": rationale}) + "\n", args.output)
+        _emit((render_json({"block_size": n, "rationale": rationale}) + "\n", args.output))
     else:
-        _emit(f"{n}\n{rationale}\n", args.output)
+        _emit((f"{n}\n{rationale}\n", args.output))
     return 0
 
 
@@ -294,10 +301,11 @@ def _cmd_sample(args, parser) -> int:
         (u, float(sample.unit_intensities[u]), int(sample.unit_counts[u]))
         for u in range(len(sample.unit_counts))
     ]
-    _emit(_table_text(header, rows, "csv"), args.trace_out)
+    outputs = [(_table_text(header, rows, "csv"), args.trace_out)]
     if args.pattern_out is not None:
         pattern_text = "".join(f"{p}\n" for p in sample.pattern.positions)
-        _emit(pattern_text, args.pattern_out)
+        outputs.append((pattern_text, args.pattern_out))
+    _emit(*outputs)
     return 0
 
 
@@ -333,20 +341,22 @@ def _cmd_reconcile(args) -> int:
         "subset_rounds": outcome.subset_rounds,
         "success": outcome.success,
     }
-    _emit(render_json(payload) + "\n", args.output)
+    outputs = [(render_json(payload) + "\n", args.output)]
     if args.transcript_out is not None:
         text = "".join(line + "\n" for line in transcript.to_lines())
-        _emit(text, args.transcript_out)
+        outputs.append((text, args.transcript_out))
+    _emit(*outputs)
     return 0
 
 
 def _cmd_validate(args) -> int:
     names = args.suite if args.suite else ["all"]
     report = run_suites(names)
-    sys.stdout.write(report.to_text() + "\n")
+    outputs = [(report.to_text() + "\n", "-")]
     if args.output is not None:
         rows = [r.to_row() for r in report.sorted_records()]
-        _emit(_table_text(CheckRecord.FIELDS, rows, "csv"), args.output)
+        outputs.append((_table_text(CheckRecord.FIELDS, rows, "csv"), args.output))
+    _emit(*outputs)
     return 0 if report.all_passed else 1
 
 

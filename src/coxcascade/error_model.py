@@ -200,12 +200,12 @@ def p_odd_finite(m: int, g: GammaIntensity) -> float:
         - math.lgamma(2 * m + 4)
         - (2 * m + 3 + a) * math.log(b + 1)
     )
+    try:
+        z = 1.0 / (b + 1) ** 2
+    except OverflowError:  # b above ~1.34e154: the argument underflows to 0
+        z = 0.0
     correction = math.exp(log_corr) * hyp3f2_sum(
-        m + 2 + a / 2.0,
-        m + 1.5 + a / 2.0,
-        m + 2.0,
-        m + 2.5,
-        1.0 / (b + 1) ** 2,
+        m + 2 + a / 2.0, m + 1.5 + a / 2.0, m + 2.0, m + 2.5, z
     ).value
     return p_odd(g) - correction
 

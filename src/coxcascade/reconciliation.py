@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -189,24 +189,6 @@ class Event:
             )
         return f"{self.kind} round={self.round_index} index={self.index}"
 
-    @classmethod
-    def from_line(cls, line: str) -> "Event":
-        parts = line.split()
-        kind = parts[0]
-        kv = dict(p.split("=", 1) for p in parts[1:])
-        rnd = int(kv["round"])
-        if kind in (COMPARE_BLOCK, BISECT):
-            lo, hi = kv["range"].split(":")
-            return cls(kind, rnd, lo=int(lo), hi=int(hi),
-                       parity_a=int(kv["a"]), parity_b=int(kv["b"]))
-        if kind == COMPARE_SUBSET:
-            bits = tuple(int(x) for x in kv["bits"].split(",")) if kv["bits"] else ()
-            return cls(kind, rnd, parity_a=int(kv["a"]), parity_b=int(kv["b"]),
-                       subset=bits)
-        if kind in (CORRECT, DELETE):
-            return cls(kind, rnd, index=int(kv["index"]))
-        raise ValueError(f"unknown event record: {line!r}")
-
 
 class Transcript:
     """Ordered public-channel ledger with running leak counters."""
@@ -228,15 +210,6 @@ class Transcript:
 
     def to_lines(self) -> list[str]:
         return [e.to_line() for e in self.events]
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "Transcript":
-        t = cls()
-        for line in lines:
-            line = line.strip()
-            if line:
-                t.add(Event.from_line(line))
-        return t
 
 
 @dataclass(frozen=True)
@@ -301,58 +274,55 @@ def parity(bits: np.ndarray, span: tuple[int, int]) -> int:
     return int(bits[lo:hi].sum(dtype=np.int64)) & 1
 
 
-def _parity_of(bits: np.ndarray, selection: np.ndarray) -> int:
-    return int(bits[selection].sum(dtype=np.int64)) & 1
-
-
-def _prefix_sums(bits: np.ndarray, order: np.ndarray) -> list[int]:
+def _prefix_sums(bits: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Prefix sums of ``bits[order]``: ``c[i]`` counts the ones in order[:i].
 
-    The parity of order[lo:hi] is then ``(c[hi] - c[lo]) & 1``, so one
-    gather serves every parity read from the same order.
+    This is the simulator's one gather for reading parities: the parity of
+    order[lo:hi] is ``int(c[hi] - c[lo]) & 1``, so one gather serves a
+    comparison and every halving of the bisection that may follow it.
     """
     c = np.zeros(len(order) + 1, dtype=np.int64)
     np.cumsum(bits[order], out=c[1:])
-    return c.tolist()
+    return c
 
 
-def _bisect(
-    alice: np.ndarray,
-    bob: np.ndarray,
+def _correct(
+    pair: KeyPair,
     order: np.ndarray,
+    ca: np.ndarray,
+    cb: np.ndarray,
+    base: int,
     lo: int,
     hi: int,
     transcript: Transcript,
     round_index: int,
 ) -> int:
-    """Locate one differing position inside order[lo:hi] (odd difference count).
+    """Locate one differing position inside order[lo:hi], flip Bob's bit there.
 
-    Each halving publicly compares the left half's parities (one event);
-    the right half's parity is implied.  When the whole range mismatches,
-    exactly one half has an odd difference count, so descending into the
-    mismatching half (left first) always makes progress.  Both keys are
-    gathered over order[lo:hi] once, into prefix sums; each halving's
-    parities are read off them as differences.  Returns the located
-    position in the coordinates ``order`` maps into.
+    ``ca``/``cb`` are Alice's and Bob's prefix sums over order[base:];
+    order[lo:hi] must hold an odd number of differences.  Each halving
+    publicly compares the left half's parities (one event); exactly one
+    half then has an odd difference count, so descending into the
+    mismatching half (left first) always makes progress.  Records the flip
+    and returns the position, in the coordinates ``order`` maps into.
     """
-    base = lo
-    ca = _prefix_sums(alice, order[lo:hi])
-    cb = _prefix_sums(bob, order[lo:hi])
     while hi - lo > 1:
         mid = lo + (hi - lo + 1) // 2
-        pa = (ca[mid - base] - ca[lo - base]) & 1
-        pb = (cb[mid - base] - cb[lo - base]) & 1
+        pa = int(ca[mid - base] - ca[lo - base]) & 1
+        pb = int(cb[mid - base] - cb[lo - base]) & 1
         transcript.add(Event(BISECT, round_index, lo=lo, hi=mid, parity_a=pa, parity_b=pb))
         if pa != pb:
             hi = mid
         else:
             lo = mid
     found = int(order[lo])
-    if alice[found] == bob[found]:
+    if pair.alice[found] == pair.bob[found]:
         raise ProtocolError(
             "bisection landed on an agreeing bit; the searched range had an "
             "even number of differences"
         )
+    pair.bob[found] ^= 1
+    transcript.add(Event(CORRECT, round_index, index=found))
     return found
 
 
@@ -388,19 +358,16 @@ def cascade_back_correction(
     )
     while queue:
         rec, lo, hi = queue.popleft()
-        sel = rec.permutation[lo:hi]
-        pa = _parity_of(pair.alice, sel)
-        pb = _parity_of(pair.bob, sel)
+        ca = _prefix_sums(pair.alice, rec.permutation[lo:hi])
+        cb = _prefix_sums(pair.bob, rec.permutation[lo:hi])
+        pa = int(ca[-1]) & 1
+        pb = int(cb[-1]) & 1
         transcript.add(
             Event(COMPARE_BLOCK, rec.pass_index, lo=lo, hi=hi, parity_a=pa, parity_b=pb)
         )
         if pa == pb:
             continue
-        found = _bisect(
-            pair.alice, pair.bob, rec.permutation, lo, hi, transcript, rec.pass_index
-        )
-        pair.bob[found] ^= 1
-        transcript.add(Event(CORRECT, rec.pass_index, index=found))
+        found = _correct(pair, rec.permutation, ca, cb, lo, lo, hi, transcript, rec.pass_index)
         corrections += 1
         for other in history:
             if other is not rec:
@@ -413,7 +380,7 @@ def run_pass(
     pass_index: int,
     config: CascadeConfig,
     transcript: Transcript,
-    history: list[PassRecord] | None = None,
+    history: list[PassRecord],
 ) -> int:
     """One block pass: shuffle, partition, compare, bisect mismatches.
 
@@ -421,19 +388,21 @@ def run_pass(
     shuffle for their round.  The block size is the configured initial
     size grown by ``block_growth ** pass_index`` (capped at the current
     key length).  In BBBSS mode the last bit of every compared block is
-    deleted once the whole pass has completed.  Returns the number of
-    corrections made, including Cascade back-corrections.
+    deleted once the whole pass has completed; in Cascade mode corrections
+    are back-corrected against ``history`` and the pass is appended to it.
+    Returns the number of corrections made, back-corrections included.
 
-    Every block parity of the pass is read off one prefix-sum gather per
-    party.  Alice's key is fixed during a pass, and a block's own
-    correction shifts both ends of every later block's range alike, so
-    later parities stay valid.  A Cascade back-correction, however, may
-    flip bits in later blocks of this pass; Bob's prefix sums are then
-    recomputed.
+    Every block comparison and bisection halving of the pass reads one
+    prefix-sum gather per party over the pass's order.  Alice's key is
+    fixed during a pass, and a block's own correction shifts both ends of
+    every later block's range alike, so later parities stay valid.  A
+    Cascade back-correction may flip bits in later blocks of this pass, so
+    it is followed by a fresh gather of Bob's sums.
     """
     n = len(pair)
     if n == 0:
         return 0
+    cascade = config.variant == CASCADE
     k = _concrete_block_size(config) * config.block_growth**pass_index
     k = min(k, n)
     if pass_index == 0:
@@ -445,28 +414,26 @@ def run_pass(
     ca = _prefix_sums(pair.alice, perm)
     cb = _prefix_sums(pair.bob, perm)
     for lo, hi in partition(n, k):
-        pa = (ca[hi] - ca[lo]) & 1
-        pb = (cb[hi] - cb[lo]) & 1
+        pa = int(ca[hi] - ca[lo]) & 1
+        pb = int(cb[hi] - cb[lo]) & 1
         transcript.add(
             Event(COMPARE_BLOCK, pass_index, lo=lo, hi=hi, parity_a=pa, parity_b=pb)
         )
         if pa != pb:
-            found = _bisect(pair.alice, pair.bob, perm, lo, hi, transcript, pass_index)
-            pair.bob[found] ^= 1
-            transcript.add(Event(CORRECT, pass_index, index=found))
+            found = _correct(pair, perm, ca, cb, 0, lo, hi, transcript, pass_index)
             corrections += 1
-            if config.variant == CASCADE and history:
+            if cascade:
                 extra = cascade_back_correction(pair, history, found, transcript)
                 if extra:
                     corrections += extra
                     cb = _prefix_sums(pair.bob, perm)
-        if config.variant == BBBSS:
+        if not cascade:
             doomed.append(int(perm[hi - 1]))
-    if history is not None:
+    if cascade:
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(n)
         history.append(PassRecord(pass_index, perm, inverse, k))
-    if config.variant == BBBSS:
+    else:
         _apply_deletions(pair, doomed, transcript, pass_index)
     return corrections
 
@@ -476,15 +443,19 @@ def random_subset_round(
     config: CascadeConfig,
     round_index: int,
     transcript: Transcript,
-    history: list[PassRecord] | None = None,
+    history: list[PassRecord],
 ) -> bool:
     """One random-subset comparison; returns True if a bit was corrected.
 
     The subset includes each position independently with probability 1/2,
     drawn from the shared per-round stream (an empty draw is redrawn).  On
-    parity mismatch the subset is put in a shared random order and
-    bisected like a block.  In BBBSS mode the subset's last bit (its
-    highest position) is deleted after the round.
+    parity mismatch the subset is bisected like a block, in a shared
+    random order.  That order is drawn before the comparison, so that one
+    prefix-sum gather per party over it serves both the subset parity and
+    the bisection; nothing draws from the round's stream after it, so
+    drawing it in every round leaves the stream unchanged.  In BBBSS mode
+    the subset's last bit (its highest position) is deleted after the
+    round; in Cascade mode a correction is back-corrected.
     """
     n = len(pair)
     if n < 2:
@@ -497,25 +468,17 @@ def random_subset_round(
         if mask.any():
             break
     subset = np.nonzero(mask)[0]
-    pa = _parity_of(pair.alice, subset)
-    pb = _parity_of(pair.bob, subset)
-    transcript.add(
-        Event(
-            COMPARE_SUBSET,
-            round_index,
-            parity_a=pa,
-            parity_b=pb,
-            subset=tuple(subset.tolist()),
-        )
-    )
-    corrected = False
-    if pa != pb:
-        order = subset[rng.permutation(len(subset))]
-        found = _bisect(pair.alice, pair.bob, order, 0, len(order), transcript, round_index)
-        pair.bob[found] ^= 1
-        transcript.add(Event(CORRECT, round_index, index=found))
-        corrected = True
-        if config.variant == CASCADE and history:
+    order = subset[rng.permutation(len(subset))]
+    ca = _prefix_sums(pair.alice, order)
+    cb = _prefix_sums(pair.bob, order)
+    pa = int(ca[-1]) & 1
+    pb = int(cb[-1]) & 1
+    transcript.add(Event(COMPARE_SUBSET, round_index, parity_a=pa, parity_b=pb,
+                         subset=tuple(subset.tolist())))
+    corrected = pa != pb
+    if corrected:
+        found = _correct(pair, order, ca, cb, 0, 0, len(order), transcript, round_index)
+        if config.variant == CASCADE:
             cascade_back_correction(pair, history, found, transcript)
     if config.variant == BBBSS:
         _apply_deletions(pair, [int(subset[-1])], transcript, round_index)
@@ -545,7 +508,7 @@ def reconcile(
     """
     _concrete_block_size(config)
     t = transcript if transcript is not None else Transcript()
-    history: list[PassRecord] | None = [] if config.variant == CASCADE else None
+    history: list[PassRecord] = []
     passes_executed = 0
     for p in range(config.num_passes):
         if len(pair) == 0:

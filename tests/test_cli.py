@@ -310,12 +310,19 @@ class TestEvaluatorErrors:
                        "b=1e+308 is not a finite probability\n")
 
     def test_math_overflow_exit_2(self, capsys):
-        # 1/(b+1)**2 overflows in p_odd_finite's series argument
-        code, out, err = run_cli(capsys, "parity", "--a", "1", "--b", "1e200", "--m", "1")
+        # lgamma(a) overflows in pmf's log prefactor
+        code, out, err = run_cli(capsys, "pmf", "--a", "3e305", "--b", "1", "--k", "1")
         assert code == 2
         assert out == ""
-        assert err.count("\n") == 1
-        assert err.startswith("coxcascade parity: error: ")
+        assert err == "coxcascade pmf: error: math range error\n"
+
+    def test_huge_rate_parity_exit_0(self, capsys):
+        # 1/(b+1)**2 overflows for b above ~1.34e154; the correction is then 0
+        code, out, err = run_cli(capsys, "parity", "--a", "1", "--b", "1e200", "--m", "1")
+        assert code == 0
+        assert err == ""
+        limit = p_odd(GammaIntensity(1, 1e200))
+        assert out == f"m,p_odd_finite,p_odd_limit\n1,{limit:.12g},{limit:.12g}\n"
 
     def test_value_error_exit_2(self, capsys, monkeypatch):
         def refuse(m, g):
@@ -339,11 +346,33 @@ class TestEvaluatorErrors:
 
     def test_unwritable_transcript_exit_2(self, capsys, tmp_path):
         path = tmp_path / "missing" / "t.log"
-        code, _, err = run_cli(capsys, "reconcile", "--a", "10", "--b", "2", "--f", "250",
-                               "--n", "256", "--seed", "1", "--transcript-out", str(path))
+        code, out, err = run_cli(capsys, "reconcile", "--a", "10", "--b", "2", "--f", "250",
+                                 "--n", "256", "--seed", "1", "--transcript-out", str(path))
         assert code == 2
+        assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("coxcascade reconcile: error: ")
+        assert not path.exists()
+
+    def test_unwritable_records_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "validate", "--suite", "identities",
+                                 "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("coxcascade validate: error: ")
+        assert not path.exists()
+
+    def test_unwritable_pattern_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "p.txt"
+        code, out, err = run_cli(capsys, "sample", "--a", "10", "--b", "2", "--f", "100",
+                                 "--n", "300", "--seed", "1", "--trace-out", "-",
+                                 "--pattern-out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("coxcascade sample: error: ")
         assert not path.exists()
 
 

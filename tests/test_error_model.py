@@ -252,15 +252,18 @@ class TestParityProbabilities:
 def test_finite_or_refused_over_stiff_grid():
     # a closed form either returns a finite number or refuses: at large a
     # and tiny b the series overflows while its prefactor underflows, and
-    # that product (0 * inf) must never come back as nan
+    # that product (0 * inf) must never come back as nan; above b ~ 1.34e154
+    # p_odd_finite's series argument 1/(b+1)**2 underflows, which is no
+    # reason to refuse
     for a in (0.5, 100.0):
-        for b in (1e-6, 1e-4, 1e-2, 1.0, 100.0):
+        for b in (1e-6, 1e-4, 1e-2, 1.0, 100.0, 1e160, 1e300):
             g = GammaIntensity(a, b)
             for m in (0, 30):
                 for fn in (tail, cdf, p_odd_finite):
                     try:
                         value = fn(m, g)
                     except SeriesNonConvergence:
+                        assert b < 1e160, (fn.__name__, a, b, m)
                         continue
                     assert isinstance(value, float) and math.isfinite(value), (
                         fn.__name__, a, b, m, value)
