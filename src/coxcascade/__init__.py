@@ -37,7 +37,6 @@ from .reconciliation import (
     bits_from_string,
     cascade_back_correction,
     make_key_pair,
-    parity,
     partition,
     random_subset_round,
     reconcile,

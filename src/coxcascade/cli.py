@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from contextlib import ExitStack
 from typing import Iterable, Sequence
@@ -97,15 +98,19 @@ def _csv_cell(v) -> str:
 def _emit(*outputs: tuple[str, str]) -> None:
     """Write each rendered ``(text, path)`` in order; path ``-`` is stdout.
 
-    Every file is opened before anything is written, so a path that cannot
-    be opened fails the command with nothing on stdout.
+    Every file is opened, without truncating it, before anything is
+    written, so a path that cannot be opened fails the command with
+    nothing on stdout and every existing file as it was.  A regular file is
+    then truncated just before it is written, as ``open(path, "w")`` would.
     """
     with ExitStack() as stack:
         handles = [
-            sys.stdout if path == "-" else stack.enter_context(open(path, "w", newline="\n"))
+            sys.stdout if path == "-" else stack.enter_context(open(path, "a", newline="\n"))
             for _, path in outputs
         ]
         for (text, _), fh in zip(outputs, handles):
+            if fh is not sys.stdout and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
             fh.write(text)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "bits_from_string",
     "cascade_back_correction",
     "make_key_pair",
-    "parity",
     "partition",
     "random_subset_round",
     "reconcile",
@@ -154,16 +153,17 @@ class CascadeConfig:
         return self
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One public-channel event.
 
     ``round_index`` is the block pass for pass events and the subset round
     otherwise.  ``lo:hi`` ranges are positions in the round's shuffled
-    order (for subset bisections: ordinal positions within the drawn
-    subset order).  ``index`` for corrections and deletions is a position
-    in the current key coordinates at event time; deletions recorded
-    within one block pass are applied together once the pass completes.
+    order; a subset comparison spans ``0:len(order)`` of its drawn subset
+    order, and its bisections are ordinal ranges within that order.
+    ``index`` for corrections and deletions is a position in the current
+    key coordinates at event time; deletions recorded within one block
+    pass are applied together once the pass completes.  The field
+    ``index`` shadows ``tuple.index``.
     """
 
     kind: str
@@ -266,51 +266,52 @@ def partition(n: int, k: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + k, n)) for lo in range(0, n, k)]
 
 
-def parity(bits: np.ndarray, span: tuple[int, int]) -> int:
-    """XOR of the bits in [lo, hi); an empty span has parity 0."""
-    lo, hi = span
-    if lo < 0 or hi > len(bits) or lo > hi:
-        raise ValueError(f"span {span!r} out of bounds for length {len(bits)}")
-    return int(bits[lo:hi].sum(dtype=np.int64)) & 1
-
-
 def _prefix_sums(bits: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Prefix sums of ``bits[order]``: ``c[i]`` counts the ones in order[:i].
 
     This is the simulator's one gather for reading parities: the parity of
-    order[lo:hi] is ``int(c[hi] - c[lo]) & 1``, so one gather serves a
-    comparison and every halving of the bisection that may follow it.
+    order[lo:hi] is ``int(c[hi] - c[lo]) & 1``.  Only :func:`_compare`
+    reads parities from it, so one gather per party serves a comparison
+    and every halving of the bisection that may follow it.
     """
     c = np.zeros(len(order) + 1, dtype=np.int64)
     np.cumsum(bits[order], out=c[1:])
     return c
 
 
-def _correct(
+def _compare(
     pair: KeyPair,
     order: np.ndarray,
     ca: np.ndarray,
     cb: np.ndarray,
     base: int,
-    lo: int,
-    hi: int,
     transcript: Transcript,
-    round_index: int,
+    event: Event,
 ) -> int:
-    """Locate one differing position inside order[lo:hi], flip Bob's bit there.
+    """Disclose one comparison; on a mismatch, locate and correct one bit.
 
-    ``ca``/``cb`` are Alice's and Bob's prefix sums over order[base:];
-    order[lo:hi] must hold an odd number of differences.  Each halving
-    publicly compares the left half's parities (one event); exactly one
-    half then has an odd difference count, so descending into the
-    mismatching half (left first) always makes progress.  Records the flip
-    and returns the position, in the coordinates ``order`` maps into.
+    The simulator's one disclosure step: only it reads parities and records
+    comparison, bisection and correction events.  ``ca``/``cb`` are Alice's
+    and Bob's prefix sums over order[base:]; ``event`` compares
+    order[event.lo:event.hi] and is recorded with both parities filled in.
+    Returns -1 if they agree.  Otherwise each halving publicly compares the
+    left half's parities (one event) and descends into the mismatching half
+    (left first), which keeps an odd difference count.  The bit it ends on
+    is flipped on Bob's side and recorded, and its position returned, in
+    the coordinates ``order`` maps into.
     """
+    lo, hi = event.lo, event.hi
+    pa = int(ca[hi - base] - ca[lo - base]) & 1
+    pb = int(cb[hi - base] - cb[lo - base]) & 1
+    transcript.add(event._replace(parity_a=pa, parity_b=pb))
+    if pa == pb:
+        return -1
+    round_index = event.round_index
     while hi - lo > 1:
         mid = lo + (hi - lo + 1) // 2
         pa = int(ca[mid - base] - ca[lo - base]) & 1
         pb = int(cb[mid - base] - cb[lo - base]) & 1
-        transcript.add(Event(BISECT, round_index, lo=lo, hi=mid, parity_a=pa, parity_b=pb))
+        transcript.add(Event(BISECT, round_index, lo, mid, pa, pb))
         if pa != pb:
             hi = mid
         else:
@@ -360,18 +361,12 @@ def cascade_back_correction(
         rec, lo, hi = queue.popleft()
         ca = _prefix_sums(pair.alice, rec.permutation[lo:hi])
         cb = _prefix_sums(pair.bob, rec.permutation[lo:hi])
-        pa = int(ca[-1]) & 1
-        pb = int(cb[-1]) & 1
-        transcript.add(
-            Event(COMPARE_BLOCK, rec.pass_index, lo=lo, hi=hi, parity_a=pa, parity_b=pb)
-        )
-        if pa == pb:
-            continue
-        found = _correct(pair, rec.permutation, ca, cb, lo, lo, hi, transcript, rec.pass_index)
-        corrections += 1
-        for other in history:
-            if other is not rec:
-                queue.append((other, *other.block_span(found)))
+        found = _compare(pair, rec.permutation, ca, cb, lo, transcript,
+                         Event(COMPARE_BLOCK, rec.pass_index, lo, hi))
+        if found >= 0:
+            corrections += 1
+            queue.extend((other, *other.block_span(found)) for other in history
+                         if other is not rec)
     return corrections
 
 
@@ -381,7 +376,7 @@ def run_pass(
     config: CascadeConfig,
     transcript: Transcript,
     history: list[PassRecord],
-) -> int:
+) -> None:
     """One block pass: shuffle, partition, compare, bisect mismatches.
 
     Pass 0 runs on the raw bit order; later passes use the shared
@@ -390,18 +385,18 @@ def run_pass(
     key length).  In BBBSS mode the last bit of every compared block is
     deleted once the whole pass has completed; in Cascade mode corrections
     are back-corrected against ``history`` and the pass is appended to it.
-    Returns the number of corrections made, back-corrections included.
 
-    Every block comparison and bisection halving of the pass reads one
-    prefix-sum gather per party over the pass's order.  Alice's key is
-    fixed during a pass, and a block's own correction shifts both ends of
-    every later block's range alike, so later parities stay valid.  A
-    Cascade back-correction may flip bits in later blocks of this pass, so
-    it is followed by a fresh gather of Bob's sums.
+    :func:`_compare` reads and records every block comparison and
+    bisection halving of the pass from one prefix-sum gather per party
+    over the pass's order.  Alice's key is fixed during a pass, and a
+    block's own correction shifts both ends of every later block's range
+    alike, so later parities stay valid.  A Cascade back-correction may
+    flip bits in later blocks of this pass, so it is followed by a fresh
+    gather of Bob's sums.
     """
     n = len(pair)
     if n == 0:
-        return 0
+        return
     cascade = config.variant == CASCADE
     k = _concrete_block_size(config) * config.block_growth**pass_index
     k = min(k, n)
@@ -409,25 +404,16 @@ def run_pass(
         perm = np.arange(n)
     else:
         perm = shared_permutation(n, pass_index, config.seed)
-    corrections = 0
     doomed: list[int] = []
     ca = _prefix_sums(pair.alice, perm)
     cb = _prefix_sums(pair.bob, perm)
     for lo, hi in partition(n, k):
-        pa = int(ca[hi] - ca[lo]) & 1
-        pb = int(cb[hi] - cb[lo]) & 1
-        transcript.add(
-            Event(COMPARE_BLOCK, pass_index, lo=lo, hi=hi, parity_a=pa, parity_b=pb)
-        )
-        if pa != pb:
-            found = _correct(pair, perm, ca, cb, 0, lo, hi, transcript, pass_index)
-            corrections += 1
-            if cascade:
-                extra = cascade_back_correction(pair, history, found, transcript)
-                if extra:
-                    corrections += extra
-                    cb = _prefix_sums(pair.bob, perm)
-        if not cascade:
+        found = _compare(pair, perm, ca, cb, 0, transcript,
+                         Event(COMPARE_BLOCK, pass_index, lo, hi))
+        if cascade:
+            if found >= 0 and cascade_back_correction(pair, history, found, transcript):
+                cb = _prefix_sums(pair.bob, perm)
+        else:
             doomed.append(int(perm[hi - 1]))
     if cascade:
         inverse = np.empty_like(perm)
@@ -435,7 +421,6 @@ def run_pass(
         history.append(PassRecord(pass_index, perm, inverse, k))
     else:
         _apply_deletions(pair, doomed, transcript, pass_index)
-    return corrections
 
 
 def random_subset_round(
@@ -471,18 +456,14 @@ def random_subset_round(
     order = subset[rng.permutation(len(subset))]
     ca = _prefix_sums(pair.alice, order)
     cb = _prefix_sums(pair.bob, order)
-    pa = int(ca[-1]) & 1
-    pb = int(cb[-1]) & 1
-    transcript.add(Event(COMPARE_SUBSET, round_index, parity_a=pa, parity_b=pb,
-                         subset=tuple(subset.tolist())))
-    corrected = pa != pb
-    if corrected:
-        found = _correct(pair, order, ca, cb, 0, 0, len(order), transcript, round_index)
-        if config.variant == CASCADE:
-            cascade_back_correction(pair, history, found, transcript)
+    found = _compare(pair, order, ca, cb, 0, transcript,
+                     Event(COMPARE_SUBSET, round_index, 0, len(order),
+                           subset=tuple(subset.tolist())))
+    if found >= 0 and config.variant == CASCADE:
+        cascade_back_correction(pair, history, found, transcript)
     if config.variant == BBBSS:
         _apply_deletions(pair, [int(subset[-1])], transcript, round_index)
-    return corrected
+    return found >= 0
 
 
 def _concrete_block_size(config: CascadeConfig) -> int:

@@ -39,10 +39,8 @@ class SeriesNonConvergence(ArithmeticError):
     overflowed."""
 
     def __init__(self, name: str, terms_used: int, partial_sum: float):
-        super().__init__(
-            f"{name} did not converge within {terms_used} terms "
-            f"(partial sum {partial_sum!r})"
-        )
+        outcome = "overflowed after" if math.isinf(partial_sum) else "did not converge within"
+        super().__init__(f"{name} {outcome} {terms_used} terms (partial sum {partial_sum!r})")
         self.terms_used = terms_used
         self.partial_sum = partial_sum
 

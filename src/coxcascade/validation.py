@@ -38,12 +38,12 @@ from .reconciliation import (
     COMPARE_SUBSET,
     PARITY_EVENT_KINDS,
     CascadeConfig,
+    KeyPair,
     Transcript,
     bits_from_string,
     make_key_pair,
-    parity,
-    partition,
     reconcile,
+    run_pass,
 )
 from .special_functions import hyp2f1_one_sum, hyp3f2_sum
 
@@ -377,19 +377,20 @@ def check_simulator_statistics(
 
 
 def _worked_example_records() -> list[CheckRecord]:
-    """Fixed 31-bit regression: parities and the mismatching block set."""
-    n = len(EXAMPLE_KEY_BITS)
-    pattern = ErrorPattern(n, EXAMPLE_ERROR_POSITIONS)
+    """Fixed 31-bit regression: the first six block parities and the
+    mismatching block set of a five-bit block pass over the raw order,
+    read from the pass's transcript."""
     alice = bits_from_string(EXAMPLE_KEY_BITS)
     bob = alice.copy()
-    bob[list(pattern.positions)] ^= 1
-    spans = partition(n, 5)
-    pa = tuple(parity(alice, s) for s in spans[:6])
-    pb = tuple(parity(bob, s) for s in spans[:6])
+    bob[list(EXAMPLE_ERROR_POSITIONS)] ^= 1
+    t = Transcript()
+    run_pass(KeyPair(alice, bob), 0, CascadeConfig(initial_block_size=5), t, [])
+    compares = [e for e in t.events if e.kind == COMPARE_BLOCK]
+    pa = tuple(e.parity_a for e in compares[:6])
+    pb = tuple(e.parity_b for e in compares[:6])
     expect_a = (0, 0, 1, 0, 0, 0)
     expect_b = (0, 1, 1, 0, 0, 1)
-    mismatch = tuple(i + 1 for i in range(len(spans)) if
-                     parity(alice, spans[i]) != parity(bob, spans[i]))
+    mismatch = tuple(i + 1 for i, e in enumerate(compares) if e.parity_a != e.parity_b)
     ok_parities = pa == expect_a and pb == expect_b
     ok_blocks = mismatch == (2, 6)
     parity_params = ("alice=" + "".join(map(str, pa))

@@ -275,10 +275,10 @@ class TestEvaluatorErrors:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith(f"coxcascade {cmd}: error: ")
-        assert "did not converge" in err
+        assert "overflowed after" in err
         if cmd == "tail":
-            assert err == ("coxcascade tail: error: hyp2f1_one did not converge "
-                           "within 50530 terms (partial sum inf)\n")
+            assert err == ("coxcascade tail: error: hyp2f1_one overflowed after "
+                           "50530 terms (partial sum inf)\n")
 
     @pytest.mark.parametrize("cmd,func", [("tail", "tail"), ("cdf", "cdf"),
                                           ("parity", "p_odd_finite")])
@@ -353,6 +353,41 @@ class TestEvaluatorErrors:
         assert err.count("\n") == 1
         assert err.startswith("coxcascade reconcile: error: ")
         assert not path.exists()
+
+    def test_failed_output_keeps_earlier_files(self, capsys, tmp_path):
+        # the transcript path cannot be opened, so the existing outcome file
+        # must keep its content and no other file may appear
+        output = tmp_path / "o.json"
+        output.write_text("earlier run\n")
+        code, out, err = run_cli(capsys, "reconcile", "--a", "10", "--b", "2", "--f", "250",
+                                 "--n", "256", "--seed", "1", "--output", str(output),
+                                 "--transcript-out", str(tmp_path / "missing" / "t.log"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("coxcascade reconcile: error: ")
+        assert output.read_text() == "earlier run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o.json"]
+
+    def test_rewritten_output_is_truncated(self, capsys, tmp_path):
+        # a shorter rewrite leaves nothing of a longer earlier file behind,
+        # and the file keeps the mode a plain open gives
+        output = tmp_path / "o.json"
+        output.write_text("x" * 10_000)
+        code, out, _ = run_cli(capsys, "reconcile", "--a", "10", "--b", "2", "--f", "250",
+                               "--n", "256", "--seed", "1")
+        assert code == 0
+        fresh = tmp_path / "fresh.json"
+        for path in (output, fresh):
+            assert run_cli(capsys, "reconcile", "--a", "10", "--b", "2", "--f", "250",
+                           "--n", "256", "--seed", "1", "--output", str(path))[0] == 0
+        assert output.read_text() == fresh.read_text() == out
+        assert output.stat().st_mode == fresh.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.json", "o.json"]
+
+    def test_output_to_dev_null(self, capsys):
+        code, out, err = run_cli(capsys, "tail", "--a", "10", "--b", "2", "--m", "1",
+                                 "--output", os.devnull)
+        assert (code, out, err) == (0, "", "")
 
     def test_unwritable_records_exit_2(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.csv"

@@ -248,6 +248,14 @@ class TestParityProbabilities:
         # the correction prefactor would overflow a naive gamma evaluation
         assert p_odd_finite(500, G_MAIN) == pytest.approx(p_odd(G_MAIN), abs=1e-12)
 
+    @pytest.mark.parametrize("b", [1e3, 1e8, 1e14, 1e15, 1e200])
+    def test_large_rate_keeps_precision(self, b):
+        # at a = 1, p_odd = 1/(b+2); log(b) - log(b+2) cancels at large b
+        assert math.isclose(p_odd(GammaIntensity(1, b)), 1.0 / (b + 2.0), rel_tol=1e-14)
+
+    def test_finite_positive_at_large_rate(self):
+        assert p_odd_finite(3, GammaIntensity(1, 1e15)) > 0.0
+
 
 def test_finite_or_refused_over_stiff_grid():
     # a closed form either returns a finite number or refuses: at large a

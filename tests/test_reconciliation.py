@@ -4,8 +4,9 @@ The fixed 31-bit regression (six planted errors, five-bit blocks, second
 and sixth block parities disagreeing) pins the block pass; bisection is
 checked against a hand-simulated halving oracle and exhaustive error
 placements; Cascade back-correction against a crafted two-pass scenario;
-statistical behaviour against seeded Monte Carlo; a pinned digest over a
-seed × length × variant × block-size grid keeps transcripts byte-identical.
+statistical behaviour against seeded Monte Carlo; one pinned digest per
+variant over a seed × length × block-size grid keeps transcripts
+byte-identical.
 """
 
 import hashlib
@@ -32,12 +33,11 @@ from coxcascade.reconciliation import (
     KeyPair,
     ProtocolError,
     Transcript,
-    _correct,
+    _compare,
     _prefix_sums,
     bits_from_string,
     cascade_back_correction,
     make_key_pair,
-    parity,
     partition,
     random_subset_round,
     reconcile,
@@ -139,25 +139,6 @@ class TestPartition:
             partition(10, k)
 
 
-class TestParity:
-    def test_worked_example_parities(self):
-        pair = example_pair()
-        spans = partition(31, 5)[:6]
-        assert [parity(pair.alice, s) for s in spans] == [0, 0, 1, 0, 0, 0]
-        assert [parity(pair.bob, s) for s in spans] == [0, 1, 1, 0, 0, 1]
-
-    def test_empty_span(self):
-        bits = bits_from_string("1011")
-        assert parity(bits, (2, 2)) == 0
-
-    def test_out_of_bounds(self):
-        bits = bits_from_string("1011")
-        with pytest.raises(ValueError):
-            parity(bits, (0, 5))
-        with pytest.raises(ValueError):
-            parity(bits, (3, 1))
-
-
 def hand_bisect(alice, bob, lo, hi):
     """Independent halving oracle mirroring the protocol's published rule:
     compare the left (larger) half, descend into the mismatching side."""
@@ -173,13 +154,16 @@ def hand_bisect(alice, bob, lo, hi):
 
 
 def locate(alice, bob, order, lo, hi, transcript, round_index=0, base=0):
-    """Run ``_correct`` on copies of the keys with prefix sums gathered over
-    order[base:]; check that it flipped Bob's bit at the returned position,
+    """Run ``_compare`` on order[lo:hi] with copies of the keys and prefix
+    sums gathered over order[base:]; the range must hold an odd number of
+    differences.  Check that it flipped Bob's bit at the returned position,
     and nothing else, and recorded that flip last."""
     pair = KeyPair(alice.copy(), bob.copy())
     ca = _prefix_sums(pair.alice, order[base:])
     cb = _prefix_sums(pair.bob, order[base:])
-    found = _correct(pair, order, ca, cb, base, lo, hi, transcript, round_index)
+    found = _compare(pair, order, ca, cb, base, transcript,
+                     Event(COMPARE_BLOCK, round_index, lo, hi))
+    assert found >= 0
     assert np.flatnonzero(pair.bob != bob).tolist() == [found]
     assert np.array_equal(pair.alice, alice)
     assert transcript.events[-1] == Event(CORRECT, round_index, index=found)
@@ -193,7 +177,7 @@ class TestBisectError:
         t = Transcript()
         found = locate(alice, bob, np.arange(5), 2, 3, t)
         assert found == 2
-        assert t.parities_revealed == 0  # no halvings needed
+        assert t.parities_revealed == 1  # the comparison; no halvings needed
 
     def test_size_five_block_all_offsets(self):
         for offset in range(5):
@@ -218,14 +202,32 @@ class TestBisectError:
             assert found in placement
 
     def test_even_count_precondition(self):
-        # with no difference in range, the search lands on an agreeing bit
-        alice = np.zeros(6, dtype=np.uint8)
-        bob = alice.copy()
-        bob[[0, 5]] ^= 1
+        # stale sums claim one difference where the keys now agree (an even
+        # count): the search lands on an agreeing bit and corrects nothing
+        pair = KeyPair(np.zeros(6, dtype=np.uint8), bits_from_string("000100"))
+        order = np.arange(6)
+        ca = _prefix_sums(pair.alice, order)
+        cb = _prefix_sums(pair.bob, order)
+        pair.bob[3] ^= 1
         t = Transcript()
         with pytest.raises(ProtocolError):
-            locate(alice, bob, np.arange(6), 1, 5, t)
+            _compare(pair, order, ca, cb, 0, t, Event(COMPARE_BLOCK, 0, 0, 6))
         assert t.corrections_made == 0
+        assert pair.residual_errors() == 0
+        assert t.events[0] == Event(COMPARE_BLOCK, 0, 0, 6, parity_a=0, parity_b=1)
+
+    def test_agreeing_parities_return_minus_one(self):
+        # two differences in range: the comparison agrees and nothing moves
+        alice = np.zeros(6, dtype=np.uint8)
+        bob = bits_from_string("010010")
+        pair = KeyPair(alice, bob.copy())
+        order = np.arange(6)
+        t = Transcript()
+        found = _compare(pair, order, _prefix_sums(alice, order), _prefix_sums(bob, order),
+                         0, t, Event(COMPARE_BLOCK, 2, 0, 6))
+        assert found == -1
+        assert np.array_equal(pair.bob, bob)
+        assert t.events == [Event(COMPARE_BLOCK, 2, 0, 6, parity_a=0, parity_b=0)]
 
 
 def reference_bisect(alice, bob, order, lo, hi, transcript, round_index):
@@ -277,7 +279,11 @@ class TestPrefixBisect:
         expected = reference_bisect(alice, bob, order, lo, hi, t_ref, round_index)
         assert found == expected
         assert alice[found] != bob[found]
-        assert t_new.events[:-1] == t_ref.events
+        pa = int(alice[order[lo:hi]].sum()) % 2
+        pb = int(bob[order[lo:hi]].sum()) % 2
+        assert pa != pb
+        assert t_new.events[0] == Event(COMPARE_BLOCK, round_index, lo, hi, pa, pb)
+        assert t_new.events[1:-1] == t_ref.events
 
 
 class TestRunPass:
@@ -288,8 +294,7 @@ class TestRunPass:
     def test_error_free_pass(self):
         pair = make_key_pair(64, ErrorPattern(64, ()), seed=4)
         t = Transcript()
-        corrections = run_pass(pair, 0, self.config(8), t, [])
-        assert corrections == 0
+        assert run_pass(pair, 0, self.config(8), t, []) is None
         assert t.corrections_made == 0
         assert all(e.parity_a == e.parity_b for e in t.events
                    if e.kind == COMPARE_BLOCK)
@@ -301,12 +306,14 @@ class TestRunPass:
         pair.alice = pair.alice[:30]
         pair.bob = pair.bob[:30]
         t = Transcript()
-        corrections = run_pass(pair, 0, self.config(5, variant=CASCADE), t, [])
-        assert corrections == 2
+        run_pass(pair, 0, self.config(5, variant=CASCADE), t, [])
+        assert t.corrections_made == 2
         compares = [e for e in t.events if e.kind == COMPARE_BLOCK]
         mismatched = [i + 1 for i, e in enumerate(compares)
                       if e.parity_a != e.parity_b]
         assert mismatched == [2, 6]
+        assert [(e.parity_a, e.parity_b) for e in compares[:6]] == [
+            (0, 0), (0, 1), (1, 1), (0, 0), (0, 0), (0, 1)]
         corrected = sorted(e.index for e in t.events if e.kind == CORRECT)
         assert corrected == [6, 29]
         assert pair.residual_errors() == 4  # the two even blocks stay hidden
@@ -368,9 +375,10 @@ class TestCascadeBackCorrection:
                                variant=CASCADE, seed=seed)
         t = Transcript()
         history = []
-        assert run_pass(pair, 0, config, t, history) == 0  # both errors hidden
-        corrections = run_pass(pair, 1, config, t, history)
-        assert corrections == 2
+        run_pass(pair, 0, config, t, history)
+        assert t.corrections_made == 0  # both errors hidden
+        run_pass(pair, 1, config, t, history)
+        assert t.corrections_made == 2
         assert pair.residual_errors() == 0
         # the re-check of the pass-0 block happens after pass 1 started
         kinds = [(e.kind, e.round_index) for e in t.events]
@@ -556,23 +564,26 @@ class TestReconcile:
         assert not any(e.kind == DELETE for e in t.events)
 
 
-# SHA-256 over every transcript line and outcome repr of the grid below,
-# computed with one fresh gather per block and per halving: how parities
-# are computed must not change a byte of the public channel.  Block size 3
-# makes Cascade back-corrections flip bits in later blocks of the pass in
-# progress.
-GOLDEN_DIGEST = "44693185e7f3e805612cfe81880c1dc226ba0f5289e91472ce6a539ae684746e"
+# SHA-256 per variant over every transcript line and outcome repr of the
+# grid below, computed with one fresh gather per block and per halving: how
+# parities are computed must not change a byte of the public channel.
+# Block size 3 makes Cascade back-corrections flip bits in later blocks of
+# the pass in progress.
+GOLDEN_DIGESTS = {
+    BBBSS: "e08812a6712b9bfba30275a59ad880754ab704b5df8769a2916edde55565cd73",
+    CASCADE: "6ff31f6754e051af5f2ca28ab5a9c77b18716d121f7b70f889e6e2c8b6148d51",
+}
 
 
 class TestGoldenTranscripts:
     def test_grid_digest(self):
         g = GammaIntensity(10.0, 2.0)
         layout = TimeUnitLayout(250)
-        h = hashlib.sha256()
+        hashes = {variant: hashlib.sha256() for variant in GOLDEN_DIGESTS}
         for seed in range(4):
             for n in (64, 1000, 4096):
                 pattern = sample_error_pattern(n, layout, g, seed)
-                for variant in (BBBSS, CASCADE):
+                for variant, h in hashes.items():
                     for k in ("auto", 3, 17):
                         pair = make_key_pair(n, pattern, seed + 1)
                         config = CascadeConfig(
@@ -583,7 +594,7 @@ class TestGoldenTranscripts:
                         for line in t.to_lines():
                             h.update(line.encode() + b"\n")
                         h.update(repr(out).encode() + b"\n")
-        assert h.hexdigest() == GOLDEN_DIGEST
+        assert {v: h.hexdigest() for v, h in hashes.items()} == GOLDEN_DIGESTS
 
 
 class TestTranscriptSerialization:

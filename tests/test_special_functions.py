@@ -133,6 +133,9 @@ class TestStoppingRule:
             hyp2f1_one_sum(101.0, 2.0, 1.0 / (1.0 + 1e-4))
         assert math.isinf(err.value.partial_sum)
         assert err.value.terms_used < special_functions._MAX_TERMS
+        assert str(err.value) == (
+            f"hyp2f1_one overflowed after {err.value.terms_used} terms (partial sum inf)"
+        )
 
 
 class TestHyp2F1One:
