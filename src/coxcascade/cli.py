@@ -95,19 +95,52 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _same_file(path: str, other: str) -> bool:
+    if os.path.realpath(path) == os.path.realpath(other):
+        return True
+    try:
+        return os.path.samefile(path, other)
+    except OSError:  # one of them does not exist yet
+        return False
+
+
+def _open_output(path: str, created: list[str]):
+    """Open ``path`` for appending; note it in ``created`` if it is new."""
+    try:
+        fh = open(path, "x", newline="\n")
+    except FileExistsError:
+        return open(path, "a", newline="\n")
+    created.append(path)
+    return fh
+
+
 def _emit(*outputs: tuple[str, str]) -> None:
     """Write each rendered ``(text, path)`` in order; path ``-`` is stdout.
 
-    Every file is opened, without truncating it, before anything is
-    written, so a path that cannot be opened fails the command with
-    nothing on stdout and every existing file as it was.  A regular file is
-    then truncated just before it is written, as ``open(path, "w")`` would.
+    Two file outputs may not name the same file.  Every file is opened,
+    without truncating it, before anything is written; if a path cannot be
+    opened, the files this call created are removed again, so the command
+    fails with nothing on stdout and every file as it was.  A regular file
+    is then truncated just before it is written, as ``open(path, "w")``
+    would.
     """
+    paths = [path for _, path in outputs if path != "-"]
+    for i, path in enumerate(paths):
+        for other in paths[:i]:
+            if _same_file(path, other):
+                raise ValueError(f"two outputs name the same file: {other!r} and {path!r}")
+    created: list[str] = []
     with ExitStack() as stack:
-        handles = [
-            sys.stdout if path == "-" else stack.enter_context(open(path, "a", newline="\n"))
-            for _, path in outputs
-        ]
+        try:
+            handles = [
+                sys.stdout if path == "-" else stack.enter_context(_open_output(path, created))
+                for _, path in outputs
+            ]
+        except OSError:
+            stack.close()
+            for path in created:
+                os.remove(path)
+            raise
         for (text, _), fh in zip(outputs, handles):
             if fh is not sys.stdout and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 fh.truncate(0)

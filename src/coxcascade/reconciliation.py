@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -158,8 +158,11 @@ class Event(NamedTuple):
 
     ``round_index`` is the block pass for pass events and the subset round
     otherwise.  ``lo:hi`` ranges are positions in the round's shuffled
-    order; a subset comparison spans ``0:len(order)`` of its drawn subset
-    order, and its bisections are ordinal ranges within that order.
+    order; a subset comparison spans ``0:hi``, ``hi`` being the subset's
+    size, and its bisections are ordinal ranges within the subset's shared
+    random order.  ``subset`` is a subset comparison's mask over the key,
+    packed as ``np.packbits(mask).tobytes()`` (n/8 bytes, zero padding
+    bits); :meth:`to_line` unpacks it and renders the positions it holds.
     ``index`` for corrections and deletions is a position in the current
     key coordinates at event time; deletions recorded within one block
     pass are applied together once the pass completes.  The field
@@ -173,7 +176,7 @@ class Event(NamedTuple):
     parity_a: int = -1
     parity_b: int = -1
     index: int = -1
-    subset: tuple[int, ...] = ()
+    subset: bytes = b""
 
     def to_line(self) -> str:
         if self.kind in (COMPARE_BLOCK, BISECT):
@@ -182,7 +185,10 @@ class Event(NamedTuple):
                 f"a={self.parity_a} b={self.parity_b}"
             )
         if self.kind == COMPARE_SUBSET:
-            bits = ",".join(map(str, self.subset))
+            mask = np.unpackbits(np.frombuffer(self.subset, dtype=np.uint8)).view(bool)
+            # the positions' list repr without brackets and spaces: the same
+            # text as joining str(i) with commas, built in C
+            bits = repr(np.flatnonzero(mask).tolist())[1:-1].replace(", ", ",")
             return (
                 f"{self.kind} round={self.round_index} bits={bits} "
                 f"a={self.parity_a} b={self.parity_b}"
@@ -269,10 +275,10 @@ def partition(n: int, k: int) -> list[tuple[int, int]]:
 def _prefix_sums(bits: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Prefix sums of ``bits[order]``: ``c[i]`` counts the ones in order[:i].
 
-    This is the simulator's one gather for reading parities: the parity of
-    order[lo:hi] is ``int(c[hi] - c[lo]) & 1``.  Only :func:`_compare`
-    reads parities from it, so one gather per party serves a comparison
-    and every halving of the bisection that may follow it.
+    This is the simulator's one gather for block and bisection parities:
+    the parity of order[lo:hi] is ``int(c[hi] - c[lo]) & 1``.  One gather
+    per party serves a pass's block comparisons and every halving of the
+    bisections that follow them.
     """
     c = np.zeros(len(order) + 1, dtype=np.int64)
     np.cumsum(bits[order], out=c[1:])
@@ -281,31 +287,29 @@ def _prefix_sums(bits: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 def _compare(
     pair: KeyPair,
-    order: np.ndarray,
-    ca: np.ndarray,
-    cb: np.ndarray,
-    base: int,
     transcript: Transcript,
     event: Event,
+    sums: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray, int]],
 ) -> int:
     """Disclose one comparison; on a mismatch, locate and correct one bit.
 
-    The simulator's one disclosure step: only it reads parities and records
-    comparison, bisection and correction events.  ``ca``/``cb`` are Alice's
-    and Bob's prefix sums over order[base:]; ``event`` compares
-    order[event.lo:event.hi] and is recorded with both parities filled in.
-    Returns -1 if they agree.  Otherwise each halving publicly compares the
-    left half's parities (one event) and descends into the mismatching half
-    (left first), which keeps an odd difference count.  The bit it ends on
-    is flipped on Bob's side and recorded, and its position returned, in
-    the coordinates ``order`` maps into.
+    The simulator's one disclosure step: only it records comparison,
+    bisection and correction events.  ``event`` compares
+    order[event.lo:event.hi] and carries both parties' parities; it is
+    recorded as given, and -1 is returned if they agree.  Otherwise
+    ``sums()`` is called once for ``(order, ca, cb, base)``: the order the
+    event's range indexes, and Alice's and Bob's prefix sums over
+    order[base:].  Each halving publicly compares the left half's parities
+    (one event) and descends into the mismatching half (left first), which
+    keeps an odd difference count.  The bit it ends on is flipped on Bob's
+    side and recorded, and its position returned, in the coordinates
+    ``order`` maps into.
     """
-    lo, hi = event.lo, event.hi
-    pa = int(ca[hi - base] - ca[lo - base]) & 1
-    pb = int(cb[hi - base] - cb[lo - base]) & 1
-    transcript.add(event._replace(parity_a=pa, parity_b=pb))
-    if pa == pb:
+    transcript.add(event)
+    if event.parity_a == event.parity_b:
         return -1
+    order, ca, cb, base = sums()
+    lo, hi = event.lo, event.hi
     round_index = event.round_index
     while hi - lo > 1:
         mid = lo + (hi - lo + 1) // 2
@@ -361,8 +365,8 @@ def cascade_back_correction(
         rec, lo, hi = queue.popleft()
         ca = _prefix_sums(pair.alice, rec.permutation[lo:hi])
         cb = _prefix_sums(pair.bob, rec.permutation[lo:hi])
-        found = _compare(pair, rec.permutation, ca, cb, lo, transcript,
-                         Event(COMPARE_BLOCK, rec.pass_index, lo, hi))
+        event = Event(COMPARE_BLOCK, rec.pass_index, lo, hi, int(ca[-1]) & 1, int(cb[-1]) & 1)
+        found = _compare(pair, transcript, event, lambda: (rec.permutation, ca, cb, lo))
         if found >= 0:
             corrections += 1
             queue.extend((other, *other.block_span(found)) for other in history
@@ -386,13 +390,12 @@ def run_pass(
     deleted once the whole pass has completed; in Cascade mode corrections
     are back-corrected against ``history`` and the pass is appended to it.
 
-    :func:`_compare` reads and records every block comparison and
-    bisection halving of the pass from one prefix-sum gather per party
-    over the pass's order.  Alice's key is fixed during a pass, and a
-    block's own correction shifts both ends of every later block's range
-    alike, so later parities stay valid.  A Cascade back-correction may
-    flip bits in later blocks of this pass, so it is followed by a fresh
-    gather of Bob's sums.
+    Every block comparison and bisection halving of the pass reads its
+    parities from one prefix-sum gather per party over the pass's order.
+    Alice's key is fixed during a pass, and a block's own correction shifts
+    both ends of every later block's range alike, so later parities stay
+    valid.  A Cascade back-correction may flip bits in later blocks of this
+    pass, so it is followed by a fresh gather of Bob's sums.
     """
     n = len(pair)
     if n == 0:
@@ -408,8 +411,9 @@ def run_pass(
     ca = _prefix_sums(pair.alice, perm)
     cb = _prefix_sums(pair.bob, perm)
     for lo, hi in partition(n, k):
-        found = _compare(pair, perm, ca, cb, 0, transcript,
-                         Event(COMPARE_BLOCK, pass_index, lo, hi))
+        event = Event(COMPARE_BLOCK, pass_index, lo, hi,
+                      int(ca[hi] - ca[lo]) & 1, int(cb[hi] - cb[lo]) & 1)
+        found = _compare(pair, transcript, event, lambda: (perm, ca, cb, 0))
         if cascade:
             if found >= 0 and cascade_back_correction(pair, history, found, transcript):
                 cb = _prefix_sums(pair.bob, perm)
@@ -433,14 +437,15 @@ def random_subset_round(
     """One random-subset comparison; returns True if a bit was corrected.
 
     The subset includes each position independently with probability 1/2,
-    drawn from the shared per-round stream (an empty draw is redrawn).  On
-    parity mismatch the subset is bisected like a block, in a shared
-    random order.  That order is drawn before the comparison, so that one
-    prefix-sum gather per party over it serves both the subset parity and
-    the bisection; nothing draws from the round's stream after it, so
-    drawing it in every round leaves the stream unchanged.  In BBBSS mode
-    the subset's last bit (its highest position) is deleted after the
-    round; in Cascade mode a correction is back-corrected.
+    drawn from the shared per-round stream as a mask over the key (an
+    empty draw is redrawn).  Both parities are read straight from the
+    mask, and the event keeps it packed.  On a parity mismatch the subset
+    is bisected like a block, in a shared random order, and only then are
+    that order and the prefix sums over it built.  The order is the
+    round's last draw from its stream, so skipping it when the parities
+    agree leaves every later draw unchanged.  In BBBSS mode the subset's
+    last bit (its highest position) is deleted after the round; in Cascade
+    mode a correction is back-corrected.
     """
     n = len(pair)
     if n < 2:
@@ -452,17 +457,22 @@ def random_subset_round(
         mask = rng.integers(0, 2, size=n, dtype=np.uint8)
         if mask.any():
             break
-    subset = np.nonzero(mask)[0]
-    order = subset[rng.permutation(len(subset))]
-    ca = _prefix_sums(pair.alice, order)
-    cb = _prefix_sums(pair.bob, order)
-    found = _compare(pair, order, ca, cb, 0, transcript,
-                     Event(COMPARE_SUBSET, round_index, 0, len(order),
-                           subset=tuple(subset.tolist())))
+
+    def shuffled_sums():
+        subset = np.flatnonzero(mask)
+        order = subset[rng.permutation(len(subset))]
+        return order, _prefix_sums(pair.alice, order), _prefix_sums(pair.bob, order), 0
+
+    event = Event(COMPARE_SUBSET, round_index, 0, int(np.count_nonzero(mask)),
+                  int(np.count_nonzero(pair.alice & mask)) & 1,
+                  int(np.count_nonzero(pair.bob & mask)) & 1,
+                  subset=np.packbits(mask).tobytes())
+    found = _compare(pair, transcript, event, shuffled_sums)
     if found >= 0 and config.variant == CASCADE:
         cascade_back_correction(pair, history, found, transcript)
     if config.variant == BBBSS:
-        _apply_deletions(pair, [int(subset[-1])], transcript, round_index)
+        last = n - 1 - int(mask[::-1].argmax())
+        _apply_deletions(pair, [last], transcript, round_index)
     return found >= 0
 
 

@@ -368,6 +368,52 @@ class TestEvaluatorErrors:
         assert output.read_text() == "earlier run\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["o.json"]
 
+    def test_failed_output_removes_created_file(self, capsys, tmp_path):
+        # an outcome file the failed command created itself does not stay
+        # behind empty
+        code, out, err = run_cli(capsys, "reconcile", "--a", "10", "--b", "2", "--f", "250",
+                                 "--n", "256", "--seed", "1", "--output",
+                                 str(tmp_path / "new.json"), "--transcript-out",
+                                 str(tmp_path / "missing" / "t.log"))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("alias", ["same", "relative", "symlink", "hardlink"])
+    def test_two_outputs_naming_one_file_refused(self, capsys, tmp_path, monkeypatch, alias):
+        monkeypatch.chdir(tmp_path)
+        first = tmp_path / "same.txt"
+        second = {"same": str(first), "relative": "same.txt",
+                  "symlink": str(tmp_path / "link.txt"),
+                  "hardlink": str(tmp_path / "hard.txt")}[alias]
+        if alias == "symlink":
+            first.write_text("earlier run\n")
+            os.symlink(first, second)
+        if alias == "hardlink":
+            first.write_text("earlier run\n")
+            os.link(first, second)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        code, out, err = run_cli(capsys, "reconcile", "--a", "10", "--b", "2", "--f", "250",
+                                 "--n", "256", "--seed", "1", "--output", str(first),
+                                 "--transcript-out", second)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("coxcascade reconcile: error: two outputs name the same file")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        if before:
+            assert first.read_text() == "earlier run\n"
+
+    def test_sample_outputs_naming_one_file_refused(self, capsys, tmp_path):
+        path = str(tmp_path / "both.txt")
+        code, out, err = run_cli(capsys, "sample", "--a", "10", "--b", "2", "--f", "100",
+                                 "--n", "300", "--seed", "1", "--trace-out", path,
+                                 "--pattern-out", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("coxcascade sample: error: two outputs name the same file")
+        assert list(tmp_path.iterdir()) == []
+
     def test_rewritten_output_is_truncated(self, capsys, tmp_path):
         # a shorter rewrite leaves nothing of a longer earlier file behind,
         # and the file keeps the mode a plain open gives

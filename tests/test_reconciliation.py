@@ -12,12 +12,17 @@ byte-identical.
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coxcascade
 from coxcascade.error_model import ErrorPattern, GammaIntensity, TimeUnitLayout, sample_error_pattern
 from coxcascade.reconciliation import (
     BBBSS,
@@ -154,15 +159,17 @@ def hand_bisect(alice, bob, lo, hi):
 
 
 def locate(alice, bob, order, lo, hi, transcript, round_index=0, base=0):
-    """Run ``_compare`` on order[lo:hi] with copies of the keys and prefix
-    sums gathered over order[base:]; the range must hold an odd number of
-    differences.  Check that it flipped Bob's bit at the returned position,
-    and nothing else, and recorded that flip last."""
+    """Run ``_compare`` on order[lo:hi], its parities read from prefix sums
+    gathered over order[base:] from copies of the keys; the range must hold
+    an odd number of differences.  Check that it flipped Bob's bit at the
+    returned position, and nothing else, and recorded that flip last."""
     pair = KeyPair(alice.copy(), bob.copy())
     ca = _prefix_sums(pair.alice, order[base:])
     cb = _prefix_sums(pair.bob, order[base:])
-    found = _compare(pair, order, ca, cb, base, transcript,
-                     Event(COMPARE_BLOCK, round_index, lo, hi))
+    event = Event(COMPARE_BLOCK, round_index, lo, hi,
+                  int(ca[hi - base] - ca[lo - base]) & 1,
+                  int(cb[hi - base] - cb[lo - base]) & 1)
+    found = _compare(pair, transcript, event, lambda: (order, ca, cb, base))
     assert found >= 0
     assert np.flatnonzero(pair.bob != bob).tolist() == [found]
     assert np.array_equal(pair.alice, alice)
@@ -211,20 +218,25 @@ class TestBisectError:
         pair.bob[3] ^= 1
         t = Transcript()
         with pytest.raises(ProtocolError):
-            _compare(pair, order, ca, cb, 0, t, Event(COMPARE_BLOCK, 0, 0, 6))
+            _compare(pair, t, Event(COMPARE_BLOCK, 0, 0, 6, parity_a=0, parity_b=1),
+                     lambda: (order, ca, cb, 0))
         assert t.corrections_made == 0
         assert pair.residual_errors() == 0
         assert t.events[0] == Event(COMPARE_BLOCK, 0, 0, 6, parity_a=0, parity_b=1)
 
     def test_agreeing_parities_return_minus_one(self):
-        # two differences in range: the comparison agrees and nothing moves
+        # two differences in range: the comparison agrees, nothing moves and
+        # the sums for a bisection are never asked for
         alice = np.zeros(6, dtype=np.uint8)
         bob = bits_from_string("010010")
         pair = KeyPair(alice, bob.copy())
-        order = np.arange(6)
         t = Transcript()
-        found = _compare(pair, order, _prefix_sums(alice, order), _prefix_sums(bob, order),
-                         0, t, Event(COMPARE_BLOCK, 2, 0, 6))
+
+        def no_sums():
+            raise AssertionError("sums built for an agreeing comparison")
+
+        found = _compare(pair, t, Event(COMPARE_BLOCK, 2, 0, 6, parity_a=0, parity_b=0),
+                         no_sums)
         assert found == -1
         assert np.array_equal(pair.bob, bob)
         assert t.events == [Event(COMPARE_BLOCK, 2, 0, 6, parity_a=0, parity_b=0)]
@@ -456,6 +468,26 @@ class TestRandomSubsetRound:
         with pytest.raises(ValueError):
             random_subset_round(pair, self.config(), 0, Transcript(), [])
 
+    @pytest.mark.parametrize("variant", [BBBSS, CASCADE])
+    @pytest.mark.parametrize("n", [13, 24, 61])
+    def test_event_keeps_packed_mask(self, n, variant):
+        # the subset is n/8 packed bytes; the parities and the BBBSS
+        # deletion agree with the positions it renders
+        pair = make_key_pair(n, ErrorPattern(n, (0, n // 2, n - 1)), seed=n)
+        alice, bob = pair.alice.copy(), pair.bob.copy()
+        t = Transcript()
+        random_subset_round(pair, self.config(variant=variant, seed=9), 3, t, [])
+        event = t.events[0]
+        assert event.kind == COMPARE_SUBSET
+        assert type(event.subset) is bytes
+        assert len(event.subset) == math.ceil(n / 8)
+        subset = [int(i) for i in event.to_line().split("bits=")[1].split()[0].split(",")]
+        assert (event.lo, event.hi) == (0, len(subset))
+        assert event.parity_a == int(alice[subset].sum()) % 2
+        assert event.parity_b == int(bob[subset].sum()) % 2
+        if variant == BBBSS:
+            assert t.events[-1] == Event(DELETE, 3, index=max(subset))
+
     def test_determinism_per_round(self):
         config = self.config(seed=33)
         t1, t2 = Transcript(), Transcript()
@@ -564,6 +596,35 @@ class TestReconcile:
         assert not any(e.kind == DELETE for e in t.events)
 
 
+# A BBBSS run at n = 131072 needs ~870 subset rounds.  It runs in a fresh
+# interpreter, whose own high-water mark (VmHWM) is its peak resident memory:
+# the transcript must keep each round's subset in n/8 bytes, not n/2 ints.
+LONG_KEY_RUN = """
+from coxcascade.error_model import GammaIntensity, TimeUnitLayout, sample_error_pattern
+from coxcascade.reconciliation import BBBSS, CascadeConfig, Transcript, make_key_pair, reconcile
+g, layout, n = GammaIntensity(10.0, 2.0), TimeUnitLayout(250), 131072
+pair = make_key_pair(n, sample_error_pattern(n, layout, g, 1), 2)
+t = Transcript()
+out = reconcile(pair, CascadeConfig(variant=BBBSS, seed=3).resolve(layout, g), t)
+assert out.subset_rounds > 500 and len(t.events) > out.subset_rounds
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+class TestLongKeyMemory:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="needs VmHWM from /proc/self/status")
+    def test_bbbss_peak_rss_at_n_131072(self):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(coxcascade.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", LONG_KEY_RUN], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        peak_mb = int(proc.stdout) / 1024
+        assert peak_mb < 256
+
+
 # SHA-256 per variant over every transcript line and outcome repr of the
 # grid below, computed with one fresh gather per block and per halving: how
 # parities are computed must not change a byte of the public channel.
@@ -603,7 +664,8 @@ class TestTranscriptSerialization:
         events = [
             Event(COMPARE_BLOCK, 0, lo=5, hi=10, parity_a=0, parity_b=1),
             Event(BISECT, 0, lo=5, hi=8, parity_a=1, parity_b=0),
-            Event(COMPARE_SUBSET, 3, parity_a=0, parity_b=0, subset=(1, 4, 7)),
+            Event(COMPARE_SUBSET, 3, parity_a=0, parity_b=0,
+                  subset=np.packbits(np.isin(np.arange(9), [1, 4, 7])).tobytes()),
             Event(CORRECT, 0, index=6),
             Event(DELETE, 0, index=9),
         ]
@@ -618,6 +680,22 @@ class TestTranscriptSerialization:
             "delete round=0 index=9",
         ]
         assert (t.parities_revealed, t.corrections_made, t.bits_deleted) == (3, 1, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.lists(st.booleans(), min_size=1, max_size=70),
+        st.integers(1, 70).flatmap(lambda n: st.sampled_from([
+            [True] * n,                                  # all ones
+            [False] * (n - 1) + [True],                  # only the last bit
+            [i == n // 2 for i in range(n)],             # one bit inside
+        ])),
+    ))
+    def test_packed_subset_renders_its_positions(self, bits):
+        mask = np.array(bits, dtype=np.uint8)
+        line = Event(COMPARE_SUBSET, 0, parity_a=1, parity_b=0,
+                     subset=np.packbits(mask).tobytes()).to_line()
+        positions = ",".join(str(i) for i in np.flatnonzero(mask))
+        assert line == f"compare-subset round=0 bits={positions} a=1 b=0"
 
 
 class TestConfigValidation:
