@@ -8,10 +8,12 @@ produce byte-identical output.
 
 Numeric rendering is fixed: 17 significant digits in JSON output, 12 in
 CSV.  Exit codes: 0 success, 1 validation failure, 2 usage or parameter
-error, including an evaluator that refuses its input, whose series does
+error.  A bad flag is reported by argparse: a usage block, then one
+``coxcascade <command>: error: …`` line.  Every other refusal is that one
+stderr line alone: an evaluator that refuses its input, whose series does
 not converge or overflows or whose value overflows, a bad
-``COXCASCADE_SEED`` and an output path that cannot be written (each
-reported on one stderr line).  The
+``COXCASCADE_SEED``, an output path that cannot be written and two
+outputs that name one destination (one file, or ``-`` for stdout twice).  The
 default seed is 24301 and can be overridden with the ``COXCASCADE_SEED``
 environment variable.
 """
@@ -95,7 +97,9 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _same_file(path: str, other: str) -> bool:
+def _same_destination(path: str, other: str) -> bool:
+    if "-" in (path, other):
+        return path == other
     if os.path.realpath(path) == os.path.realpath(other):
         return True
     try:
@@ -117,17 +121,17 @@ def _open_output(path: str, created: list[str]):
 def _emit(*outputs: tuple[str, str]) -> None:
     """Write each rendered ``(text, path)`` in order; path ``-`` is stdout.
 
-    Two file outputs may not name the same file.  Every file is opened,
-    without truncating it, before anything is written; if a path cannot be
-    opened, the files this call created are removed again, so the command
-    fails with nothing on stdout and every file as it was.  A regular file
-    is then truncated just before it is written, as ``open(path, "w")``
-    would.
+    No two outputs may name one destination: not one file, and not stdout
+    twice.  Every file is opened, without truncating it, before anything is
+    written; if a path cannot be opened, the files this call created are
+    removed again, so the command fails with nothing on stdout and every
+    file as it was.  A regular file is then truncated just before it is
+    written, as ``open(path, "w")`` would.
     """
-    paths = [path for _, path in outputs if path != "-"]
+    paths = [path for _, path in outputs]
     for i, path in enumerate(paths):
         for other in paths[:i]:
-            if _same_file(path, other):
+            if _same_destination(path, other):
                 raise ValueError(f"two outputs name the same file: {other!r} and {path!r}")
     created: list[str] = []
     with ExitStack() as stack:
@@ -213,39 +217,41 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
                    help="gamma rate of the error intensity")
 
 
-def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", default="-", metavar="PATH",
-                   help="output file, '-' for stdout (default)")
+# The table commands: name -> (help, range help, header, row function).
+# The header's first column names the range flag.  Row functions look their
+# evaluators up in this module at call time, so a replaced module attribute
+# (as in a test) takes effect.
+_TABLES = {
+    "pmf": ("error-count probabilities per time unit", None,
+            ("k", "probability"), lambda k, g: (k, pmf(k, g))),
+    "cdf": ("probability of at most m errors", None,
+            ("m", "probability"), lambda m, g: (m, cdf(m, g))),
+    "tail": ("probability of more than m errors", None,
+             ("m", "probability"), lambda m, g: (m, tail(m, g))),
+    "parity": ("odd-error-count probabilities",
+               "half-lengths: rows cover strings of length 2m+1",
+               ("m", "p_odd_finite", "p_odd_limit"),
+               lambda m, g: (m, p_odd_finite(m, g), p_odd(g))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command table: each subparser binds its handler as ``run``."""
     parser = argparse.ArgumentParser(
         prog="coxcascade",
         description="Error-scattering model and reconciliation simulator for QKD raw keys",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pmf", help="error-count probabilities per time unit")
-    _add_model_args(p)
-    p.add_argument("--k", type=_parse_range, required=True, metavar="N|LO..HI")
-    _add_output_args(p)
-
-    p = sub.add_parser("cdf", help="probability of at most m errors")
-    _add_model_args(p)
-    p.add_argument("--m", type=_parse_range, required=True, metavar="N|LO..HI")
-    _add_output_args(p)
-
-    p = sub.add_parser("tail", help="probability of more than m errors")
-    _add_model_args(p)
-    p.add_argument("--m", type=_parse_range, required=True, metavar="N|LO..HI")
-    _add_output_args(p)
-
-    p = sub.add_parser("parity", help="odd-error-count probabilities")
-    _add_model_args(p)
-    p.add_argument("--m", type=_parse_range, required=True, metavar="N|LO..HI",
-                   help="half-lengths: rows cover strings of length 2m+1")
-    _add_output_args(p)
+    for name, (help_text, range_help, header, _) in _TABLES.items():
+        p = sub.add_parser(name, help=help_text)
+        _add_model_args(p)
+        p.add_argument(f"--{header[0]}", type=_parse_range, required=True,
+                       metavar="N|LO..HI", help=range_help)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--output", default="-", metavar="PATH",
+                       help="output file, '-' for stdout (default)")
+        p.set_defaults(run=_cmd_table)
 
     p = sub.add_parser("blocksize", help="recommended initial block size")
     _add_model_args(p)
@@ -253,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bits per time unit")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default="-", metavar="PATH")
+    p.set_defaults(run=_cmd_blocksize)
 
     p = sub.add_parser("sample", help="sample an error pattern and intensity trace")
     _add_model_args(p)
@@ -263,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-unit intensity trace CSV ('-' for stdout)")
     p.add_argument("--pattern-out", default=None, metavar="PATH",
                    help="error-position list, one index per line ('-' for stdout)")
+    p.set_defaults(run=_cmd_sample)
 
     p = sub.add_parser("reconcile", help="simulate a reconciliation run")
     _add_model_args(p)
@@ -280,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="-", metavar="PATH", help="outcome JSON")
     p.add_argument("--transcript-out", default=None, metavar="PATH",
                    help="public-channel event ledger, one event per line")
+    p.set_defaults(run=_cmd_reconcile)
 
     p = sub.add_parser("validate", help="run oracle and Monte Carlo suites")
     p.add_argument("--suite", action="append", default=None,
@@ -288,25 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, metavar="PATH",
                    help="also write machine-readable records CSV "
                         "('-' for stdout, after the report)")
+    p.set_defaults(run=_cmd_validate)
 
     return parser
 
 
-def _cmd_table(args, kind: str) -> int:
+def _cmd_table(args) -> int:
+    _, _, header, row = _TABLES[args.command]
     g = GammaIntensity(args.a, args.b)
-    if kind == "pmf":
-        header = ("k", "probability")
-        rows = [(k, pmf(k, g)) for k in args.k]
-    elif kind == "cdf":
-        header = ("m", "probability")
-        rows = [(m, cdf(m, g)) for m in args.m]
-    elif kind == "tail":
-        header = ("m", "probability")
-        rows = [(m, tail(m, g)) for m in args.m]
-    else:
-        header = ("m", "p_odd_finite", "p_odd_limit")
-        limit = p_odd(g)
-        rows = [(m, p_odd_finite(m, g), limit) for m in args.m]
+    rows = [row(x, g) for x in getattr(args, header[0])]
     _emit((_table_text(header, rows, args.format), args.output))
     return 0
 
@@ -327,9 +326,7 @@ def _cmd_blocksize(args) -> int:
     return 0
 
 
-def _cmd_sample(args, parser) -> int:
-    if args.trace_out == "-" and args.pattern_out == "-":
-        parser.error("--trace-out and --pattern-out cannot both be stdout")
+def _cmd_sample(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     g = GammaIntensity(args.a, args.b)
     layout = TimeUnitLayout(args.f)
@@ -390,34 +387,23 @@ def _cmd_reconcile(args) -> int:
 def _cmd_validate(args) -> int:
     names = args.suite if args.suite else ["all"]
     report = run_suites(names)
-    outputs = [(report.to_text() + "\n", "-")]
+    text = report.to_text() + "\n"
+    outputs = []
     if args.output is not None:
         rows = [r.to_row() for r in report.sorted_records()]
-        outputs.append((_table_text(CheckRecord.FIELDS, rows, "csv"), args.output))
-    _emit(*outputs)
+        records = _table_text(CheckRecord.FIELDS, rows, "csv")
+        if args.output == "-":
+            text += records
+        else:
+            outputs.append((records, args.output))
+    _emit((text, "-"), *outputs)
     return 0 if report.all_passed else 1
 
 
-def _dispatch(args, parser: argparse.ArgumentParser) -> int:
-    if args.command in ("pmf", "cdf", "tail", "parity"):
-        return _cmd_table(args, args.command)
-    if args.command == "blocksize":
-        return _cmd_blocksize(args)
-    if args.command == "sample":
-        return _cmd_sample(args, parser)
-    if args.command == "reconcile":
-        return _cmd_reconcile(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args, parser)
+        return args.run(args)
     except (SeriesNonConvergence, ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"coxcascade {args.command}: error: {exc}\n")
         return 2

@@ -335,12 +335,12 @@ def _apply_deletions(
     pair: KeyPair, indices: Sequence[int], transcript: Transcript, round_index: int
 ) -> None:
     """Record and apply deletions; indices are pre-deletion coordinates."""
-    if not indices:
-        return
+    keep = np.ones(len(pair), dtype=bool)
     for idx in indices:
         transcript.add(Event(DELETE, round_index, index=int(idx)))
-    pair.alice = np.delete(pair.alice, list(indices))
-    pair.bob = np.delete(pair.bob, list(indices))
+        keep[idx] = False
+    pair.alice = pair.alice[keep]
+    pair.bob = pair.bob[keep]
 
 
 def cascade_back_correction(

@@ -167,10 +167,11 @@ class TestSampleCommand:
         assert len(positions) == sum(counts)
 
     def test_double_stdout_rejected(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["sample", "--a", "1", "--b", "1", "--f", "10", "--n", "100",
-                  "--trace-out", "-", "--pattern-out", "-"])
-        assert err.value.code == 2
+        code, out, err = run_cli(capsys, "sample", "--a", "1", "--b", "1", "--f", "10",
+                                 "--n", "100", "--trace-out", "-", "--pattern-out", "-")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("coxcascade sample: error: two outputs name the same file")
 
     def test_near_zero_intensity(self, capsys, tmp_path):
         p = tmp_path / "p.txt"
@@ -238,6 +239,13 @@ class TestReconcileCommand:
             main(self.BASE + ["--growth", "1"])
         assert err.value.code == 2
         assert "--growth: must be >= 2" in capsys.readouterr().err
+
+    def test_double_stdout_rejected(self, capsys):
+        code, out, err = run_cli(capsys, *self.BASE, "--output", "-",
+                                 "--transcript-out", "-")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("coxcascade reconcile: error: two outputs name the same file")
 
     def test_growth_three_is_used(self, capsys):
         _, out2, _ = run_cli(capsys, *self.BASE, "--variant", "cascade")
@@ -518,6 +526,19 @@ class TestValidateCommand:
 class TestSeedDefaulting:
     def test_documented_default(self):
         assert DEFAULT_SEED == 24301
+
+    @pytest.mark.parametrize("command", [
+        ["sample", "--a", "10", "--b", "2", "--f", "100", "--n", "500"],
+        ["reconcile", "--a", "10", "--b", "2", "--f", "250", "--n", "512"],
+    ])
+    def test_default_seed_is_used(self, capsys, monkeypatch, command):
+        monkeypatch.delenv("COXCASCADE_SEED", raising=False)
+        code, default_out, _ = run_cli(capsys, *command)
+        assert code == 0
+        _, seeded_out, _ = run_cli(capsys, *command, "--seed", str(DEFAULT_SEED))
+        assert default_out == seeded_out
+        _, other_out, _ = run_cli(capsys, *command, "--seed", "1")
+        assert default_out != other_out
 
     def test_env_override(self, capsys, monkeypatch, tmp_path):
         out_a = tmp_path / "a.csv"

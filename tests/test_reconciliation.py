@@ -549,6 +549,17 @@ class TestReconcile:
         assert out.deleted_bits == comparisons
         assert out.final_length == len(pair)
 
+    def test_passes_stop_once_the_key_is_empty(self):
+        # one-bit blocks: the first BBBSS pass deletes every bit
+        pair = make_key_pair(3, ErrorPattern(3, (1,)), seed=2)
+        t = Transcript()
+        config = CascadeConfig(initial_block_size=1, num_passes=6, seed=3)
+        out = reconcile(pair, config, t)
+        assert out.passes_executed == 1
+        assert out.final_length == 0
+        assert out.subset_rounds == 0
+        assert [e.kind for e in t.events].count(DELETE) == 3
+
     def test_leakage_identity(self):
         pattern = sample_error_pattern(256, TimeUnitLayout(64),
                                        GammaIntensity(10, 2), seed=20)

@@ -142,6 +142,26 @@ class TestReportAndSuites:
         with pytest.raises(KeyError):
             run_suites(["no-such-suite"])
 
+    def test_suite_names(self, monkeypatch):
+        calls = []
+
+        def fake(name):
+            def suite():
+                calls.append(name)
+                return [CheckRecord(name, "", 0.0, 0.0, 0.0, 0.0, 0.1, True)]
+            return suite
+
+        monkeypatch.setattr("coxcascade.validation.SUITES",
+                            {"one": fake("one"), "two": fake("two")})
+        report = run_suites(["all", "two"])
+        assert calls == ["one", "two"]
+        assert [r.name for r in report.records] == ["one", "two"]
+        calls.clear()
+        run_suites(["two", "two", "one"])
+        assert calls == ["two", "one"]
+        with pytest.raises(KeyError):
+            run_suites(["one", "bogus"])
+
     def test_single_suite_runs_only_that_check_family(self):
         report = run_suites(["identities"])
         assert report.records
