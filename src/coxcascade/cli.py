@@ -13,9 +13,10 @@ error.  A bad flag is reported by argparse: a usage block, then one
 stderr line alone: an evaluator that refuses its input, whose series does
 not converge or overflows or whose value overflows, a bad
 ``COXCASCADE_SEED``, an output path that cannot be written and two
-outputs that name one destination (one file, or ``-`` for stdout twice).  The
-default seed is 24301 and can be overridden with the ``COXCASCADE_SEED``
-environment variable.
+outputs that name one destination (one file, or ``-`` for stdout twice).
+Outputs are checked and opened before a command computes anything, so
+those two refusals come at once.  The default seed is 24301 and can be
+overridden with the ``COXCASCADE_SEED`` environment variable.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import argparse
 import os
 import stat
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from typing import Iterable, Sequence
 
 from .error_model import (
@@ -118,37 +119,45 @@ def _open_output(path: str, created: list[str]):
     return fh
 
 
-def _emit(*outputs: tuple[str, str]) -> None:
-    """Write each rendered ``(text, path)`` in order; path ``-`` is stdout.
+@contextmanager
+def _outputs(*paths: str | None):
+    """Open every output destination before the work that fills it.
 
-    No two outputs may name one destination: not one file, and not stdout
-    twice.  Every file is opened, without truncating it, before anything is
-    written; if a path cannot be opened, the files this call created are
-    removed again, so the command fails with nothing on stdout and every
-    file as it was.  A regular file is then truncated just before it is
-    written, as ``open(path, "w")`` would.
+    Path ``-`` is stdout; a ``None`` path is an output not asked for, and
+    is dropped.  Yields ``emit(*texts)``, which writes one rendered text
+    to each remaining path in order.  No two paths may name one
+    destination: not one file, and not stdout twice.  Every file is
+    opened, without truncating it, before the work starts; if a path
+    cannot be opened, or the work or a write raises, the files this call
+    created are removed again, so the command fails with every file as it
+    was.  ``emit`` truncates a regular file just before writing it, as
+    ``open(path, "w")`` would.
     """
-    paths = [path for _, path in outputs]
+    paths = [path for path in paths if path is not None]
     for i, path in enumerate(paths):
         for other in paths[:i]:
             if _same_destination(path, other):
                 raise ValueError(f"two outputs name the same file: {other!r} and {path!r}")
     created: list[str] = []
+
+    def emit(*texts: str) -> None:
+        for fh, text in zip(handles, texts, strict=True):
+            if fh is not sys.stdout and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
+            fh.write(text)
+
     with ExitStack() as stack:
         try:
             handles = [
                 sys.stdout if path == "-" else stack.enter_context(_open_output(path, created))
-                for _, path in outputs
+                for path in paths
             ]
-        except OSError:
+            yield emit
+        except BaseException:
             stack.close()
             for path in created:
                 os.remove(path)
             raise
-        for (text, _), fh in zip(outputs, handles):
-            if fh is not sys.stdout and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate(0)
-            fh.write(text)
 
 
 def _table_text(header: Sequence[str], rows: Iterable[Sequence], fmt: str) -> str:
@@ -304,99 +313,103 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_table(args) -> int:
     _, _, header, row = _TABLES[args.command]
-    g = GammaIntensity(args.a, args.b)
-    rows = [row(x, g) for x in getattr(args, header[0])]
-    _emit((_table_text(header, rows, args.format), args.output))
+    with _outputs(args.output) as emit:
+        g = GammaIntensity(args.a, args.b)
+        rows = [row(x, g) for x in getattr(args, header[0])]
+        emit(_table_text(header, rows, args.format))
     return 0
 
 
 def _cmd_blocksize(args) -> int:
-    g = GammaIntensity(args.a, args.b)
-    layout = TimeUnitLayout(args.f)
-    n = recommend_block_size(layout, g)
-    expected = n * g.a / g.b / args.f
-    rationale = (
-        f"expected errors per {n}-bit block = n*(a/b)/f = "
-        f"{format(expected, '.12g')} (target 1)"
-    )
-    if args.format == "json":
-        _emit((render_json({"block_size": n, "rationale": rationale}) + "\n", args.output))
-    else:
-        _emit((f"{n}\n{rationale}\n", args.output))
+    with _outputs(args.output) as emit:
+        g = GammaIntensity(args.a, args.b)
+        layout = TimeUnitLayout(args.f)
+        n = recommend_block_size(layout, g)
+        expected = n * g.a / g.b / args.f
+        rationale = (
+            f"expected errors per {n}-bit block = n*(a/b)/f = "
+            f"{format(expected, '.12g')} (target 1)"
+        )
+        if args.format == "json":
+            emit(render_json({"block_size": n, "rationale": rationale}) + "\n")
+        else:
+            emit(f"{n}\n{rationale}\n")
     return 0
 
 
 def _cmd_sample(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    g = GammaIntensity(args.a, args.b)
-    layout = TimeUnitLayout(args.f)
-    sample = sample_process(args.n, layout, g, seed)
-    header = ("unit_index", "lambda", "errors_in_unit")
-    rows = [
-        (u, float(sample.unit_intensities[u]), int(sample.unit_counts[u]))
-        for u in range(len(sample.unit_counts))
-    ]
-    outputs = [(_table_text(header, rows, "csv"), args.trace_out)]
-    if args.pattern_out is not None:
-        pattern_text = "".join(f"{p}\n" for p in sample.pattern.positions)
-        outputs.append((pattern_text, args.pattern_out))
-    _emit(*outputs)
+    with _outputs(args.trace_out, args.pattern_out) as emit:
+        seed = args.seed if args.seed is not None else _default_seed()
+        g = GammaIntensity(args.a, args.b)
+        layout = TimeUnitLayout(args.f)
+        sample = sample_process(args.n, layout, g, seed)
+        header = ("unit_index", "lambda", "errors_in_unit")
+        rows = [
+            (u, float(sample.unit_intensities[u]), int(sample.unit_counts[u]))
+            for u in range(len(sample.unit_counts))
+        ]
+        texts = [_table_text(header, rows, "csv")]
+        if args.pattern_out is not None:
+            texts.append("".join(f"{p}\n" for p in sample.pattern.positions))
+        emit(*texts)
     return 0
 
 
 def _cmd_reconcile(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    g = GammaIntensity(args.a, args.b)
-    layout = TimeUnitLayout(args.f)
-    # deterministic sub-seeds: seed for the pattern, +1 key bits, +2 protocol
-    pattern = sample_error_pattern(args.n, layout, g, seed)
-    pair = make_key_pair(args.n, pattern, seed + 1)
-    config = CascadeConfig(
-        initial_block_size=args.block_size,
-        num_passes=args.passes,
-        block_growth=args.growth,
-        termination_successes=args.successes,
-        variant=args.variant,
-        seed=seed + 2,
-    ).resolve(layout, g)
-    transcript = Transcript()
-    outcome = reconcile(pair, config, transcript)
-    payload = {
-        "n": args.n,
-        "planted_errors": len(pattern),
-        "block_size": config.initial_block_size,
-        "variant": config.variant,
-        "seed": seed,
-        "final_length": outcome.final_length,
-        "residual_error_count": outcome.residual_error_count,
-        "leaked_parities": outcome.leaked_parities,
-        "deleted_bits": outcome.deleted_bits,
-        "corrections_made": transcript.corrections_made,
-        "passes_executed": outcome.passes_executed,
-        "subset_rounds": outcome.subset_rounds,
-        "success": outcome.success,
-    }
-    outputs = [(render_json(payload) + "\n", args.output)]
-    if args.transcript_out is not None:
-        text = "".join(line + "\n" for line in transcript.to_lines())
-        outputs.append((text, args.transcript_out))
-    _emit(*outputs)
+    with _outputs(args.output, args.transcript_out) as emit:
+        seed = args.seed if args.seed is not None else _default_seed()
+        g = GammaIntensity(args.a, args.b)
+        layout = TimeUnitLayout(args.f)
+        # deterministic sub-seeds: seed for the pattern, +1 key bits, +2 protocol
+        pattern = sample_error_pattern(args.n, layout, g, seed)
+        pair = make_key_pair(args.n, pattern, seed + 1)
+        config = CascadeConfig(
+            initial_block_size=args.block_size,
+            num_passes=args.passes,
+            block_growth=args.growth,
+            termination_successes=args.successes,
+            variant=args.variant,
+            seed=seed + 2,
+        ).resolve(layout, g)
+        transcript = Transcript()
+        outcome = reconcile(pair, config, transcript)
+        payload = {
+            "n": args.n,
+            "planted_errors": len(pattern),
+            "block_size": config.initial_block_size,
+            "variant": config.variant,
+            "seed": seed,
+            "final_length": outcome.final_length,
+            "residual_error_count": outcome.residual_error_count,
+            "leaked_parities": outcome.leaked_parities,
+            "deleted_bits": outcome.deleted_bits,
+            "corrections_made": transcript.corrections_made,
+            "passes_executed": outcome.passes_executed,
+            "subset_rounds": outcome.subset_rounds,
+            "success": outcome.success,
+        }
+        texts = [render_json(payload) + "\n"]
+        if args.transcript_out is not None:
+            texts.append("".join(line + "\n" for line in transcript.to_lines()))
+        emit(*texts)
     return 0
 
 
 def _cmd_validate(args) -> int:
-    names = args.suite if args.suite else ["all"]
-    report = run_suites(names)
-    text = report.to_text() + "\n"
-    outputs = []
-    if args.output is not None:
-        rows = [r.to_row() for r in report.sorted_records()]
-        records = _table_text(CheckRecord.FIELDS, rows, "csv")
-        if args.output == "-":
-            text += records
-        else:
-            outputs.append((records, args.output))
-    _emit((text, "-"), *outputs)
+    # --output - appends the records to the report: one stdout output
+    records_path = None if args.output == "-" else args.output
+    with _outputs("-", records_path) as emit:
+        report = run_suites(args.suite if args.suite else ["all"])
+        text = report.to_text() + "\n"
+        texts = []
+        if args.output is not None:
+            rows = [r.to_row() for r in report.sorted_records()]
+            records = _table_text(CheckRecord.FIELDS, rows, "csv")
+            if records_path is None:
+                text += records
+            else:
+                texts.append(records)
+        emit(text, *texts)
     return 0 if report.all_passed else 1
 
 

@@ -7,6 +7,13 @@ below 1 and the partial sums converge at a geometric rate.  They share
 one fixed stopping rule and refuse, with :class:`SeriesNonConvergence`,
 a sum that does not settle within the term cap or that overflows.
 
+The series are summed in chunks of terms with numpy rather than one
+Python iteration per term, which matters near z = 1, where a sum runs to
+tens of thousands of terms.  Running products and running sums that
+carry the previous chunk's last term and total in front accumulate
+strictly left to right, so every term and every partial sum is the same
+double that a term-by-term loop produces, and so is the result.
+
 Gamma-ratio prefactors elsewhere in the package are assembled from
 ``ln_pochhammer`` and ``math.lgamma`` and exponentiated once, because
 the ratios overflow a naive gamma evaluation long before the quantities
@@ -17,6 +24,8 @@ from __future__ import annotations
 
 import math
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "SeriesNonConvergence",
@@ -32,6 +41,11 @@ __all__ = [
 # raise SeriesNonConvergence.
 _REL_TOL = 1e-14
 _MAX_TERMS = 100_000
+# Chunk sizes of the summation: the first chunk is short, so a sum that
+# settles within a few dozen terms pays for little numpy work beyond them;
+# each next chunk doubles, up to a cap that keeps the chunk's arrays small.
+_FIRST_CHUNK = 32
+_MAX_CHUNK = 4096
 
 
 class SeriesNonConvergence(ArithmeticError):
@@ -80,7 +94,7 @@ def _require_valid_denominator(c: float, name: str) -> None:
         raise ValueError(f"{name} must not be a nonpositive integer, got {c!r}")
 
 
-def _sum_series(name: str, ratio: Callable[[int], float], z: float) -> SeriesSum:
+def _sum_series(name: str, ratio: Callable[[np.ndarray], np.ndarray], z: float) -> SeriesSum:
     """Sum 1 + t_1 + t_2 + ... with t_{k+1} = t_k * ratio(k) * z.
 
     Stops after two consecutive terms fall below ``_REL_TOL`` relative to
@@ -88,27 +102,49 @@ def _sum_series(name: str, ratio: Callable[[int], float], z: float) -> SeriesSum
     than lower ones); the two-in-a-row rule keeps the growth phase from
     being confused with convergence.  A sum that overflowed meets that
     rule too (inf <= tol * inf), so a non-finite total is refused there.
+
+    ``ratio`` maps an array of k (as floats) to the term ratios.  Each
+    chunk computes its steps ``ratio(k) * z`` at once, then its terms as a
+    running product of [carried term, *steps] and its partial sums as a
+    running sum of [carried total, *terms].  ``np.cumprod`` and
+    ``np.cumsum`` accumulate left to right, one rounding per element, as
+    ``term *= step`` and ``total += term`` do, so the terms, partial sums,
+    stopping index and refusals are those of the term-by-term loop.  The
+    flag of the chunk's last term carries into the next chunk's rule.
+    Chunks grow from ``_FIRST_CHUNK`` to ``_MAX_CHUNK`` terms; the cap
+    bounds the memory of a long sum.  Overflow is silent, as it is for
+    Python floats, and is refused through the non-finite total.
     """
-    rel_tol = _REL_TOL
-    max_terms = _MAX_TERMS
     term = 1.0
     total = 1.0
-    below = 0
-    last_ratio = math.inf
-    for k in range(1, max_terms + 1):
-        step = ratio(k - 1) * z
-        term *= step
-        total += term
-        last_ratio = abs(step)
-        if abs(term) <= rel_tol * abs(total):
-            below += 1
-            if below >= 2:
-                if not math.isfinite(total):
-                    raise SeriesNonConvergence(name, k + 1, total)
-                return SeriesSum(total, k + 1, last_ratio)
-        else:
-            below = 0
-    raise SeriesNonConvergence(name, max_terms, total)
+    below = False  # the last term so far met the tolerance
+    start = 0  # the k of the chunk's first ratio
+    size = _FIRST_CHUNK
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < _MAX_TERMS:
+            stop = min(start + size, _MAX_TERMS)
+            steps = ratio(np.arange(start, stop, dtype=float)) * z
+            terms = np.empty(stop - start + 1)
+            terms[0] = term
+            terms[1:] = steps
+            np.cumprod(terms, out=terms)
+            term = float(terms[-1])
+            terms[0] = total
+            totals = np.cumsum(terms)
+            small = np.abs(terms[1:]) <= _REL_TOL * np.abs(totals[1:])
+            # the first two small terms in a row, the carried flag in front
+            j = (bytes([below]) + small.tobytes()).find(b"\x01\x01")
+            if j >= 0:
+                value = float(totals[j + 1])
+                terms_used = start + j + 2
+                if not math.isfinite(value):
+                    raise SeriesNonConvergence(name, terms_used, value)
+                return SeriesSum(value, terms_used, float(abs(steps[j])))
+            total = float(totals[-1])
+            below = bool(small[-1])
+            start = stop
+            size = min(2 * size, _MAX_CHUNK)
+    raise SeriesNonConvergence(name, _MAX_TERMS, total)
 
 
 def hyp2f1_one_sum(a2: float, c1: float, z: float) -> SeriesSum:
@@ -127,6 +163,10 @@ def hyp3f2_sum(a2: float, a3: float, c1: float, c2: float, z: float) -> SeriesSu
     _require_unit_interval(z)
     _require_valid_denominator(c1, "c1")
     _require_valid_denominator(c2, "c2")
+    if c1 * c2 == 0.0:
+        # the first ratio divides by (c1 + 0) * (c2 + 0), which underflowed:
+        # a float division raises here, where numpy's would not
+        raise ZeroDivisionError("float division by zero")
     return _sum_series(
         "hyp3f2", lambda k: (a2 + k) * (a3 + k) / ((c1 + k) * (c2 + k)), z
     )

@@ -25,6 +25,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def not_called(*args, **kwargs):
+    raise AssertionError("the command computed before it opened its outputs")
+
+
 class TestRenderJson:
     def test_seventeen_significant_digits(self):
         assert render_json(1.0 / 3.0) == format(1.0 / 3.0, ".17g")
@@ -166,7 +170,8 @@ class TestSampleCommand:
         positions = [int(x) for x in p.read_text().split()]
         assert len(positions) == sum(counts)
 
-    def test_double_stdout_rejected(self, capsys):
+    def test_double_stdout_rejected(self, capsys, monkeypatch):
+        monkeypatch.setattr("coxcascade.cli.sample_process", not_called)
         code, out, err = run_cli(capsys, "sample", "--a", "1", "--b", "1", "--f", "10",
                                  "--n", "100", "--trace-out", "-", "--pattern-out", "-")
         assert (code, out) == (2, "")
@@ -240,7 +245,8 @@ class TestReconcileCommand:
         assert err.value.code == 2
         assert "--growth: must be >= 2" in capsys.readouterr().err
 
-    def test_double_stdout_rejected(self, capsys):
+    def test_double_stdout_rejected(self, capsys, monkeypatch):
+        monkeypatch.setattr("coxcascade.cli.reconcile", not_called)
         code, out, err = run_cli(capsys, *self.BASE, "--output", "-",
                                  "--transcript-out", "-")
         assert (code, out) == (2, "")
@@ -342,7 +348,8 @@ class TestEvaluatorErrors:
         assert out == ""
         assert err == "coxcascade cdf: error: m out of range\n"
 
-    def test_unwritable_output_exit_2(self, capsys, tmp_path):
+    def test_unwritable_output_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("coxcascade.cli.tail", not_called)
         path = tmp_path / "missing" / "x.csv"
         code, out, err = run_cli(capsys, "tail", "--a", "10", "--b", "2", "--m", "1",
                                  "--output", str(path))
@@ -352,7 +359,8 @@ class TestEvaluatorErrors:
         assert err.startswith("coxcascade tail: error: ")
         assert not path.exists()
 
-    def test_unwritable_transcript_exit_2(self, capsys, tmp_path):
+    def test_unwritable_transcript_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("coxcascade.cli.reconcile", not_called)
         path = tmp_path / "missing" / "t.log"
         code, out, err = run_cli(capsys, "reconcile", "--a", "10", "--b", "2", "--f", "250",
                                  "--n", "256", "--seed", "1", "--transcript-out", str(path))
@@ -387,6 +395,22 @@ class TestEvaluatorErrors:
         assert out == ""
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_work_leaves_files_as_they_were(self, capsys, tmp_path, monkeypatch):
+        # the outputs are open when the simulation refuses: the file this
+        # call created goes again, the earlier one keeps its content
+        def refuse(*args, **kwargs):
+            raise ValueError("refused")
+
+        monkeypatch.setattr("coxcascade.cli.reconcile", refuse)
+        earlier = tmp_path / "o.json"
+        earlier.write_text("earlier run\n")
+        code, out, err = run_cli(capsys, "reconcile", "--a", "10", "--b", "2", "--f", "250",
+                                 "--n", "256", "--seed", "1", "--output", str(earlier),
+                                 "--transcript-out", str(tmp_path / "t.log"))
+        assert (code, out, err) == (2, "", "coxcascade reconcile: error: refused\n")
+        assert earlier.read_text() == "earlier run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["o.json"]
 
     @pytest.mark.parametrize("alias", ["same", "relative", "symlink", "hardlink"])
     def test_two_outputs_naming_one_file_refused(self, capsys, tmp_path, monkeypatch, alias):
@@ -443,7 +467,8 @@ class TestEvaluatorErrors:
                                  "--output", os.devnull)
         assert (code, out, err) == (0, "", "")
 
-    def test_unwritable_records_exit_2(self, capsys, tmp_path):
+    def test_unwritable_records_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("coxcascade.cli.run_suites", not_called)
         path = tmp_path / "missing" / "x.csv"
         code, out, err = run_cli(capsys, "validate", "--suite", "identities",
                                  "--output", str(path))
@@ -453,7 +478,8 @@ class TestEvaluatorErrors:
         assert err.startswith("coxcascade validate: error: ")
         assert not path.exists()
 
-    def test_unwritable_pattern_exit_2(self, capsys, tmp_path):
+    def test_unwritable_pattern_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("coxcascade.cli.sample_process", not_called)
         path = tmp_path / "missing" / "p.txt"
         code, out, err = run_cli(capsys, "sample", "--a", "10", "--b", "2", "--f", "100",
                                  "--n", "300", "--seed", "1", "--trace-out", "-",

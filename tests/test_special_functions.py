@@ -3,7 +3,9 @@
 Brute-force oracles are written out here independently of the library
 paths they check: factorials and explicit products for Pochhammer
 symbols (checked as ``exp(ln_pochhammer)``), and term-by-term summation
-(no recurrence) for the series evaluators.
+(no recurrence) for the series evaluators.  The chunked summation kernel
+is held bit for bit to a plain term-by-term loop over the same term
+ratios (``loop_sum``).
 """
 
 import math
@@ -262,3 +264,141 @@ def test_thread_safety_smoke():
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(lambda a: hyp2f1_one_sum(*a).value, args))
     assert serial == parallel
+
+
+def loop_sum(name, ratio, z):
+    """The series kernel as one Python iteration per term: the reference
+    the chunked kernel must reproduce bit for bit."""
+    term = 1.0
+    total = 1.0
+    below = 0
+    last_ratio = math.inf
+    for k in range(1, special_functions._MAX_TERMS + 1):
+        step = ratio(k - 1) * z
+        term *= step
+        total += term
+        last_ratio = abs(step)
+        if abs(term) <= special_functions._REL_TOL * abs(total):
+            below += 1
+            if below >= 2:
+                if not math.isfinite(total):
+                    raise SeriesNonConvergence(name, k + 1, total)
+                return special_functions.SeriesSum(total, k + 1, last_ratio)
+        else:
+            below = 0
+    raise SeriesNonConvergence(name, special_functions._MAX_TERMS, total)
+
+
+def loop_hyp2f1(a2, c1, z):
+    return loop_sum("hyp2f1_one", lambda k: (a2 + k) / (c1 + k), z)
+
+
+def loop_hyp3f2(a2, a3, c1, c2, z):
+    return loop_sum("hyp3f2", lambda k: (a2 + k) * (a3 + k) / ((c1 + k) * (c2 + k)), z)
+
+
+def outcome(fn, *args):
+    """Everything a caller can see of a call: exact value bits, stopping
+    diagnostics, or the exception's type, message and fields, with the
+    types of the float fields."""
+    try:
+        res = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        partial = getattr(exc, "partial_sum", None)
+        return (type(exc), str(exc), getattr(exc, "terms_used", None),
+                None if partial is None else (type(partial), partial.hex()))
+    return (type(res.value), res.value.hex(), res.terms_used,
+            type(res.last_ratio), res.last_ratio.hex())
+
+
+def assert_matches_loop(args2=None, args3=None):
+    if args2 is not None:
+        assert outcome(hyp2f1_one_sum, *args2) == outcome(loop_hyp2f1, *args2)
+    if args3 is not None:
+        assert outcome(hyp3f2_sum, *args3) == outcome(loop_hyp3f2, *args3)
+
+
+def model_arguments(a, b, m):
+    """The 2F1 and 3F2 arguments of ``tail(m)`` and ``p_odd_finite(m)``."""
+    c = b + 1.0
+    return ((m + a + 1, m + 2, 1.0 / c),
+            (m + 2 + a / 2, m + 1.5 + a / 2, m + 2, m + 2.5, 1.0 / c**2))
+
+
+def chunk_edges():
+    """Term counts at which the kernel's chunks end."""
+    edges, stop, size = [], 0, special_functions._FIRST_CHUNK
+    while stop < special_functions._MAX_TERMS:
+        stop = min(stop + size, special_functions._MAX_TERMS)
+        edges.append(stop)
+        size = min(2 * size, special_functions._MAX_CHUNK)
+    return edges
+
+
+def geometric_z_stopping_at(terms_used):
+    """A z whose geometric series 2F1(1, 1; 1; z) stops at ``terms_used``;
+    the stopping index does not decrease as z grows."""
+    lo, hi = 0.0, 1.0 - 1e-12
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        got = hyp2f1_one_sum(1.0, 1.0, mid).terms_used
+        if got == terms_used:
+            return mid
+        lo, hi = (mid, hi) if got < terms_used else (lo, mid)
+    raise AssertionError(f"no z stops at {terms_used} terms")
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+class TestChunkedKernelMatchesLoop:
+    def test_z_zero(self):
+        assert_matches_loop((2.0, 3.0, 0.0), (2.0, 3.0, 4.0, 5.0, 0.0))
+
+    def test_term_cap(self):
+        # tail(3) and p_odd_finite(3) at a=10, b=1e-4
+        assert_matches_loop(*model_arguments(10.0, 1e-4, 3))
+        assert outcome(hyp2f1_one_sum, 14.0, 5.0, 1.0 / (1.0 + 1e-4))[1] == (
+            "hyp2f1_one did not converge within 100000 terms "
+            "(partial sum 7.59281191280169e+36)"
+        )
+
+    def test_overflow(self):
+        args = (101, 2, 1 / (1 + 1e-4))
+        assert_matches_loop(args)
+        assert outcome(hyp2f1_one_sum, *args)[1:3] == (
+            "hyp2f1_one overflowed after 50530 terms (partial sum inf)", 50530)
+
+    def test_denominator_underflow(self):
+        # (c1 + 0) * (c2 + 0) is 0.0: the loop's first division raises
+        assert_matches_loop(args3=(2.0, 3.0, 1e-170, 1e-170, 0.5))
+
+    @pytest.mark.parametrize("edge", chunk_edges()[:3] + chunk_edges()[6:8])
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_stop_at_and_past_a_chunk_edge(self, edge, past):
+        # terms_used = edge + 1 stops on a chunk's last term; edge + 2 stops
+        # on the next chunk's first term, after the carried small term
+        z = geometric_z_stopping_at(edge + 1 + past)
+        assert_matches_loop((1.0, 1.0, z), (2.0, 1.0, 2.0, 1.0, z))
+        assert hyp2f1_one_sum(1.0, 1.0, z).terms_used == edge + 1 + past
+
+    @given(a=log_uniform(1e-2, 1e6), b=log_uniform(1e-3, 1e4), m=st.integers(0, 5000))
+    @settings(max_examples=100, deadline=None)
+    def test_model_arguments(self, a, b, m):
+        assert_matches_loop(*model_arguments(a, b, m))
+
+    @given(a2=log_uniform(1e-2, 1e3), a3=log_uniform(1e-2, 1e3),
+           c1=st.one_of(log_uniform(1e-2, 1e3),
+                        st.floats(-30.0, -0.01).filter(lambda c: c != math.floor(c))),
+           c2=log_uniform(1e-2, 1e3), z=st.floats(0.0, 0.99))
+    @settings(max_examples=150, deadline=None)
+    def test_free_arguments(self, a2, a3, c1, c2, z):
+        assert_matches_loop((a2, c1, z), (a2, a3, c1, c2, z))
+
+    @given(a2=log_uniform(1e-2, 1e3), c1=log_uniform(1e-2, 1e3),
+           gap=log_uniform(1e-15, 1e-6))
+    @settings(max_examples=8, deadline=None)
+    def test_z_near_one(self, a2, c1, gap):
+        z = 1.0 - gap
+        assert_matches_loop((a2, c1, z), (a2, a2 + 0.5, c1, c1 + 0.5, z))
