@@ -5,7 +5,9 @@ positions.  They repeatedly shuffle with a shared permutation, partition
 into blocks, and compare block parities over a public channel; a
 mismatched block is bisected to locate and flip one of Bob's bits.  After
 the block passes, parities of random subsets are compared until enough
-consecutive agreements have accumulated.
+consecutive agreements have accumulated.  Each later pass seeds its own
+shuffle from the session seed and its index; the subset rounds of a run
+share one stream, seeded once, whose raw 64-bit words are the subset masks.
 
 Two variants are simulated.  In the original protocol (``BBBSS``) the
 last bit of every compared block and subset is discarded to pay for the
@@ -433,28 +435,31 @@ def random_subset_round(
     round_index: int,
     transcript: Transcript,
     history: list[PassRecord],
+    rng: np.random.Generator,
 ) -> bool:
     """One random-subset comparison; returns True if a bit was corrected.
 
-    The subset includes each position independently with probability 1/2,
-    drawn from the shared per-round stream as a mask over the key (an
-    empty draw is redrawn).  Both parities are read straight from the
-    mask, and the event keeps it packed.  On a parity mismatch the subset
-    is bisected like a block, in a shared random order, and only then are
-    that order and the prefix sums over it built.  The order is the
-    round's last draw from its stream, so skipping it when the parities
-    agree leaves every later draw unchanged.  In BBBSS mode the subset's
-    last bit (its highest position) is deleted after the round; in Cascade
-    mode a correction is back-corrected.
+    ``rng`` is the run's one shared subset stream, which :func:`reconcile`
+    seeds once from ``(config.seed, 2)``; ``round_index`` only labels the
+    events.  The subset includes each position independently with
+    probability 1/2: its mask is the bits of ``ceil(n/64)`` raw 64-bit
+    words of the stream, each word's bytes little-endian and each byte
+    most significant bit first, cut to n bits; an empty mask is redrawn
+    from the same stream.  Both parities are read straight from the mask,
+    and the event keeps it packed.  On a parity mismatch the subset is
+    bisected like a block, in a shared random order, the stream's next
+    permutation of the subset; only then are that order and the prefix
+    sums over it built.  In BBBSS mode the subset's last bit (its highest
+    position) is deleted after the round; in Cascade mode a correction is
+    back-corrected.
     """
     n = len(pair)
     if n < 2:
         raise ValueError(f"subset rounds need a key of length >= 2, got {n}")
-    rng = np.random.default_rng(
-        np.random.SeedSequence([config.seed, _SUBSET_STREAM, round_index])
-    )
+    words = -(-n // 64)
     while True:
-        mask = rng.integers(0, 2, size=n, dtype=np.uint8)
+        raw = rng.bit_generator.random_raw(words).astype("<u8", copy=False)
+        mask = np.unpackbits(raw.view(np.uint8), count=n)
         if mask.any():
             break
 
@@ -506,10 +511,11 @@ def reconcile(
             break
         run_pass(pair, p, config, t, history)
         passes_executed += 1
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SUBSET_STREAM]))
     successes = 0
     rounds = 0
     while successes < config.termination_successes and len(pair) >= 2:
-        corrected = random_subset_round(pair, config, rounds, t, history)
+        corrected = random_subset_round(pair, config, rounds, t, history, rng)
         rounds += 1
         successes = 0 if corrected else successes + 1
     residual = pair.residual_errors()

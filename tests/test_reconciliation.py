@@ -4,9 +4,11 @@ The fixed 31-bit regression (six planted errors, five-bit blocks, second
 and sixth block parities disagreeing) pins the block pass; bisection is
 checked against a hand-simulated halving oracle and exhaustive error
 placements; Cascade back-correction against a crafted two-pass scenario;
-statistical behaviour against seeded Monte Carlo; one pinned digest per
+statistical behaviour against seeded Monte Carlo; subset rounds against
+an oracle that reads PCG64's raw words bit by bit.  One pinned digest per
 variant over a seed × length × block-size grid keeps transcripts
-byte-identical.
+byte-identical, and a second one over the lines before the first subset
+comparison pins the block passes on their own.
 """
 
 import hashlib
@@ -424,6 +426,11 @@ class TestCascadeBackCorrection:
         assert cascade_back_correction(pair, [], 2, Transcript()) == 0
 
 
+def subset_stream(seed: int) -> np.random.Generator:
+    """The subset stream a run with this seed draws from."""
+    return np.random.default_rng(np.random.SeedSequence([seed, 2]))
+
+
 class TestRandomSubsetRound:
     def config(self, variant=CASCADE, seed=0):
         return CascadeConfig(initial_block_size=4, variant=variant, seed=seed)
@@ -431,17 +438,19 @@ class TestRandomSubsetRound:
     def test_zero_errors_always_agree(self):
         pair = make_key_pair(32, ErrorPattern(32, ()), seed=6)
         config = self.config()
+        rng = subset_stream(0)
         for r in range(50):
-            assert random_subset_round(pair, config, r, Transcript(), []) is False
+            assert random_subset_round(pair, config, r, Transcript(), [], rng) is False
 
     def test_single_error_mismatch_probability(self):
         # the lone error joins the subset with probability 1/2 exactly
         pair = make_key_pair(12, ErrorPattern(12, (5,)), seed=8)
         config = self.config(seed=21)
+        rng = subset_stream(21)
         rounds = 10_000
         hits = 0
         for r in range(rounds):
-            corrected = random_subset_round(pair, config, r, Transcript(), [])
+            corrected = random_subset_round(pair, config, r, Transcript(), [], rng)
             if corrected:
                 hits += 1
                 pair.bob[5] ^= 1  # restore the error for the next round
@@ -451,22 +460,24 @@ class TestRandomSubsetRound:
     def test_bbbss_deletes_exactly_one_bit(self):
         pair = make_key_pair(12, ErrorPattern(12, (5,)), seed=8)
         t = Transcript()
-        random_subset_round(pair, self.config(variant=BBBSS, seed=4), 0, t, [])
+        random_subset_round(pair, self.config(variant=BBBSS, seed=4), 0, t, [],
+                            subset_stream(4))
         assert len(pair) == 11
         assert t.bits_deleted == 1
 
     def test_correction_fixes_a_true_difference(self):
         pair = make_key_pair(16, ErrorPattern(16, (3,)), seed=2)
         config = self.config(seed=13)
+        rng = subset_stream(13)
         for r in range(64):
-            if random_subset_round(pair, config, r, Transcript(), []):
+            if random_subset_round(pair, config, r, Transcript(), [], rng):
                 break
         assert pair.residual_errors() == 0
 
     def test_minimum_length(self):
         pair = make_key_pair(1, ErrorPattern(1, ()), seed=0)
         with pytest.raises(ValueError):
-            random_subset_round(pair, self.config(), 0, Transcript(), [])
+            random_subset_round(pair, self.config(), 0, Transcript(), [], subset_stream(0))
 
     @pytest.mark.parametrize("variant", [BBBSS, CASCADE])
     @pytest.mark.parametrize("n", [13, 24, 61])
@@ -476,7 +487,8 @@ class TestRandomSubsetRound:
         pair = make_key_pair(n, ErrorPattern(n, (0, n // 2, n - 1)), seed=n)
         alice, bob = pair.alice.copy(), pair.bob.copy()
         t = Transcript()
-        random_subset_round(pair, self.config(variant=variant, seed=9), 3, t, [])
+        random_subset_round(pair, self.config(variant=variant, seed=9), 3, t, [],
+                            subset_stream(9))
         event = t.events[0]
         assert event.kind == COMPARE_SUBSET
         assert type(event.subset) is bytes
@@ -488,14 +500,107 @@ class TestRandomSubsetRound:
         if variant == BBBSS:
             assert t.events[-1] == Event(DELETE, 3, index=max(subset))
 
-    def test_determinism_per_round(self):
+    def test_same_stream_seed_same_lines(self):
         config = self.config(seed=33)
-        t1, t2 = Transcript(), Transcript()
-        pair1 = make_key_pair(24, ErrorPattern(24, (7,)), seed=1)
-        pair2 = make_key_pair(24, ErrorPattern(24, (7,)), seed=1)
-        random_subset_round(pair1, config, 5, t1, [])
-        random_subset_round(pair2, config, 5, t2, [])
-        assert t1.to_lines() == t2.to_lines()
+        lines = []
+        for _ in range(2):
+            pair = make_key_pair(24, ErrorPattern(24, (7, 11)), seed=1)
+            rng = subset_stream(33)
+            t = Transcript()
+            for r in range(30):
+                random_subset_round(pair, config, r, t, [], rng)
+            lines.append(t.to_lines())
+        assert lines[0] == lines[1]
+        assert any(line.startswith("correct ") for line in lines[0])
+
+
+def oracle_subset_rounds(alice, bob, variant, seed, rounds):
+    """Expected transcript lines of ``rounds`` subset rounds, and the redraws.
+
+    Written without the simulator's helpers: the masks are read bit by bit
+    from PCG64's raw words with integer shifts (word i covers positions
+    64i..64i+63, its bytes least significant first, each byte's bits most
+    significant first), and a mismatch is bisected by hand in the order
+    the generator's next ``permutation`` gives.
+    """
+    bit_gen = np.random.PCG64(np.random.SeedSequence([seed, 2]))
+    gen = np.random.Generator(bit_gen)
+    alice, bob = list(alice), list(bob)
+    lines, redraws = [], 0
+    for r in range(rounds):
+        n = len(alice)
+        while True:
+            words = [int(w) for w in bit_gen.random_raw(-(-n // 64))]
+            subset = [p for p in range(n)
+                      if words[p // 64] >> (8 * (p % 64 // 8) + 7 - p % 8) & 1]
+            if subset:
+                break
+            redraws += 1
+        pa = sum(alice[p] for p in subset) % 2
+        pb = sum(bob[p] for p in subset) % 2
+        lines.append(f"compare-subset round={r} bits={','.join(map(str, subset))} "
+                     f"a={pa} b={pb}")
+        if pa != pb:
+            order = [subset[i] for i in gen.permutation(len(subset))]
+            lo, hi = 0, len(order)
+            while hi - lo > 1:
+                mid = lo + (hi - lo + 1) // 2
+                qa = sum(alice[p] for p in order[lo:mid]) % 2
+                qb = sum(bob[p] for p in order[lo:mid]) % 2
+                lines.append(f"bisect round={r} range={lo}:{mid} a={qa} b={qb}")
+                lo, hi = (lo, mid) if qa != qb else (mid, hi)
+            bob[order[lo]] ^= 1
+            lines.append(f"correct round={r} index={order[lo]}")
+        if variant == BBBSS:
+            lines.append(f"delete round={r} index={subset[-1]}")
+            del alice[subset[-1]], bob[subset[-1]]
+    return lines, redraws
+
+
+class TestSubsetStream:
+    """The subset rounds of a run draw from one PCG64 stream seeded (seed, 2)."""
+
+    @pytest.mark.parametrize("n, errors, variant, rounds", [
+        (130, (), BBBSS, 80),                # shrinks across 128, 64 and odd n
+        (203, (0, 9, 77, 150, 202), BBBSS, 60),
+        (100, (1, 2, 40, 63, 64, 99), CASCADE, 60),
+        (2, (), CASCADE, 40),                # a quarter of its masks are empty
+        (3, (1,), CASCADE, 40),
+    ])
+    def test_rounds_match_the_raw_stream_oracle(self, n, errors, variant, rounds):
+        pair = make_key_pair(n, ErrorPattern(n, errors), seed=n)
+        expected, redraws = oracle_subset_rounds(pair.alice, pair.bob, variant, 57, rounds)
+        config = CascadeConfig(initial_block_size=4, variant=variant, seed=57)
+        rng = subset_stream(57)
+        t = Transcript()
+        for r in range(rounds):
+            random_subset_round(pair, config, r, t, [], rng)
+        assert t.to_lines() == expected
+        if n <= 3:
+            assert redraws > 0
+        if errors:
+            assert any(line.startswith("bisect ") for line in expected)
+
+    def test_reconcile_draws_from_the_oracle_stream(self):
+        # an error-free run: 20 agreeing rounds, each the next raw words
+        pair = make_key_pair(150, ErrorPattern(150, ()), seed=4)
+        expected, _ = oracle_subset_rounds(pair.alice, pair.bob, CASCADE, 8, 20)
+        t = Transcript()
+        reconcile(pair, CascadeConfig(initial_block_size=10, variant=CASCADE, seed=8), t)
+        assert [line for line in t.to_lines() if "subset" in line] == expected
+
+    def test_mean_subset_size_is_half_the_key(self):
+        n, rounds = 61, 4000
+        pair = make_key_pair(n, ErrorPattern(n, ()), seed=3)
+        config = CascadeConfig(initial_block_size=4, variant=CASCADE, seed=12)
+        rng = subset_stream(12)
+        t = Transcript()
+        for r in range(rounds):
+            random_subset_round(pair, config, r, t, [], rng)
+        sizes = np.array([e.hi for e in t.events], dtype=np.float64)
+        assert len(sizes) == rounds
+        # each position joins with probability 1/2: variance n/4 per round
+        assert abs(sizes.mean() - n / 2) < 3.0 * math.sqrt(n / 4 / rounds)
 
 
 class TestReconcile:
@@ -642,31 +747,57 @@ class TestLongKeyMemory:
 # Block size 3 makes Cascade back-corrections flip bits in later blocks of
 # the pass in progress.
 GOLDEN_DIGESTS = {
-    BBBSS: "e08812a6712b9bfba30275a59ad880754ab704b5df8769a2916edde55565cd73",
-    CASCADE: "6ff31f6754e051af5f2ca28ab5a9c77b18716d121f7b70f889e6e2c8b6148d51",
+    BBBSS: "6636aee76e33f46011312258dd6e29886cebb6daa0b9b3713ede7bb24c12ff04",
+    CASCADE: "35f03dc2ea95690c6f7b8fe9ff9fe1fb403ca3e3ebef29f7ecbf1d23811e0dd0",
+}
+
+# SHA-256 per variant over the lines of the same grid that come before each
+# run's first compare-subset: the block passes, their bisections and
+# back-corrections.  These digests predate the per-run subset stream and
+# hold across it.
+PASS_PHASE_DIGESTS = {
+    BBBSS: "2f4e08bc0dc0f34cfa4d041284babbb82ae3b3a50298edd3c65b3867b6ce355e",
+    CASCADE: "e1860924efb84f34b746b435dd322dfe11cdb5746d75c2fdf2ec038d0026c744",
 }
 
 
+@pytest.fixture(scope="module")
+def golden_grid():
+    """(variant, transcript lines, outcome) for every run of the grid."""
+    g = GammaIntensity(10.0, 2.0)
+    layout = TimeUnitLayout(250)
+    runs = []
+    for seed in range(4):
+        for n in (64, 1000, 4096):
+            pattern = sample_error_pattern(n, layout, g, seed)
+            for variant in (BBBSS, CASCADE):
+                for k in ("auto", 3, 17):
+                    pair = make_key_pair(n, pattern, seed + 1)
+                    config = CascadeConfig(
+                        initial_block_size=k, variant=variant, seed=seed + 2
+                    ).resolve(layout, g)
+                    t = Transcript()
+                    out = reconcile(pair, config, t)
+                    runs.append((variant, t.to_lines(), out))
+    return runs
+
+
 class TestGoldenTranscripts:
-    def test_grid_digest(self):
-        g = GammaIntensity(10.0, 2.0)
-        layout = TimeUnitLayout(250)
+    def test_grid_digest(self, golden_grid):
         hashes = {variant: hashlib.sha256() for variant in GOLDEN_DIGESTS}
-        for seed in range(4):
-            for n in (64, 1000, 4096):
-                pattern = sample_error_pattern(n, layout, g, seed)
-                for variant, h in hashes.items():
-                    for k in ("auto", 3, 17):
-                        pair = make_key_pair(n, pattern, seed + 1)
-                        config = CascadeConfig(
-                            initial_block_size=k, variant=variant, seed=seed + 2
-                        ).resolve(layout, g)
-                        t = Transcript()
-                        out = reconcile(pair, config, t)
-                        for line in t.to_lines():
-                            h.update(line.encode() + b"\n")
-                        h.update(repr(out).encode() + b"\n")
+        for variant, lines, out in golden_grid:
+            for line in lines:
+                hashes[variant].update(line.encode() + b"\n")
+            hashes[variant].update(repr(out).encode() + b"\n")
         assert {v: h.hexdigest() for v, h in hashes.items()} == GOLDEN_DIGESTS
+
+    def test_pass_phase_digest(self, golden_grid):
+        hashes = {variant: hashlib.sha256() for variant in PASS_PHASE_DIGESTS}
+        for variant, lines, _ in golden_grid:
+            for line in itertools.takewhile(
+                    lambda line: not line.startswith(COMPARE_SUBSET + " "), lines):
+                hashes[variant].update(line.encode() + b"\n")
+        assert {v: h.hexdigest() for v, h in hashes.items()} == PASS_PHASE_DIGESTS
 
 
 class TestTranscriptSerialization:
