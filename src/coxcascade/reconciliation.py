@@ -19,6 +19,13 @@ missed ("back-correction").
 Both parties live in one process.  Every publicly exchanged parity,
 deletion, and correction is appended to a :class:`Transcript`, so the
 information leaked to an eavesdropper is exactly the transcript ledger.
+One disclosure routine writes every comparison, bisection and correction:
+it takes a batch of ranges with their parities, records each stretch of
+agreeing ones in one step and bisects each mismatch.  A block pass hands
+it all its blocks at once, or, once Cascade back-correction can move later
+parities, in batches that end at each mismatch; back-correction and
+subset rounds hand it one range.  The ledger holds plain integer rows,
+from which each read of ``Transcript.events`` builds the events afresh.
 The simulator is omniscient (it can compare the two strings directly) but
 only uses that power for outcome metrics and internal sanity checks,
 never to steer the protocol.
@@ -28,6 +35,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import compress, repeat
+from operator import ne
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -66,6 +75,9 @@ BISECT = "bisect"
 CORRECT = "correct"
 DELETE = "delete"
 PARITY_EVENT_KINDS = frozenset({COMPARE_BLOCK, COMPARE_SUBSET, BISECT})
+# A ledger row's kind is its index here.
+_KINDS = (COMPARE_BLOCK, COMPARE_SUBSET, BISECT, CORRECT, DELETE)
+_BLOCK_ROW, _SUBSET_ROW, _BISECT_ROW, _CORRECT_ROW, _DELETE_ROW = range(len(_KINDS))
 
 # Independent deterministic substreams derived from the session seed.
 _PERM_STREAM = 1
@@ -199,22 +211,31 @@ class Event(NamedTuple):
 
 
 class Transcript:
-    """Ordered public-channel ledger with running leak counters."""
+    """Ordered public-channel ledger with running leak counters.
+
+    The ledger is a list of plain integer rows ``(kind, round_index, lo,
+    hi, parity_a, parity_b, index)``, ``kind`` indexing :data:`_KINDS` and
+    unused fields -1, with each subset comparison's packed mask kept on the
+    side in row order.  :func:`_disclose` writes the comparison, bisection
+    and correction rows and :func:`_apply_deletions` the deletions; each
+    bumps the counters in bulk.  :attr:`events` builds its :class:`Event` list
+    afresh on every read, so changing the list it returns leaves the
+    transcript as it was.
+    """
 
     def __init__(self) -> None:
-        self.events: list[Event] = []
+        self._rows: list[tuple[int, int, int, int, int, int, int]] = []
+        self._masks: list[bytes] = []
         self.parities_revealed = 0
         self.bits_deleted = 0
         self.corrections_made = 0
 
-    def add(self, event: Event) -> None:
-        self.events.append(event)
-        if event.kind in PARITY_EVENT_KINDS:
-            self.parities_revealed += 1
-        elif event.kind == DELETE:
-            self.bits_deleted += 1
-        elif event.kind == CORRECT:
-            self.corrections_made += 1
+    @property
+    def events(self) -> list[Event]:
+        masks = iter(self._masks)
+        return [Event(_KINDS[k], r, lo, hi, a, b, i,
+                      next(masks) if k == _SUBSET_ROW else b"")
+                for k, r, lo, hi, a, b, i in self._rows]
 
     def to_lines(self) -> list[str]:
         return [e.to_line() for e in self.events]
@@ -287,62 +308,95 @@ def _prefix_sums(bits: np.ndarray, order: np.ndarray) -> np.ndarray:
     return c
 
 
-def _compare(
+def _disclose(
     pair: KeyPair,
     transcript: Transcript,
-    event: Event,
+    kind: int,
+    round_index: int,
+    lo: Sequence[int],
+    hi: Sequence[int],
+    parity_a: Sequence[int],
+    parity_b: Sequence[int],
     sums: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray, int]],
-) -> int:
-    """Disclose one comparison; on a mismatch, locate and correct one bit.
+) -> list[int]:
+    """Disclose a batch of comparisons; correct one bit per mismatch.
 
-    The simulator's one disclosure step: only it records comparison,
-    bisection and correction events.  ``event`` compares
-    order[event.lo:event.hi] and carries both parties' parities; it is
-    recorded as given, and -1 is returned if they agree.  Otherwise
-    ``sums()`` is called once for ``(order, ca, cb, base)``: the order the
-    event's range indexes, and Alice's and Bob's prefix sums over
+    The simulator's one disclosure step: only it writes comparison,
+    bisection and correction rows.  Comparison ``j`` of the batch covers
+    order[lo[j]:hi[j]] and carries Alice's and Bob's parities
+    ``parity_a[j]`` and ``parity_b[j]``; every one is recorded as given, in
+    batch order, a stretch of agreeing ones in one step.  On the first
+    mismatch ``sums()`` is called once for ``(order, ca, cb, base)``: the
+    order the ranges index, and Alice's and Bob's prefix sums over
     order[base:].  Each halving publicly compares the left half's parities
-    (one event) and descends into the mismatching half (left first), which
+    (one row) and descends into the mismatching half (left first), which
     keeps an odd difference count.  The bit it ends on is flipped on Bob's
-    side and recorded, and its position returned, in the coordinates
+    side and recorded before the next comparison's row.  Returns the
+    flipped positions, one per mismatch in batch order, in the coordinates
     ``order`` maps into.
+
+    A batch must not outlive its sums: a flip inside one range shifts both
+    ends of every later range alike, so their parities stay valid, but a
+    caller whose corrections flip other bits (Cascade back-correction) ends
+    the batch at that mismatch.
     """
-    transcript.add(event)
-    if event.parity_a == event.parity_b:
-        return -1
-    order, ca, cb, base = sums()
-    lo, hi = event.lo, event.hi
-    round_index = event.round_index
-    while hi - lo > 1:
-        mid = lo + (hi - lo + 1) // 2
-        pa = int(ca[mid - base] - ca[lo - base]) & 1
-        pb = int(cb[mid - base] - cb[lo - base]) & 1
-        transcript.add(Event(BISECT, round_index, lo, mid, pa, pb))
-        if pa != pb:
-            hi = mid
-        else:
-            lo = mid
-    found = int(order[lo])
-    if pair.alice[found] == pair.bob[found]:
-        raise ProtocolError(
-            "bisection landed on an agreeing bit; the searched range had an "
-            "even number of differences"
-        )
-    pair.bob[found] ^= 1
-    transcript.add(Event(CORRECT, round_index, index=found))
-    return found
+    rows = transcript._rows
+    flipped: list[int] = []
+    start = 0
+    for j in compress(range(len(lo)), map(ne, parity_a, parity_b)):
+        stop = j + 1
+        rows.extend(zip(repeat(kind), repeat(round_index), lo[start:stop], hi[start:stop],
+                        parity_a[start:stop], parity_b[start:stop], repeat(-1)))
+        if not flipped:
+            order, ca, cb, base = sums()
+            # Python ints from the sums' buffers: no NumPy scalar per halving
+            ca, cb = memoryview(ca), memoryview(cb)
+        left, right = lo[j], hi[j]
+        first = len(rows)
+        while right - left > 1:
+            mid = left + (right - left + 1) // 2
+            pa = (ca[mid - base] - ca[left - base]) & 1
+            pb = (cb[mid - base] - cb[left - base]) & 1
+            rows.append((_BISECT_ROW, round_index, left, mid, pa, pb, -1))
+            if pa != pb:
+                right = mid
+            else:
+                left = mid
+        transcript.parities_revealed += stop - start + len(rows) - first
+        found = int(order[left])
+        if pair.alice[found] == pair.bob[found]:
+            raise ProtocolError(
+                "bisection landed on an agreeing bit; the searched range had an "
+                "even number of differences"
+            )
+        pair.bob[found] ^= 1
+        rows.append((_CORRECT_ROW, round_index, -1, -1, -1, -1, found))
+        transcript.corrections_made += 1
+        flipped.append(found)
+        start = stop
+    rows.extend(zip(repeat(kind), repeat(round_index), lo[start:], hi[start:],
+                    parity_a[start:], parity_b[start:], repeat(-1)))
+    transcript.parities_revealed += len(lo) - start
+    return flipped
 
 
 def _apply_deletions(
     pair: KeyPair, indices: Sequence[int], transcript: Transcript, round_index: int
 ) -> None:
     """Record and apply deletions; indices are pre-deletion coordinates."""
-    keep = np.ones(len(pair), dtype=bool)
-    for idx in indices:
-        transcript.add(Event(DELETE, round_index, index=int(idx)))
-        keep[idx] = False
-    pair.alice = pair.alice[keep]
-    pair.bob = pair.bob[keep]
+    transcript._rows.extend(zip(repeat(_DELETE_ROW), repeat(round_index), repeat(-1),
+                                repeat(-1), repeat(-1), repeat(-1), indices))
+    transcript.bits_deleted += len(indices)
+    if len(indices) == 1:
+        # a subset round's one bit: two slices, no n-byte keep mask
+        i = indices[0]
+        pair.alice = np.concatenate((pair.alice[:i], pair.alice[i + 1:]))
+        pair.bob = np.concatenate((pair.bob[:i], pair.bob[i + 1:]))
+    else:
+        keep = np.ones(len(pair), dtype=bool)
+        keep[indices] = False
+        pair.alice = pair.alice[keep]
+        pair.bob = pair.bob[keep]
 
 
 def cascade_back_correction(
@@ -367,11 +421,12 @@ def cascade_back_correction(
         rec, lo, hi = queue.popleft()
         ca = _prefix_sums(pair.alice, rec.permutation[lo:hi])
         cb = _prefix_sums(pair.bob, rec.permutation[lo:hi])
-        event = Event(COMPARE_BLOCK, rec.pass_index, lo, hi, int(ca[-1]) & 1, int(cb[-1]) & 1)
-        found = _compare(pair, transcript, event, lambda: (rec.permutation, ca, cb, lo))
-        if found >= 0:
+        flipped = _disclose(pair, transcript, _BLOCK_ROW, rec.pass_index, [lo], [hi],
+                            [int(ca[-1]) & 1], [int(cb[-1]) & 1],
+                            lambda: (rec.permutation, ca, cb, lo))
+        if flipped:
             corrections += 1
-            queue.extend((other, *other.block_span(found)) for other in history
+            queue.extend((other, *other.block_span(flipped[0])) for other in history
                          if other is not rec)
     return corrections
 
@@ -393,11 +448,14 @@ def run_pass(
     are back-corrected against ``history`` and the pass is appended to it.
 
     Every block comparison and bisection halving of the pass reads its
-    parities from one prefix-sum gather per party over the pass's order.
-    Alice's key is fixed during a pass, and a block's own correction shifts
-    both ends of every later block's range alike, so later parities stay
-    valid.  A Cascade back-correction may flip bits in later blocks of this
-    pass, so it is followed by a fresh gather of Bob's sums.
+    parities from one prefix-sum gather per party over the pass's order,
+    and the pass's blocks go to :func:`_disclose` as one batch.  Alice's
+    key is fixed during a pass, and a block's own correction shifts both
+    ends of every later block's range alike, so later parities stay valid.
+    A Cascade back-correction may flip bits in later blocks of this pass,
+    so once ``history`` holds a pass a batch ends at each mismatch, and a
+    back-correction that flips bits is followed by a fresh gather of Bob's
+    sums.
     """
     n = len(pair)
     if n == 0:
@@ -409,24 +467,32 @@ def run_pass(
         perm = np.arange(n)
     else:
         perm = shared_permutation(n, pass_index, config.seed)
-    doomed: list[int] = []
     ca = _prefix_sums(pair.alice, perm)
     cb = _prefix_sums(pair.bob, perm)
-    for lo, hi in partition(n, k):
-        event = Event(COMPARE_BLOCK, pass_index, lo, hi,
-                      int(ca[hi] - ca[lo]) & 1, int(cb[hi] - cb[lo]) & 1)
-        found = _compare(pair, transcript, event, lambda: (perm, ca, cb, 0))
-        if cascade:
-            if found >= 0 and cascade_back_correction(pair, history, found, transcript):
-                cb = _prefix_sums(pair.bob, perm)
-        else:
-            doomed.append(int(perm[hi - 1]))
+    lo, hi = zip(*partition(n, k))
+    starts, ends = np.array(lo), np.array(hi)
+    pa = ((ca[ends] - ca[starts]) & 1).tolist()
+    pb = ((cb[ends] - cb[starts]) & 1).tolist()
+    back_correct = cascade and bool(history)
+    start = 0
+    while start < len(lo):
+        stop = len(lo)
+        if back_correct:
+            stop = next((j + 1 for j in range(start, stop) if pa[j] != pb[j]), stop)
+        flipped = _disclose(pair, transcript, _BLOCK_ROW, pass_index, lo[start:stop],
+                            hi[start:stop], pa[start:stop], pb[start:stop],
+                            lambda: (perm, ca, cb, 0))
+        start = stop
+        if back_correct and flipped and cascade_back_correction(
+                pair, history, flipped[0], transcript):
+            cb = _prefix_sums(pair.bob, perm)
+            pb = ((cb[ends] - cb[starts]) & 1).tolist()
     if cascade:
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(n)
         history.append(PassRecord(pass_index, perm, inverse, k))
     else:
-        _apply_deletions(pair, doomed, transcript, pass_index)
+        _apply_deletions(pair, perm[ends - 1].tolist(), transcript, pass_index)
 
 
 def random_subset_round(
@@ -460,25 +526,24 @@ def random_subset_round(
     while True:
         raw = rng.bit_generator.random_raw(words).astype("<u8", copy=False)
         mask = np.unpackbits(raw.view(np.uint8), count=n)
-        if mask.any():
+        size = int(np.count_nonzero(mask))
+        if size:
             break
+    bits = mask.view(bool)
 
     def shuffled_sums():
-        subset = np.flatnonzero(mask)
-        order = subset[rng.permutation(len(subset))]
+        order = np.flatnonzero(bits)[rng.permutation(size)]
         return order, _prefix_sums(pair.alice, order), _prefix_sums(pair.bob, order), 0
 
-    event = Event(COMPARE_SUBSET, round_index, 0, int(np.count_nonzero(mask)),
-                  int(np.count_nonzero(pair.alice & mask)) & 1,
-                  int(np.count_nonzero(pair.bob & mask)) & 1,
-                  subset=np.packbits(mask).tobytes())
-    found = _compare(pair, transcript, event, shuffled_sums)
-    if found >= 0 and config.variant == CASCADE:
-        cascade_back_correction(pair, history, found, transcript)
+    transcript._masks.append(np.packbits(mask).tobytes())
+    flipped = _disclose(pair, transcript, _SUBSET_ROW, round_index, [0], [size],
+                        [int(np.count_nonzero(pair.alice & mask)) & 1],
+                        [int(np.count_nonzero(pair.bob & mask)) & 1], shuffled_sums)
+    if flipped and config.variant == CASCADE:
+        cascade_back_correction(pair, history, flipped[0], transcript)
     if config.variant == BBBSS:
-        last = n - 1 - int(mask[::-1].argmax())
-        _apply_deletions(pair, [last], transcript, round_index)
-    return found >= 0
+        _apply_deletions(pair, [n - 1 - int(bits[::-1].argmax())], transcript, round_index)
+    return bool(flipped)
 
 
 def _concrete_block_size(config: CascadeConfig) -> int:

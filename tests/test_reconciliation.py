@@ -3,7 +3,8 @@
 The fixed 31-bit regression (six planted errors, five-bit blocks, second
 and sixth block parities disagreeing) pins the block pass; bisection is
 checked against a hand-simulated halving oracle and exhaustive error
-placements; Cascade back-correction against a crafted two-pass scenario;
+placements, and a batch of ranges against the same ranges one at a time;
+Cascade back-correction against a crafted two-pass scenario;
 statistical behaviour against seeded Monte Carlo; subset rounds against
 an oracle that reads PCG64's raw words bit by bit.  One pinned digest per
 variant over a seed × length × block-size grid keeps transcripts
@@ -17,6 +18,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +42,8 @@ from coxcascade.reconciliation import (
     KeyPair,
     ProtocolError,
     Transcript,
-    _compare,
+    _BLOCK_ROW,
+    _disclose,
     _prefix_sums,
     bits_from_string,
     cascade_back_correction,
@@ -161,18 +164,20 @@ def hand_bisect(alice, bob, lo, hi):
 
 
 def locate(alice, bob, order, lo, hi, transcript, round_index=0, base=0):
-    """Run ``_compare`` on order[lo:hi], its parities read from prefix sums
-    gathered over order[base:] from copies of the keys; the range must hold
-    an odd number of differences.  Check that it flipped Bob's bit at the
-    returned position, and nothing else, and recorded that flip last."""
+    """Run ``_disclose`` on a batch of one, order[lo:hi], its parities read
+    from prefix sums gathered over order[base:] from copies of the keys; the
+    range must hold an odd number of differences.  Check that it flipped
+    Bob's bit at the returned position, and nothing else, and recorded that
+    flip last."""
     pair = KeyPair(alice.copy(), bob.copy())
     ca = _prefix_sums(pair.alice, order[base:])
     cb = _prefix_sums(pair.bob, order[base:])
-    event = Event(COMPARE_BLOCK, round_index, lo, hi,
-                  int(ca[hi - base] - ca[lo - base]) & 1,
-                  int(cb[hi - base] - cb[lo - base]) & 1)
-    found = _compare(pair, transcript, event, lambda: (order, ca, cb, base))
-    assert found >= 0
+    flipped = _disclose(pair, transcript, _BLOCK_ROW, round_index, [lo], [hi],
+                        [int(ca[hi - base] - ca[lo - base]) & 1],
+                        [int(cb[hi - base] - cb[lo - base]) & 1],
+                        lambda: (order, ca, cb, base))
+    assert len(flipped) == 1
+    found = flipped[0]
     assert np.flatnonzero(pair.bob != bob).tolist() == [found]
     assert np.array_equal(pair.alice, alice)
     assert transcript.events[-1] == Event(CORRECT, round_index, index=found)
@@ -220,13 +225,13 @@ class TestBisectError:
         pair.bob[3] ^= 1
         t = Transcript()
         with pytest.raises(ProtocolError):
-            _compare(pair, t, Event(COMPARE_BLOCK, 0, 0, 6, parity_a=0, parity_b=1),
-                     lambda: (order, ca, cb, 0))
+            _disclose(pair, t, _BLOCK_ROW, 0, [0], [6], [0], [1],
+                      lambda: (order, ca, cb, 0))
         assert t.corrections_made == 0
         assert pair.residual_errors() == 0
         assert t.events[0] == Event(COMPARE_BLOCK, 0, 0, 6, parity_a=0, parity_b=1)
 
-    def test_agreeing_parities_return_minus_one(self):
+    def test_agreeing_parities_flip_nothing(self):
         # two differences in range: the comparison agrees, nothing moves and
         # the sums for a bisection are never asked for
         alice = np.zeros(6, dtype=np.uint8)
@@ -237,20 +242,19 @@ class TestBisectError:
         def no_sums():
             raise AssertionError("sums built for an agreeing comparison")
 
-        found = _compare(pair, t, Event(COMPARE_BLOCK, 2, 0, 6, parity_a=0, parity_b=0),
-                         no_sums)
-        assert found == -1
+        flipped = _disclose(pair, t, _BLOCK_ROW, 2, [0], [6], [0], [0], no_sums)
+        assert flipped == []
         assert np.array_equal(pair.bob, bob)
         assert t.events == [Event(COMPARE_BLOCK, 2, 0, 6, parity_a=0, parity_b=0)]
 
 
-def reference_bisect(alice, bob, order, lo, hi, transcript, round_index):
+def reference_bisect(alice, bob, order, lo, hi, events, round_index):
     """Per-halving reference: each halving sums its own left half afresh."""
     while hi - lo > 1:
         mid = lo + (hi - lo + 1) // 2
         pa = int(alice[order[lo:mid]].sum()) % 2
         pb = int(bob[order[lo:mid]].sum()) % 2
-        transcript.add(Event(BISECT, round_index, lo=lo, hi=mid, parity_a=pa, parity_b=pb))
+        events.append(Event(BISECT, round_index, lo=lo, hi=mid, parity_a=pa, parity_b=pb))
         if pa != pb:
             hi = mid
         else:
@@ -288,16 +292,84 @@ class TestPrefixBisect:
     @given(bisect_cases(), st.integers(0, 5))
     def test_matches_per_halving_reference(self, case, round_index):
         alice, bob, order, lo, hi, base = case
-        t_new, t_ref = Transcript(), Transcript()
+        t_new, ref_events = Transcript(), []
         found = locate(alice, bob, order, lo, hi, t_new, round_index, base)
-        expected = reference_bisect(alice, bob, order, lo, hi, t_ref, round_index)
+        expected = reference_bisect(alice, bob, order, lo, hi, ref_events, round_index)
         assert found == expected
         assert alice[found] != bob[found]
         pa = int(alice[order[lo:hi]].sum()) % 2
         pb = int(bob[order[lo:hi]].sum()) % 2
         assert pa != pb
         assert t_new.events[0] == Event(COMPARE_BLOCK, round_index, lo, hi, pa, pb)
-        assert t_new.events[1:-1] == t_ref.events
+        assert t_new.events[1:-1] == ref_events
+
+
+@st.composite
+def batch_cases(draw):
+    """Random keys and order, and a block size partitioning the order."""
+    n = draw(st.integers(1, 80))
+    alice = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                     dtype=np.uint8)
+    bob = alice.copy()
+    bob[sorted(draw(st.sets(st.integers(0, n - 1))))] ^= 1
+    order = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    return alice, bob, order, draw(st.integers(1, n))
+
+
+class TestDiscloseBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(batch_cases(), st.integers(0, 5))
+    def test_batch_matches_ranges_one_at_a_time(self, case, round_index):
+        # every block in one batch, then each block in a batch of its own
+        alice, bob, order, k = case
+        lo, hi = zip(*partition(len(order), k))
+        runs = []
+        for batches in ([range(len(lo))], [[j] for j in range(len(lo))]):
+            pair = KeyPair(alice.copy(), bob.copy())
+            ca = _prefix_sums(pair.alice, order)
+            cb = _prefix_sums(pair.bob, order)
+            pa = [int(ca[h] - ca[l]) & 1 for l, h in zip(lo, hi)]
+            pb = [int(cb[h] - cb[l]) & 1 for l, h in zip(lo, hi)]
+            t = Transcript()
+            flipped = []
+            for batch in batches:
+                flipped += _disclose(pair, t, _BLOCK_ROW, round_index,
+                                     [lo[j] for j in batch], [hi[j] for j in batch],
+                                     [pa[j] for j in batch], [pb[j] for j in batch],
+                                     lambda: (order, ca, cb, 0))
+            assert len(flipped) == sum(a != b for a, b in zip(pa, pb))
+            for l, h in zip(lo, hi):
+                sel = order[l:h]
+                assert int(pair.alice[sel].sum()) % 2 == int(pair.bob[sel].sum()) % 2
+            runs.append((t.events, flipped, pair.bob.tolist(),
+                         (t.parities_revealed, t.corrections_made, t.bits_deleted)))
+        assert runs[0] == runs[1]
+
+    def test_agreeing_bit_inside_a_batch_raises(self):
+        # three four-bit blocks: the first holds one difference; the second's
+        # sums are stale and claim one where the keys now agree, so its
+        # search lands on an agreeing bit; the third is never compared
+        alice = np.zeros(12, dtype=np.uint8)
+        pair = KeyPair(alice, bits_from_string("010000100000"))
+        order = np.arange(12)
+        ca = _prefix_sums(pair.alice, order)
+        cb = _prefix_sums(pair.bob, order)
+        pair.bob[6] ^= 1
+        t = Transcript()
+        with pytest.raises(ProtocolError):
+            _disclose(pair, t, _BLOCK_ROW, 1, [0, 4, 8], [4, 8, 12], [0, 0, 0], [1, 1, 0],
+                      lambda: (order, ca, cb, 0))
+        assert t.to_lines() == [
+            "compare-block round=1 range=0:4 a=0 b=1",
+            "bisect round=1 range=0:2 a=0 b=1",
+            "bisect round=1 range=0:1 a=0 b=0",
+            "correct round=1 index=1",
+            "compare-block round=1 range=4:8 a=0 b=1",
+            "bisect round=1 range=4:6 a=0 b=0",
+            "bisect round=1 range=6:7 a=0 b=1",
+        ]
+        assert (t.parities_revealed, t.corrections_made, t.bits_deleted) == (6, 1, 0)
+        assert pair.residual_errors() == 0
 
 
 class TestRunPass:
@@ -700,6 +772,24 @@ class TestReconcile:
             if e.kind == DELETE:
                 assert seen_comparison
 
+    @pytest.mark.parametrize("variant", [BBBSS, CASCADE])
+    def test_counters_equal_the_ledger_kind_counts(self, variant):
+        g, layout = GammaIntensity(10, 2), TimeUnitLayout(64)
+        corrections = 0
+        for seed in range(20):
+            pattern = sample_error_pattern(512, layout, g, seed)
+            pair = make_key_pair(512, pattern, seed + 1)
+            t = Transcript()
+            out = reconcile(pair, CascadeConfig(initial_block_size=8, variant=variant,
+                                                seed=seed + 2), t)
+            kinds = Counter(e.kind for e in t.events)
+            assert sum(kinds[k] for k in PARITY_EVENT_KINDS) == t.parities_revealed
+            assert out.leaked_parities == t.parities_revealed
+            assert kinds[DELETE] == t.bits_deleted == out.deleted_bits
+            assert kinds[CORRECT] == t.corrections_made
+            corrections += t.corrections_made
+        assert corrections > 0
+
     def test_cascade_has_no_deletions(self):
         pattern = sample_error_pattern(128, TimeUnitLayout(64),
                                        GammaIntensity(10, 2), seed=5)
@@ -811,17 +901,24 @@ class TestTranscriptSerialization:
             Event(CORRECT, 0, index=6),
             Event(DELETE, 0, index=9),
         ]
-        t = Transcript()
-        for e in events:
-            t.add(e)
-        assert t.to_lines() == [
+        assert [e.to_line() for e in events] == [
             "compare-block round=0 range=5:10 a=0 b=1",
             "bisect round=0 range=5:8 a=1 b=0",
             "compare-subset round=3 bits=1,4,7 a=0 b=0",
             "correct round=0 index=6",
             "delete round=0 index=9",
         ]
-        assert (t.parities_revealed, t.corrections_made, t.bits_deleted) == (3, 1, 1)
+
+    def test_events_are_built_afresh_on_each_read(self):
+        pair = make_key_pair(40, ErrorPattern(40, (3, 17)), seed=5)
+        t = Transcript()
+        reconcile(pair, CascadeConfig(initial_block_size=5, seed=6), t)
+        lines = t.to_lines()
+        events = t.events
+        assert events == t.events and events is not t.events
+        events.clear()
+        assert t.to_lines() == lines and len(t.events) == len(lines)
+        assert any(line.startswith("compare-subset ") for line in lines)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(
