@@ -20,6 +20,7 @@ outside its domain or a value lost to float arithmetic (``nan``/``inf``),
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,7 @@ class TimeUnitLayout:
     f: int
 
     def __post_init__(self) -> None:
+        _require_int(self.f, "bits per time unit f")
         if self.f < 1:
             raise ValueError(f"bits per time unit f must be >= 1, got {self.f!r}")
 
@@ -103,7 +105,14 @@ class ScatterSample:
     unit_counts: np.ndarray
 
 
+def _require_int(value: object, name: str) -> None:
+    """Refuse a count or size that is not an integer (Python or NumPy)."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _validate_count(k: int, name: str = "k") -> None:
+    _require_int(k, name)
     if k < 0:
         raise ValueError(f"{name} must be >= 0, got {k!r}")
 

@@ -12,20 +12,23 @@ share one stream, seeded once, whose raw 64-bit words are the subset masks.
 Two variants are simulated.  In the original protocol (``BBBSS``) the
 last bit of every compared block and subset is discarded to pay for the
 disclosed parity.  In the ``CASCADE`` variant nothing is discarded;
-instead, every correction triggers re-checks of the earlier passes'
-blocks that contain the flipped bit, which can expose errors those passes
-missed ("back-correction").
+instead every pass keeps a ledger of its block parities: Alice's, public
+once compared and fixed because her key never changes, and Bob's, which
+every correction updates.  A correction leaves the block holding the
+flipped bit odd in each other recorded pass, and those blocks are
+bisected in turn, which can expose errors their passes missed
+("back-correction").  No block parity is disclosed twice.
 
 Both parties live in one process.  Every publicly exchanged parity,
 deletion, and correction is appended to a :class:`Transcript`, so the
 information leaked to an eavesdropper is exactly the transcript ledger.
-One disclosure routine writes every comparison, bisection and correction:
-it takes a batch of ranges with their parities, records each stretch of
-agreeing ones in one step and bisects each mismatch.  A block pass hands
-it all its blocks at once, or, once Cascade back-correction can move later
-parities, in batches that end at each mismatch; back-correction and
-subset rounds hand it one range.  The ledger holds plain integer rows,
-from which each read of ``Transcript.events`` builds the events afresh.
+One disclosure routine writes every comparison: it takes a batch of
+ranges with their parities, records each stretch of agreeing ones in one
+step and bisects each mismatch.  A block pass hands it all its blocks at
+once and a subset round its one subset.  Back-correction bisects with
+the same halving step but writes no comparison, since both parities of
+the block are already known.  The ledger holds plain integer rows, from
+which each read of ``Transcript.events`` builds the events afresh.
 The simulator is omniscient (it can compare the two strings directly) but
 only uses that power for outcome metrics and internal sanity checks,
 never to steer the protocol.
@@ -41,7 +44,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .error_model import ErrorPattern, GammaIntensity, TimeUnitLayout, recommend_block_size
+from .error_model import (
+    ErrorPattern, GammaIntensity, TimeUnitLayout, _require_int, recommend_block_size,
+)
 
 __all__ = [
     "AUTO_BLOCK_SIZE",
@@ -126,9 +131,10 @@ def bits_from_string(s: str) -> np.ndarray:
 class CascadeConfig:
     """Protocol parameters.
 
-    ``initial_block_size`` may be the string ``"auto"``, to be resolved
-    against a model via :meth:`resolve`; ``reconcile`` requires a concrete
-    integer.  ``block_growth`` multiplies the block size every pass.
+    Every field but ``variant`` is an integer (Python or NumPy), except
+    that ``initial_block_size`` may be the string ``"auto"``, to be
+    resolved against a model via :meth:`resolve`; ``reconcile`` requires a
+    concrete integer.  ``block_growth`` multiplies the block size every pass.
     ``termination_successes`` is the number of consecutive agreeing subset
     comparisons, counted since the last correction, that ends the run.
     """
@@ -141,24 +147,17 @@ class CascadeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        k = self.initial_block_size
-        if isinstance(k, str):
-            if k != AUTO_BLOCK_SIZE:
-                raise ValueError(f"initial_block_size must be an int or 'auto', got {k!r}")
-        elif k < 1:
-            raise ValueError(f"initial_block_size must be >= 1, got {k!r}")
-        if self.num_passes < 1:
-            raise ValueError(f"num_passes must be >= 1, got {self.num_passes!r}")
-        if self.block_growth < 2:
-            raise ValueError(f"block_growth must be >= 2, got {self.block_growth!r}")
-        if self.termination_successes < 1:
-            raise ValueError(
-                f"termination_successes must be >= 1, got {self.termination_successes!r}"
-            )
+        least = {"initial_block_size": 1, "num_passes": 1, "block_growth": 2,
+                 "termination_successes": 1, "seed": 0}
+        if self.initial_block_size == AUTO_BLOCK_SIZE:
+            del least["initial_block_size"]
+        for name, bound in least.items():
+            value = getattr(self, name)
+            _require_int(value, name)
+            if value < bound:
+                raise ValueError(f"{name} must be >= {bound}, got {value!r}")
         if self.variant not in (BBBSS, CASCADE):
             raise ValueError(f"variant must be {BBBSS!r} or {CASCADE!r}, got {self.variant!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def resolve(self, layout: TimeUnitLayout, g: GammaIntensity) -> "CascadeConfig":
         """Return a copy with ``"auto"`` replaced by the recommended size."""
@@ -170,13 +169,15 @@ class CascadeConfig:
 class Event(NamedTuple):
     """One public-channel event.
 
-    ``round_index`` is the block pass for pass events and the subset round
-    otherwise.  ``lo:hi`` ranges are positions in the round's shuffled
-    order; a subset comparison spans ``0:hi``, ``hi`` being the subset's
-    size, and its bisections are ordinal ranges within the subset's shared
-    random order.  ``subset`` is a subset comparison's mask over the key,
-    packed as ``np.packbits(mask).tobytes()`` (n/8 bytes, zero padding
-    bits); :meth:`to_line` unpacks it and renders the positions it holds.
+    ``round_index`` is the block pass for pass events, back-correction's
+    bisections and corrections included (they carry the round of the pass
+    whose block they search), and the subset round otherwise.  ``lo:hi``
+    ranges are positions in the round's shuffled order; a subset
+    comparison spans ``0:hi``, ``hi`` being the subset's size, and its
+    bisections are ordinal ranges within the subset's shared random order.
+    ``subset`` is a subset comparison's mask over the key, packed as
+    ``np.packbits(mask).tobytes()`` (n/8 bytes, zero padding bits);
+    :meth:`to_line` unpacks it and renders the positions it holds.
     ``index`` for corrections and deletions is a position in the current
     key coordinates at event time; deletions recorded within one block
     pass are applied together once the pass completes.  The field
@@ -216,9 +217,9 @@ class Transcript:
     The ledger is a list of plain integer rows ``(kind, round_index, lo,
     hi, parity_a, parity_b, index)``, ``kind`` indexing :data:`_KINDS` and
     unused fields -1, with each subset comparison's packed mask kept on the
-    side in row order.  :func:`_disclose` writes the comparison, bisection
-    and correction rows and :func:`_apply_deletions` the deletions; each
-    bumps the counters in bulk.  :attr:`events` builds its :class:`Event` list
+    side in row order.  :func:`_disclose` writes the comparison rows,
+    :func:`_bisect` the bisection and correction rows and
+    :func:`_apply_deletions` the deletions; each bumps the counters in bulk.  :attr:`events` builds its :class:`Event` list
     afresh on every read, so changing the list it returns leaves the
     transcript as it was.
     """
@@ -254,18 +255,21 @@ class ReconcileOutcome:
 
 @dataclass
 class PassRecord:
-    """Partition of one completed pass, kept for Cascade back-correction."""
+    """One Cascade pass's partition and block parity ledger.
+
+    Block ``j`` is permutation[j * block_size:(j + 1) * block_size], and
+    ``inverse`` maps a key position to its slot in that order.
+    ``parity_a[j]`` is Alice's parity of block ``j``: public once the pass
+    compared it, and fixed for the run.  ``parity_b[j]`` is Bob's, which
+    :func:`cascade_back_correction` toggles on every flip inside the block.
+    """
 
     pass_index: int
     permutation: np.ndarray
     inverse: np.ndarray
     block_size: int
-
-    def block_span(self, orig_index: int) -> tuple[int, int]:
-        """Shuffled-order span of the block containing an original position."""
-        pos = int(self.inverse[orig_index])
-        lo = (pos // self.block_size) * self.block_size
-        return lo, min(lo + self.block_size, len(self.permutation))
+    parity_a: list[int]
+    parity_b: list[int]
 
 
 def make_key_pair(n: int, pattern: ErrorPattern, seed: int) -> KeyPair:
@@ -301,11 +305,48 @@ def _prefix_sums(bits: np.ndarray, order: np.ndarray) -> np.ndarray:
     This is the simulator's one gather for block and bisection parities:
     the parity of order[lo:hi] is ``int(c[hi] - c[lo]) & 1``.  One gather
     per party serves a pass's block comparisons and every halving of the
-    bisections that follow them.
+    bisections that follow them; back-correction gathers only the block it
+    bisects.
     """
     c = np.zeros(len(order) + 1, dtype=np.int64)
     np.cumsum(bits[order], out=c[1:])
     return c
+
+
+def _bisect(
+    pair: KeyPair, transcript: Transcript, round_index: int, left: int, right: int,
+    order: np.ndarray, ca: np.ndarray, cb: np.ndarray, base: int = 0,
+) -> int:
+    """Find and correct one differing bit of order[left:right].
+
+    ``ca`` and ``cb`` are Alice's and Bob's prefix sums over order[base:],
+    and the range must hold an odd number of differences.  Each halving
+    publicly compares the left half's parities (one row) and descends into
+    the mismatching half (left first), which keeps the count odd.  The bit
+    it ends on is flipped on Bob's side and recorded; returns its position.
+    """
+    # Python ints from the sums' buffers: no NumPy scalar per halving
+    ca, cb = memoryview(ca), memoryview(cb)
+    rows = transcript._rows
+    first = len(rows)
+    while right - left > 1:
+        mid = left + (right - left + 1) // 2
+        pa = (ca[mid - base] - ca[left - base]) & 1
+        pb = (cb[mid - base] - cb[left - base]) & 1
+        rows.append((_BISECT_ROW, round_index, left, mid, pa, pb, -1))
+        if pa != pb:
+            right = mid
+        else:
+            left = mid
+    transcript.parities_revealed += len(rows) - first
+    found = int(order[left])
+    if pair.alice[found] == pair.bob[found]:
+        raise ProtocolError("bisection landed on an agreeing bit; the searched range "
+                            "had an even number of differences")
+    pair.bob[found] ^= 1
+    rows.append((_CORRECT_ROW, round_index, -1, -1, -1, -1, found))
+    transcript.corrections_made += 1
+    return found
 
 
 def _disclose(
@@ -317,28 +358,21 @@ def _disclose(
     hi: Sequence[int],
     parity_a: Sequence[int],
     parity_b: Sequence[int],
-    sums: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray, int]],
+    sums: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> list[int]:
     """Disclose a batch of comparisons; correct one bit per mismatch.
 
-    The simulator's one disclosure step: only it writes comparison,
-    bisection and correction rows.  Comparison ``j`` of the batch covers
-    order[lo[j]:hi[j]] and carries Alice's and Bob's parities
-    ``parity_a[j]`` and ``parity_b[j]``; every one is recorded as given, in
-    batch order, a stretch of agreeing ones in one step.  On the first
-    mismatch ``sums()`` is called once for ``(order, ca, cb, base)``: the
-    order the ranges index, and Alice's and Bob's prefix sums over
-    order[base:].  Each halving publicly compares the left half's parities
-    (one row) and descends into the mismatching half (left first), which
-    keeps an odd difference count.  The bit it ends on is flipped on Bob's
-    side and recorded before the next comparison's row.  Returns the
-    flipped positions, one per mismatch in batch order, in the coordinates
-    ``order`` maps into.
-
-    A batch must not outlive its sums: a flip inside one range shifts both
-    ends of every later range alike, so their parities stay valid, but a
-    caller whose corrections flip other bits (Cascade back-correction) ends
-    the batch at that mismatch.
+    The simulator's one disclosure step: only it writes comparison rows.
+    Comparison ``j`` of the batch covers order[lo[j]:hi[j]] and carries
+    Alice's and Bob's parities ``parity_a[j]`` and ``parity_b[j]``; every
+    one is recorded as given, in batch order, a stretch of agreeing ones in
+    one step.  On the first mismatch ``sums()`` is called once for
+    ``(order, ca, cb)``: the order the ranges index, and Alice's and Bob's
+    prefix sums over it.  Each mismatch is bisected by :func:`_bisect`
+    before the next comparison's row.  A flip inside one range shifts both
+    ends of every later range alike, so the sums serve the whole batch.
+    Returns the flipped positions, one per mismatch in batch order, in the
+    coordinates ``order`` maps into.
     """
     rows = transcript._rows
     flipped: list[int] = []
@@ -347,32 +381,10 @@ def _disclose(
         stop = j + 1
         rows.extend(zip(repeat(kind), repeat(round_index), lo[start:stop], hi[start:stop],
                         parity_a[start:stop], parity_b[start:stop], repeat(-1)))
+        transcript.parities_revealed += stop - start
         if not flipped:
-            order, ca, cb, base = sums()
-            # Python ints from the sums' buffers: no NumPy scalar per halving
-            ca, cb = memoryview(ca), memoryview(cb)
-        left, right = lo[j], hi[j]
-        first = len(rows)
-        while right - left > 1:
-            mid = left + (right - left + 1) // 2
-            pa = (ca[mid - base] - ca[left - base]) & 1
-            pb = (cb[mid - base] - cb[left - base]) & 1
-            rows.append((_BISECT_ROW, round_index, left, mid, pa, pb, -1))
-            if pa != pb:
-                right = mid
-            else:
-                left = mid
-        transcript.parities_revealed += stop - start + len(rows) - first
-        found = int(order[left])
-        if pair.alice[found] == pair.bob[found]:
-            raise ProtocolError(
-                "bisection landed on an agreeing bit; the searched range had an "
-                "even number of differences"
-            )
-        pair.bob[found] ^= 1
-        rows.append((_CORRECT_ROW, round_index, -1, -1, -1, -1, found))
-        transcript.corrections_made += 1
-        flipped.append(found)
+            order, ca, cb = sums()
+        flipped.append(_bisect(pair, transcript, round_index, lo[j], hi[j], order, ca, cb))
         start = stop
     rows.extend(zip(repeat(kind), repeat(round_index), lo[start:], hi[start:],
                     parity_a[start:], parity_b[start:], repeat(-1)))
@@ -400,34 +412,42 @@ def _apply_deletions(
 
 
 def cascade_back_correction(
-    pair: KeyPair,
-    history: list[PassRecord],
-    new_index: int,
-    transcript: Transcript,
+    pair: KeyPair, history: list[PassRecord], flipped: Sequence[int], transcript: Transcript
 ) -> int:
-    """Re-check earlier passes' blocks around a freshly flipped bit.
+    """Bisect the recorded blocks that corrections have left odd.
 
-    Every recorded block containing the flipped position gets its parities
-    re-compared; a mismatch is bisected and the resulting flip recurses
-    into the other recorded passes.  Returns the number of additional
-    corrections.  Only meaningful for the Cascade variant, where no bits
-    are ever deleted and recorded partitions stay valid.
+    Every flip in ``flipped``, and every flip made here, toggles Bob's
+    parity of the one block holding that bit in each record of
+    ``history``.  A block whose two recorded parities then differ holds an
+    odd number of differences; blocks are bisected in the order they turn
+    odd, under their own pass's round, from a gather of that block alone.
+    A block that a later flip has evened again is skipped.  Nothing is
+    compared: Alice's block parity is public since its pass, and Bob holds
+    his.  Returns the number of additional corrections.  Only meaningful
+    for the Cascade variant, where no bits are ever deleted and recorded
+    partitions stay valid.
     """
+    queue: deque[tuple[PassRecord, int]] = deque()
+
+    def toggle(index: int) -> None:
+        for rec in history:
+            j = int(rec.inverse[index]) // rec.block_size
+            rec.parity_b[j] ^= 1
+            if rec.parity_b[j] != rec.parity_a[j]:
+                queue.append((rec, j))
+
+    for index in flipped:
+        toggle(index)
     corrections = 0
-    queue: deque[tuple[PassRecord, int, int]] = deque(
-        (rec, *rec.block_span(new_index)) for rec in history
-    )
     while queue:
-        rec, lo, hi = queue.popleft()
-        ca = _prefix_sums(pair.alice, rec.permutation[lo:hi])
-        cb = _prefix_sums(pair.bob, rec.permutation[lo:hi])
-        flipped = _disclose(pair, transcript, _BLOCK_ROW, rec.pass_index, [lo], [hi],
-                            [int(ca[-1]) & 1], [int(cb[-1]) & 1],
-                            lambda: (rec.permutation, ca, cb, lo))
-        if flipped:
-            corrections += 1
-            queue.extend((other, *other.block_span(flipped[0])) for other in history
-                         if other is not rec)
+        rec, j = queue.popleft()
+        if rec.parity_a[j] == rec.parity_b[j]:
+            continue
+        lo = j * rec.block_size
+        block = rec.permutation[lo:lo + rec.block_size]
+        toggle(_bisect(pair, transcript, rec.pass_index, lo, lo + len(block), rec.permutation,
+                       _prefix_sums(pair.alice, block), _prefix_sums(pair.bob, block), lo))
+        corrections += 1
     return corrections
 
 
@@ -443,56 +463,34 @@ def run_pass(
     Pass 0 runs on the raw bit order; later passes use the shared
     shuffle for their round.  The block size is the configured initial
     size grown by ``block_growth ** pass_index`` (capped at the current
-    key length).  In BBBSS mode the last bit of every compared block is
-    deleted once the whole pass has completed; in Cascade mode corrections
-    are back-corrected against ``history`` and the pass is appended to it.
-
-    Every block comparison and bisection halving of the pass reads its
-    parities from one prefix-sum gather per party over the pass's order,
-    and the pass's blocks go to :func:`_disclose` as one batch.  Alice's
-    key is fixed during a pass, and a block's own correction shifts both
-    ends of every later block's range alike, so later parities stay valid.
-    A Cascade back-correction may flip bits in later blocks of this pass,
-    so once ``history`` holds a pass a batch ends at each mismatch, and a
-    back-correction that flips bits is followed by a fresh gather of Bob's
-    sums.
+    key length).  One prefix-sum gather per party over the pass's order
+    gives every block parity and every halving of the pass, and the blocks
+    go to :func:`_disclose` as one batch.  In BBBSS mode the last bit of
+    every compared block is then deleted.  In Cascade mode the pass joins
+    ``history`` with its block parities as compared, and its corrections
+    go to :func:`cascade_back_correction`, which also bisects any block of
+    this pass that a later flip leaves odd.
     """
     n = len(pair)
     if n == 0:
         return
-    cascade = config.variant == CASCADE
-    k = _concrete_block_size(config) * config.block_growth**pass_index
-    k = min(k, n)
-    if pass_index == 0:
-        perm = np.arange(n)
-    else:
-        perm = shared_permutation(n, pass_index, config.seed)
+    k = min(_concrete_block_size(config) * config.block_growth**pass_index, n)
+    perm = np.arange(n) if pass_index == 0 else shared_permutation(n, pass_index, config.seed)
     ca = _prefix_sums(pair.alice, perm)
     cb = _prefix_sums(pair.bob, perm)
     lo, hi = zip(*partition(n, k))
     starts, ends = np.array(lo), np.array(hi)
     pa = ((ca[ends] - ca[starts]) & 1).tolist()
     pb = ((cb[ends] - cb[starts]) & 1).tolist()
-    back_correct = cascade and bool(history)
-    start = 0
-    while start < len(lo):
-        stop = len(lo)
-        if back_correct:
-            stop = next((j + 1 for j in range(start, stop) if pa[j] != pb[j]), stop)
-        flipped = _disclose(pair, transcript, _BLOCK_ROW, pass_index, lo[start:stop],
-                            hi[start:stop], pa[start:stop], pb[start:stop],
-                            lambda: (perm, ca, cb, 0))
-        start = stop
-        if back_correct and flipped and cascade_back_correction(
-                pair, history, flipped[0], transcript):
-            cb = _prefix_sums(pair.bob, perm)
-            pb = ((cb[ends] - cb[starts]) & 1).tolist()
-    if cascade:
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(n)
-        history.append(PassRecord(pass_index, perm, inverse, k))
-    else:
+    flipped = _disclose(pair, transcript, _BLOCK_ROW, pass_index, lo, hi, pa, pb,
+                        lambda: (perm, ca, cb))
+    if config.variant == BBBSS:
         _apply_deletions(pair, perm[ends - 1].tolist(), transcript, pass_index)
+        return
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(n)
+    history.append(PassRecord(pass_index, perm, inverse, k, pa, pb))
+    cascade_back_correction(pair, history, flipped, transcript)
 
 
 def random_subset_round(
@@ -533,15 +531,15 @@ def random_subset_round(
 
     def shuffled_sums():
         order = np.flatnonzero(bits)[rng.permutation(size)]
-        return order, _prefix_sums(pair.alice, order), _prefix_sums(pair.bob, order), 0
+        return order, _prefix_sums(pair.alice, order), _prefix_sums(pair.bob, order)
 
     transcript._masks.append(np.packbits(mask).tobytes())
     flipped = _disclose(pair, transcript, _SUBSET_ROW, round_index, [0], [size],
                         [int(np.count_nonzero(pair.alice & mask)) & 1],
                         [int(np.count_nonzero(pair.bob & mask)) & 1], shuffled_sums)
-    if flipped and config.variant == CASCADE:
-        cascade_back_correction(pair, history, flipped[0], transcript)
-    if config.variant == BBBSS:
+    if config.variant == CASCADE:
+        cascade_back_correction(pair, history, flipped, transcript)
+    else:
         _apply_deletions(pair, [n - 1 - int(bits[::-1].argmax())], transcript, round_index)
     return bool(flipped)
 

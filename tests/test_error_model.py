@@ -67,6 +67,9 @@ class TestTypes:
     def test_layout_domain(self):
         with pytest.raises(ValueError):
             TimeUnitLayout(0)
+        with pytest.raises(ValueError, match="f must be an integer"):
+            TimeUnitLayout(2.5)
+        assert TimeUnitLayout(np.int64(250)).f == 250
 
     def test_pattern_invariants(self):
         ErrorPattern(10, (0, 3, 9))
@@ -113,6 +116,10 @@ class TestPmf:
             pmf(0, G_MAIN, dt=-1.0)
         with pytest.raises(ValueError):
             pmf(1, G_MAIN, dt=math.inf)
+        for k in (2.5, 3.0, np.float64(3)):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                pmf(k, G_MAIN)
+        assert pmf(np.int64(3), G_MAIN) == pmf(3, G_MAIN)
 
     @pytest.mark.parametrize("g", GRID, ids=lambda g: f"a{g.a}b{g.b}")
     def test_normalization(self, g):
@@ -178,6 +185,11 @@ class TestCdfTail:
     def test_domain(self):
         with pytest.raises(ValueError):
             tail(-1, G_MAIN)
+        for m in (2.5, 3.0):
+            for fn in (tail, cdf, p_odd_finite):
+                with pytest.raises(ValueError, match="m must be an integer"):
+                    fn(m, G_MAIN)
+        assert tail(np.int64(3), G_MAIN) == tail(3, G_MAIN)
 
 
 class TestMean:

@@ -4,12 +4,13 @@ The fixed 31-bit regression (six planted errors, five-bit blocks, second
 and sixth block parities disagreeing) pins the block pass; bisection is
 checked against a hand-simulated halving oracle and exhaustive error
 placements, and a batch of ranges against the same ranges one at a time;
-Cascade back-correction against a crafted two-pass scenario;
-statistical behaviour against seeded Monte Carlo; subset rounds against
-an oracle that reads PCG64's raw words bit by bit.  One pinned digest per
-variant over a seed × length × block-size grid keeps transcripts
-byte-identical, and a second one over the lines before the first subset
-comparison pins the block passes on their own.
+Cascade back-correction against a crafted two-pass scenario and its
+parity ledger against fresh gathers after every pass; statistical
+behaviour against seeded Monte Carlo; subset rounds against an oracle
+that reads PCG64's raw words bit by bit.  One pinned digest per variant
+over a seed × length × block-size grid keeps transcripts byte-identical,
+a second one over the lines before the first subset comparison pins the
+block passes on their own, and a third pins Cascade's pass 0.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,7 @@ from coxcascade.reconciliation import (
     ProtocolError,
     Transcript,
     _BLOCK_ROW,
+    _bisect,
     _disclose,
     _prefix_sums,
     bits_from_string,
@@ -163,19 +166,18 @@ def hand_bisect(alice, bob, lo, hi):
     return lo, comparisons
 
 
-def locate(alice, bob, order, lo, hi, transcript, round_index=0, base=0):
+def locate(alice, bob, order, lo, hi, transcript, round_index=0):
     """Run ``_disclose`` on a batch of one, order[lo:hi], its parities read
-    from prefix sums gathered over order[base:] from copies of the keys; the
+    from prefix sums gathered over the order from copies of the keys; the
     range must hold an odd number of differences.  Check that it flipped
     Bob's bit at the returned position, and nothing else, and recorded that
     flip last."""
     pair = KeyPair(alice.copy(), bob.copy())
-    ca = _prefix_sums(pair.alice, order[base:])
-    cb = _prefix_sums(pair.bob, order[base:])
+    ca = _prefix_sums(pair.alice, order)
+    cb = _prefix_sums(pair.bob, order)
     flipped = _disclose(pair, transcript, _BLOCK_ROW, round_index, [lo], [hi],
-                        [int(ca[hi - base] - ca[lo - base]) & 1],
-                        [int(cb[hi - base] - cb[lo - base]) & 1],
-                        lambda: (order, ca, cb, base))
+                        [int(ca[hi] - ca[lo]) & 1], [int(cb[hi] - cb[lo]) & 1],
+                        lambda: (order, ca, cb))
     assert len(flipped) == 1
     found = flipped[0]
     assert np.flatnonzero(pair.bob != bob).tolist() == [found]
@@ -226,7 +228,7 @@ class TestBisectError:
         t = Transcript()
         with pytest.raises(ProtocolError):
             _disclose(pair, t, _BLOCK_ROW, 0, [0], [6], [0], [1],
-                      lambda: (order, ca, cb, 0))
+                      lambda: (order, ca, cb))
         assert t.corrections_made == 0
         assert pair.residual_errors() == 0
         assert t.events[0] == Event(COMPARE_BLOCK, 0, 0, 6, parity_a=0, parity_b=1)
@@ -265,8 +267,9 @@ def reference_bisect(alice, bob, order, lo, hi, events, round_index):
 @st.composite
 def bisect_cases(draw):
     """Random keys, order, [lo, hi) with an odd number of differences in
-    order[lo:hi], and the start ``base <= lo`` of the prefix sums; positions
-    outside the range may differ too."""
+    order[lo:hi], and a start ``base <= lo`` for prefix sums over
+    order[base:hi], as back-correction gathers them; positions outside the
+    range may differ too."""
     n = draw(st.integers(1, 80))
     alice = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
                      dtype=np.uint8)
@@ -293,7 +296,7 @@ class TestPrefixBisect:
     def test_matches_per_halving_reference(self, case, round_index):
         alice, bob, order, lo, hi, base = case
         t_new, ref_events = Transcript(), []
-        found = locate(alice, bob, order, lo, hi, t_new, round_index, base)
+        found = locate(alice, bob, order, lo, hi, t_new, round_index)
         expected = reference_bisect(alice, bob, order, lo, hi, ref_events, round_index)
         assert found == expected
         assert alice[found] != bob[found]
@@ -302,6 +305,14 @@ class TestPrefixBisect:
         assert pa != pb
         assert t_new.events[0] == Event(COMPARE_BLOCK, round_index, lo, hi, pa, pb)
         assert t_new.events[1:-1] == ref_events
+        # back-correction's form: sums over order[base:hi] alone, no comparison
+        pair, t_base = KeyPair(alice.copy(), bob.copy()), Transcript()
+        assert _bisect(pair, t_base, round_index, lo, hi, order,
+                       _prefix_sums(pair.alice, order[base:hi]),
+                       _prefix_sums(pair.bob, order[base:hi]), base) == found
+        assert t_base.events == t_new.events[1:]
+        assert t_base.parities_revealed == len(ref_events)
+        assert np.flatnonzero(pair.bob != bob).tolist() == [found]
 
 
 @st.composite
@@ -336,7 +347,7 @@ class TestDiscloseBatch:
                 flipped += _disclose(pair, t, _BLOCK_ROW, round_index,
                                      [lo[j] for j in batch], [hi[j] for j in batch],
                                      [pa[j] for j in batch], [pb[j] for j in batch],
-                                     lambda: (order, ca, cb, 0))
+                                     lambda: (order, ca, cb))
             assert len(flipped) == sum(a != b for a, b in zip(pa, pb))
             for l, h in zip(lo, hi):
                 sel = order[l:h]
@@ -358,7 +369,7 @@ class TestDiscloseBatch:
         t = Transcript()
         with pytest.raises(ProtocolError):
             _disclose(pair, t, _BLOCK_ROW, 1, [0, 4, 8], [4, 8, 12], [0, 0, 0], [1, 1, 0],
-                      lambda: (order, ca, cb, 0))
+                      lambda: (order, ca, cb))
         assert t.to_lines() == [
             "compare-block round=1 range=0:4 a=0 b=1",
             "bisect round=1 range=0:2 a=0 b=1",
@@ -405,16 +416,30 @@ class TestRunPass:
         assert pair.residual_errors() == 4  # the two even blocks stay hidden
 
     def test_blocks_agree_after_pass(self):
+        # after every pass of a Cascade run, every block of every recorded
+        # pass agrees, and each record's parities are those of fresh gathers
         g = GammaIntensity(10, 2)
+        back_corrections = 0
         for seed in range(5):
             pattern = sample_error_pattern(512, TimeUnitLayout(128), g, seed)
             pair = make_key_pair(512, pattern, seed + 100)
-            history = []
-            run_pass(pair, 1, self.config(16, variant=CASCADE, seed=seed), Transcript(), history)
-            rec = history[-1]
-            for lo, hi in partition(len(pair), rec.block_size):
-                sel = rec.permutation[lo:hi]
-                assert int(pair.alice[sel].sum()) % 2 == int(pair.bob[sel].sum()) % 2
+            config = self.config(8, variant=CASCADE, seed=seed)
+            t, history = Transcript(), []
+            for p in range(config.num_passes):
+                run_pass(pair, p, config, t, history)
+                assert [rec.pass_index for rec in history] == list(range(p + 1))
+                for rec in history:
+                    spans = partition(len(pair), rec.block_size)
+                    fresh = [[int(bits[rec.permutation[lo:hi]].sum()) & 1 for lo, hi in spans]
+                             for bits in (pair.alice, pair.bob)]
+                    assert rec.parity_a == fresh[0]
+                    assert rec.parity_b == fresh[1] == fresh[0]
+            current = 0  # the pass whose comparisons an event follows
+            for e in t.events:
+                if e.kind == COMPARE_BLOCK:
+                    current = e.round_index
+                back_corrections += e.kind == CORRECT and e.round_index < current
+        assert back_corrections > 0
 
     def test_bbbss_deletes_one_bit_per_block(self):
         pair = make_key_pair(64, ErrorPattern(64, (10,)), seed=4)
@@ -444,32 +469,40 @@ class TestCascadeBackCorrection:
         assert t.corrections_made == 1
 
     def test_crafted_two_pass_scenario(self):
-        # Two errors inside one pass-0 block (even, hidden).  Pick a seed
-        # whose pass-1 shuffle separates them; correcting the first then
-        # exposes the pass-0 block, which is re-bisected mid-pass.
-        n, k = 16, 4
-        seed = next(
-            s for s in range(1000)
-            if abs(int(np.where(shared_permutation(n, 1, s) == 0)[0][0]) // (2 * k)
-                   - int(np.where(shared_permutation(n, 1, s) == 1)[0][0]) // (2 * k)) == 1
-        )
+        # Two pairs of errors, {0, 1} and {4, 5}, each inside one pass-0
+        # block (even, hidden).  Pick a seed whose three pass-1 blocks hold
+        # one error of each pair alone and the other two together: pass 1
+        # corrects the lone two and leaves the pair hidden, which opens both
+        # pass-0 blocks.  Back-correction bisects them after pass 1's
+        # comparisons, from the ledger, with no second comparison.
+        n, k = 24, 4
+
+        def pass1_blocks(s):
+            inverse = np.argsort(shared_permutation(n, 1, s))
+            return [int(inverse[p]) // (2 * k) for p in (0, 1, 4, 5)]
+
+        seed = next(s for s in range(1000)
+                    if (b := pass1_blocks(s))[0] != b[1] and b[2] != b[3] and len(set(b)) == 3)
         alice = np.zeros(n, dtype=np.uint8)
         bob = alice.copy()
-        bob[[0, 1]] ^= 1
+        bob[[0, 1, 4, 5]] ^= 1
         pair = KeyPair(alice, bob)
         config = CascadeConfig(initial_block_size=k, num_passes=2,
                                variant=CASCADE, seed=seed)
         t = Transcript()
         history = []
         run_pass(pair, 0, config, t, history)
-        assert t.corrections_made == 0  # both errors hidden
+        assert t.corrections_made == 0  # all four errors hidden
         run_pass(pair, 1, config, t, history)
-        assert t.corrections_made == 2
+        assert t.corrections_made == 4
         assert pair.residual_errors() == 0
-        # the re-check of the pass-0 block happens after pass 1 started
         kinds = [(e.kind, e.round_index) for e in t.events]
-        first_pass1 = kinds.index((COMPARE_BLOCK, 1))
-        assert (COMPARE_BLOCK, 0) in kinds[first_pass1:]
+        assert kinds.count((COMPARE_BLOCK, 0)) == n // k  # each block compared once
+        assert kinds.count((COMPARE_BLOCK, 1)) == n // (2 * k)
+        # two four-bit pass-0 blocks, each two halvings and a correction
+        first_back = kinds.index((BISECT, 0))
+        assert first_back > kinds.index((COMPARE_BLOCK, 1))
+        assert kinds[first_back:] == [(BISECT, 0), (BISECT, 0), (CORRECT, 0)] * 2
 
     def test_corrections_always_flip_true_differences(self):
         # omniscient replay: every corrected index differed at flip time
@@ -495,7 +528,7 @@ class TestCascadeBackCorrection:
     def test_direct_call_with_empty_history(self):
         pair = make_key_pair(16, ErrorPattern(16, (2,)), seed=0)
         pair.bob[2] ^= 1  # clear the difference so nothing can be flipped
-        assert cascade_back_correction(pair, [], 2, Transcript()) == 0
+        assert cascade_back_correction(pair, [], [2], Transcript()) == 0
 
 
 def subset_stream(seed: int) -> np.random.Generator:
@@ -790,6 +823,22 @@ class TestReconcile:
             corrections += t.corrections_made
         assert corrections > 0
 
+    def test_cascade_sweep_runs(self):
+        # 100 runs shaped like the n=4096 sweep (sub-seeds s, s + 1, s + 2):
+        # every one reconciles, deletes nothing, and leaks one parity per
+        # parity event
+        g, layout, n = GammaIntensity(10.0, 2.0), TimeUnitLayout(250), 4096
+        config = CascadeConfig(variant=CASCADE).resolve(layout, g)
+        for r in range(100):
+            s = 1001 + 3 * r
+            pair = make_key_pair(n, sample_error_pattern(n, layout, g, s), s + 1)
+            t = Transcript()
+            out = reconcile(pair, replace(config, seed=s + 2), t)
+            events = t.events
+            assert out.success and out.residual_error_count == 0, r
+            assert out.deleted_bits == 0 and out.final_length == n
+            assert out.leaked_parities == sum(e.kind in PARITY_EVENT_KINDS for e in events)
+
     def test_cascade_has_no_deletions(self):
         pattern = sample_error_pattern(128, TimeUnitLayout(64),
                                        GammaIntensity(10, 2), seed=5)
@@ -832,23 +881,29 @@ class TestLongKeyMemory:
 
 
 # SHA-256 per variant over every transcript line and outcome repr of the
-# grid below, computed with one fresh gather per block and per halving: how
-# parities are computed must not change a byte of the public channel.
-# Block size 3 makes Cascade back-corrections flip bits in later blocks of
-# the pass in progress.
+# grid below.  The BBBSS digest was computed with one fresh gather per block
+# and per halving: how parities are computed must not change a byte of the
+# public channel.  The Cascade digest is that of back-correction from the
+# per-pass parity ledger, which compares no block twice.  Block size 3 makes
+# Cascade back-corrections flip bits in blocks of the pass just run.
 GOLDEN_DIGESTS = {
     BBBSS: "6636aee76e33f46011312258dd6e29886cebb6daa0b9b3713ede7bb24c12ff04",
-    CASCADE: "35f03dc2ea95690c6f7b8fe9ff9fe1fb403ca3e3ebef29f7ecbf1d23811e0dd0",
+    CASCADE: "2b3deb06ce755b63a20e4bc63e1ce1c8c6bfaa128bc6fbcb01adefbc95e0ba97",
 }
 
 # SHA-256 per variant over the lines of the same grid that come before each
 # run's first compare-subset: the block passes, their bisections and
-# back-corrections.  These digests predate the per-run subset stream and
-# hold across it.
+# back-corrections.  The BBBSS digest predates the per-run subset stream and
+# holds across it.
 PASS_PHASE_DIGESTS = {
     BBBSS: "2f4e08bc0dc0f34cfa4d041284babbb82ae3b3a50298edd3c65b3867b6ce355e",
-    CASCADE: "e1860924efb84f34b746b435dd322dfe11cdb5746d75c2fdf2ec038d0026c744",
+    CASCADE: "71c6113ddb27894133c280d962e77639d477fadcbe24ffdf94abc530dd794ed8",
 }
+
+# SHA-256 over the Cascade lines of the same grid that come before each
+# run's first pass-1 comparison: pass 0, which has no earlier pass to
+# back-correct, so no change to back-correction may move this digest.
+CASCADE_PASS_ZERO_DIGEST = "606840005b321958ee79b50554f9a8e16b2320b9644cd14ac568535662d04349"
 
 
 @pytest.fixture(scope="module")
@@ -888,6 +943,22 @@ class TestGoldenTranscripts:
                     lambda line: not line.startswith(COMPARE_SUBSET + " "), lines):
                 hashes[variant].update(line.encode() + b"\n")
         assert {v: h.hexdigest() for v, h in hashes.items()} == PASS_PHASE_DIGESTS
+
+    def test_cascade_pass_zero_digest(self, golden_grid):
+        h = hashlib.sha256()
+        for variant, lines, _ in golden_grid:
+            if variant == CASCADE:
+                for line in itertools.takewhile(
+                        lambda line: not line.startswith(COMPARE_BLOCK + " round=1 "), lines):
+                    h.update(line.encode() + b"\n")
+        assert h.hexdigest() == CASCADE_PASS_ZERO_DIGEST
+
+    def test_no_block_compared_twice(self, golden_grid):
+        # every block parity goes public once: no (round, range) repeats
+        for variant, lines, _ in golden_grid:
+            blocks = Counter(tuple(line.split()[1:3]) for line in lines
+                             if line.startswith(COMPARE_BLOCK + " "))
+            assert blocks and max(blocks.values()) == 1, variant
 
 
 class TestTranscriptSerialization:
@@ -955,8 +1026,23 @@ class TestConfigValidation:
             {"initial_block_size": 4, "termination_successes": 0},
             {"initial_block_size": 4, "variant": "other"},
             {"initial_block_size": 4, "seed": -1},
+            {"initial_block_size": 4, "termination_successes": 2.5},
+            {"initial_block_size": 2.5},
+            {"initial_block_size": 4, "num_passes": 2.5},
+            {"initial_block_size": 4, "block_growth": 2.5},
+            {"initial_block_size": 4, "seed": 1.5},
+            {"initial_block_size": np.float64(4.0)},
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        # the error names the field at fault
+        with pytest.raises(ValueError, match=next(k for k in reversed(kwargs))):
             CascadeConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        config = CascadeConfig(initial_block_size=np.int64(4), num_passes=np.int32(2),
+                               block_growth=np.uint8(3), termination_successes=np.int16(5),
+                               seed=np.int64(7))
+        pair = make_key_pair(64, ErrorPattern(64, (3, 40)), seed=1)
+        assert reconcile(pair, config).subset_rounds >= 5
+        assert CascadeConfig(initial_block_size="auto").initial_block_size == "auto"
