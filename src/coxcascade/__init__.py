@@ -31,6 +31,7 @@ from .reconciliation import (
     CascadeConfig,
     Event,
     KeyPair,
+    PackedKeys,
     ProtocolError,
     ReconcileOutcome,
     Transcript,

@@ -32,6 +32,12 @@ which each read of ``Transcript.events`` builds the events afresh.
 The simulator is omniscient (it can compare the two strings directly) but
 only uses that power for outcome metrics and internal sanity checks,
 never to steer the protocol.
+
+Only parities are ever published, so only parities are computed.  Block
+passes and bisections read XOR prefix parities of the gathered bits.  The
+subset phase holds both keys packed into Python ints (:class:`PackedKeys`),
+where a subset's parity is the bit count of an AND; numpy arrays are
+built only for a round whose parities differ.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ __all__ = [
     "CascadeConfig",
     "Event",
     "KeyPair",
+    "PackedKeys",
     "PassRecord",
     "ProtocolError",
     "ReconcileOutcome",
@@ -127,6 +134,43 @@ def bits_from_string(s: str) -> np.ndarray:
     return np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0")
 
 
+def _pack(bits: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _unpack(key: int, n: int) -> np.ndarray:
+    return np.unpackbits(np.frombuffer(key.to_bytes(-(-n // 8), "little"), dtype=np.uint8),
+                         count=n, bitorder="little")
+
+
+class PackedKeys:
+    """Alice's and Bob's keys packed into Python ints, position i at bit i.
+
+    The subset phase works on this form: the parity of a key over a mask
+    ``m`` is ``(key & m).bit_count() & 1``.  :func:`reconcile` packs its
+    pair once before the first subset round and unpacks it once after the
+    last; :func:`random_subset_round` corrects and deletes bits in place.
+    """
+
+    __slots__ = ("alice", "bob", "n")
+
+    def __init__(self, pair: KeyPair) -> None:
+        self.alice = _pack(pair.alice)
+        self.bob = _pack(pair.bob)
+        self.n = len(pair)
+
+    def unpack(self) -> tuple[np.ndarray, np.ndarray]:
+        """Alice's and Bob's keys as uint8 bit arrays."""
+        return _unpack(self.alice, self.n), _unpack(self.bob, self.n)
+
+    def delete(self, i: int) -> None:
+        """Delete position ``i`` from both keys: the bits above it move down one."""
+        low = (1 << i) - 1
+        self.alice = self.alice >> (i + 1) << i | self.alice & low
+        self.bob = self.bob >> (i + 1) << i | self.bob & low
+        self.n -= 1
+
+
 @dataclass(frozen=True)
 class CascadeConfig:
     """Protocol parameters.
@@ -176,8 +220,9 @@ class Event(NamedTuple):
     comparison spans ``0:hi``, ``hi`` being the subset's size, and its
     bisections are ordinal ranges within the subset's shared random order.
     ``subset`` is a subset comparison's mask over the key, packed as
-    ``np.packbits(mask).tobytes()`` (n/8 bytes, zero padding bits);
-    :meth:`to_line` unpacks it and renders the positions it holds.
+    ``np.packbits(mask).tobytes()`` (n/8 bytes, zero padding bits): the
+    round's raw stream bytes, cut to n bits.  :meth:`to_line` unpacks it
+    and renders the positions it holds.
     ``index`` for corrections and deletions is a position in the current
     key coordinates at event time; deletions recorded within one block
     pass are applied together once the pass completes.  The field
@@ -217,11 +262,12 @@ class Transcript:
     The ledger is a list of plain integer rows ``(kind, round_index, lo,
     hi, parity_a, parity_b, index)``, ``kind`` indexing :data:`_KINDS` and
     unused fields -1, with each subset comparison's packed mask kept on the
-    side in row order.  :func:`_disclose` writes the comparison rows,
-    :func:`_bisect` the bisection and correction rows and
-    :func:`_apply_deletions` the deletions; each bumps the counters in bulk.  :attr:`events` builds its :class:`Event` list
-    afresh on every read, so changing the list it returns leaves the
-    transcript as it was.
+    side in row order: the round's stream bytes, stored as drawn once the
+    padding bits are cleared.  :func:`_disclose` writes the comparison
+    rows, :func:`_bisect` the bisection and correction rows and
+    :func:`_record_deletions` the deletions; each bumps the counters in
+    bulk.  :attr:`events` builds its :class:`Event` list afresh on every
+    read, so changing the list it returns leaves the transcript as it was.
     """
 
     def __init__(self) -> None:
@@ -299,17 +345,18 @@ def partition(n: int, k: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + k, n)) for lo in range(0, n, k)]
 
 
-def _prefix_sums(bits: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Prefix sums of ``bits[order]``: ``c[i]`` counts the ones in order[:i].
+def _prefix_parities(bits: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Prefix parities of ``bits[order]``: ``c[i]`` is the parity of order[:i].
 
     This is the simulator's one gather for block and bisection parities:
-    the parity of order[lo:hi] is ``int(c[hi] - c[lo]) & 1``.  One gather
-    per party serves a pass's block comparisons and every halving of the
+    the parity of order[lo:hi] is ``c[hi] ^ c[lo]``.  The scan is a uint8
+    XOR, so it is a running count of ones taken modulo 2.  One gather per
+    party serves a pass's block comparisons and every halving of the
     bisections that follow them; back-correction gathers only the block it
-    bisects.
+    bisects, and a subset round only a mismatching subset.
     """
-    c = np.zeros(len(order) + 1, dtype=np.int64)
-    np.cumsum(bits[order], out=c[1:])
+    c = np.zeros(len(order) + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate(bits[order], out=c[1:])
     return c
 
 
@@ -319,20 +366,21 @@ def _bisect(
 ) -> int:
     """Find and correct one differing bit of order[left:right].
 
-    ``ca`` and ``cb`` are Alice's and Bob's prefix sums over order[base:],
-    and the range must hold an odd number of differences.  Each halving
-    publicly compares the left half's parities (one row) and descends into
-    the mismatching half (left first), which keeps the count odd.  The bit
-    it ends on is flipped on Bob's side and recorded; returns its position.
+    ``ca`` and ``cb`` are Alice's and Bob's prefix parities over
+    order[base:], and the range must hold an odd number of differences.
+    Each halving publicly compares the left half's parities (one row), each
+    the XOR of two prefix parities, and descends into the mismatching half
+    (left first), which keeps the count odd.  The bit it ends on is flipped
+    on Bob's side and recorded; returns its position.
     """
-    # Python ints from the sums' buffers: no NumPy scalar per halving
+    # Python ints from the prefixes' buffers: no NumPy scalar per halving
     ca, cb = memoryview(ca), memoryview(cb)
     rows = transcript._rows
     first = len(rows)
     while right - left > 1:
         mid = left + (right - left + 1) // 2
-        pa = (ca[mid - base] - ca[left - base]) & 1
-        pb = (cb[mid - base] - cb[left - base]) & 1
+        pa = ca[mid - base] ^ ca[left - base]
+        pb = cb[mid - base] ^ cb[left - base]
         rows.append((_BISECT_ROW, round_index, left, mid, pa, pb, -1))
         if pa != pb:
             right = mid
@@ -350,7 +398,6 @@ def _bisect(
 
 
 def _disclose(
-    pair: KeyPair,
     transcript: Transcript,
     kind: int,
     round_index: int,
@@ -358,7 +405,7 @@ def _disclose(
     hi: Sequence[int],
     parity_a: Sequence[int],
     parity_b: Sequence[int],
-    sums: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    prefixes: Callable[[], tuple[KeyPair, np.ndarray, np.ndarray, np.ndarray]],
 ) -> list[int]:
     """Disclose a batch of comparisons; correct one bit per mismatch.
 
@@ -366,13 +413,13 @@ def _disclose(
     Comparison ``j`` of the batch covers order[lo[j]:hi[j]] and carries
     Alice's and Bob's parities ``parity_a[j]`` and ``parity_b[j]``; every
     one is recorded as given, in batch order, a stretch of agreeing ones in
-    one step.  On the first mismatch ``sums()`` is called once for
-    ``(order, ca, cb)``: the order the ranges index, and Alice's and Bob's
-    prefix sums over it.  Each mismatch is bisected by :func:`_bisect`
-    before the next comparison's row.  A flip inside one range shifts both
-    ends of every later range alike, so the sums serve the whole batch.
-    Returns the flipped positions, one per mismatch in batch order, in the
-    coordinates ``order`` maps into.
+    one step.  On the first mismatch ``prefixes()`` is called once for
+    ``(pair, order, ca, cb)``: the keys to correct, the order the ranges
+    index, and Alice's and Bob's prefix parities over it.  Each mismatch is
+    bisected by :func:`_bisect` before the next comparison's row.  A flip
+    inside one range toggles both ends of every later range alike, so the
+    prefixes serve the whole batch.  Returns the flipped positions, one per
+    mismatch in batch order, in the coordinates ``order`` maps into.
     """
     rows = transcript._rows
     flipped: list[int] = []
@@ -383,7 +430,7 @@ def _disclose(
                         parity_a[start:stop], parity_b[start:stop], repeat(-1)))
         transcript.parities_revealed += stop - start
         if not flipped:
-            order, ca, cb = sums()
+            pair, order, ca, cb = prefixes()
         flipped.append(_bisect(pair, transcript, round_index, lo[j], hi[j], order, ca, cb))
         start = stop
     rows.extend(zip(repeat(kind), repeat(round_index), lo[start:], hi[start:],
@@ -392,23 +439,13 @@ def _disclose(
     return flipped
 
 
-def _apply_deletions(
-    pair: KeyPair, indices: Sequence[int], transcript: Transcript, round_index: int
+def _record_deletions(
+    transcript: Transcript, round_index: int, indices: Sequence[int]
 ) -> None:
-    """Record and apply deletions; indices are pre-deletion coordinates."""
+    """Record deletions; indices are pre-deletion coordinates."""
     transcript._rows.extend(zip(repeat(_DELETE_ROW), repeat(round_index), repeat(-1),
                                 repeat(-1), repeat(-1), repeat(-1), indices))
     transcript.bits_deleted += len(indices)
-    if len(indices) == 1:
-        # a subset round's one bit: two slices, no n-byte keep mask
-        i = indices[0]
-        pair.alice = np.concatenate((pair.alice[:i], pair.alice[i + 1:]))
-        pair.bob = np.concatenate((pair.bob[:i], pair.bob[i + 1:]))
-    else:
-        keep = np.ones(len(pair), dtype=bool)
-        keep[indices] = False
-        pair.alice = pair.alice[keep]
-        pair.bob = pair.bob[keep]
 
 
 def cascade_back_correction(
@@ -446,7 +483,8 @@ def cascade_back_correction(
         lo = j * rec.block_size
         block = rec.permutation[lo:lo + rec.block_size]
         toggle(_bisect(pair, transcript, rec.pass_index, lo, lo + len(block), rec.permutation,
-                       _prefix_sums(pair.alice, block), _prefix_sums(pair.bob, block), lo))
+                       _prefix_parities(pair.alice, block), _prefix_parities(pair.bob, block),
+                       lo))
         corrections += 1
     return corrections
 
@@ -463,7 +501,7 @@ def run_pass(
     Pass 0 runs on the raw bit order; later passes use the shared
     shuffle for their round.  The block size is the configured initial
     size grown by ``block_growth ** pass_index`` (capped at the current
-    key length).  One prefix-sum gather per party over the pass's order
+    key length).  One prefix-parity gather per party over the pass's order
     gives every block parity and every halving of the pass, and the blocks
     go to :func:`_disclose` as one batch.  In BBBSS mode the last bit of
     every compared block is then deleted.  In Cascade mode the pass joins
@@ -476,16 +514,21 @@ def run_pass(
         return
     k = min(_concrete_block_size(config) * config.block_growth**pass_index, n)
     perm = np.arange(n) if pass_index == 0 else shared_permutation(n, pass_index, config.seed)
-    ca = _prefix_sums(pair.alice, perm)
-    cb = _prefix_sums(pair.bob, perm)
+    ca = _prefix_parities(pair.alice, perm)
+    cb = _prefix_parities(pair.bob, perm)
     lo, hi = zip(*partition(n, k))
     starts, ends = np.array(lo), np.array(hi)
-    pa = ((ca[ends] - ca[starts]) & 1).tolist()
-    pb = ((cb[ends] - cb[starts]) & 1).tolist()
-    flipped = _disclose(pair, transcript, _BLOCK_ROW, pass_index, lo, hi, pa, pb,
-                        lambda: (perm, ca, cb))
+    pa = (ca[ends] ^ ca[starts]).tolist()
+    pb = (cb[ends] ^ cb[starts]).tolist()
+    flipped = _disclose(transcript, _BLOCK_ROW, pass_index, lo, hi, pa, pb,
+                        lambda: (pair, perm, ca, cb))
     if config.variant == BBBSS:
-        _apply_deletions(pair, perm[ends - 1].tolist(), transcript, pass_index)
+        deleted = perm[ends - 1]
+        _record_deletions(transcript, pass_index, deleted.tolist())
+        keep = np.ones(n, dtype=bool)
+        keep[deleted] = False
+        pair.alice = pair.alice[keep]
+        pair.bob = pair.bob[keep]
         return
     inverse = np.empty_like(perm)
     inverse[perm] = np.arange(n)
@@ -493,8 +536,13 @@ def run_pass(
     cascade_back_correction(pair, history, flipped, transcript)
 
 
+# Byte b with its bits in reverse order: the stream's mask bytes hold
+# their positions most significant bit first, the packed keys least first.
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def random_subset_round(
-    pair: KeyPair,
+    keys: PackedKeys,
     config: CascadeConfig,
     round_index: int,
     transcript: Transcript,
@@ -503,44 +551,57 @@ def random_subset_round(
 ) -> bool:
     """One random-subset comparison; returns True if a bit was corrected.
 
-    ``rng`` is the run's one shared subset stream, which :func:`reconcile`
-    seeds once from ``(config.seed, 2)``; ``round_index`` only labels the
-    events.  The subset includes each position independently with
-    probability 1/2: its mask is the bits of ``ceil(n/64)`` raw 64-bit
-    words of the stream, each word's bytes little-endian and each byte
-    most significant bit first, cut to n bits; an empty mask is redrawn
-    from the same stream.  Both parities are read straight from the mask,
-    and the event keeps it packed.  On a parity mismatch the subset is
-    bisected like a block, in a shared random order, the stream's next
-    permutation of the subset; only then are that order and the prefix
-    sums over it built.  In BBBSS mode the subset's last bit (its highest
-    position) is deleted after the round; in Cascade mode a correction is
-    back-corrected.
+    ``keys`` is the run's packed pair, which the round corrects and, in
+    BBBSS mode, shortens in place.  ``rng`` is the run's one shared subset
+    stream, which :func:`reconcile` seeds once from ``(config.seed, 2)``;
+    ``round_index`` only labels the events.  The subset includes each
+    position independently with probability 1/2: its mask is the bits of
+    ``ceil(n/64)`` raw 64-bit words of the stream, each word's bytes
+    little-endian and each byte most significant bit first, cut to n bits;
+    an empty mask is redrawn from the same stream.  Those bytes with the
+    padding bits cleared are the event's packed mask, and bit-reversed byte
+    by byte they are the mask as one int, whose AND with each key gives
+    that party's parity.  Only on a parity mismatch are the keys unpacked
+    and the subset bisected like a block, in a shared random order, the
+    stream's next permutation of the subset, over which the prefix
+    parities are then built.  In BBBSS mode the subset's last bit (its
+    highest position) is deleted after the round; in Cascade mode a
+    correction is back-corrected on the unpacked keys.  Either way Bob's
+    key is packed again after a correction.
     """
-    n = len(pair)
+    n = keys.n
     if n < 2:
         raise ValueError(f"subset rounds need a key of length >= 2, got {n}")
-    words = -(-n // 64)
+    words, size_bytes = -(-n // 64), -(-n // 8)
+    last_byte = 0xFF << (8 * size_bytes - n) & 0xFF  # the last byte's positions below n
     while True:
-        raw = rng.bit_generator.random_raw(words).astype("<u8", copy=False)
-        mask = np.unpackbits(raw.view(np.uint8), count=n)
-        size = int(np.count_nonzero(mask))
-        if size:
+        raw = rng.bit_generator.random_raw(words).astype("<u8", copy=False).tobytes()
+        packed = raw[:size_bytes - 1] + bytes((raw[size_bytes - 1] & last_byte,))
+        mask = int.from_bytes(packed.translate(_BIT_REVERSED), "little")
+        if mask:
             break
-    bits = mask.view(bool)
+    size = mask.bit_count()
+    pair = None
 
-    def shuffled_sums():
-        order = np.flatnonzero(bits)[rng.permutation(size)]
-        return order, _prefix_sums(pair.alice, order), _prefix_sums(pair.bob, order)
+    def shuffled_prefixes():
+        nonlocal pair
+        pair = KeyPair(*keys.unpack())
+        subset = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n).view(bool)
+        order = np.flatnonzero(subset)[rng.permutation(size)]
+        return pair, order, _prefix_parities(pair.alice, order), _prefix_parities(pair.bob, order)
 
-    transcript._masks.append(np.packbits(mask).tobytes())
-    flipped = _disclose(pair, transcript, _SUBSET_ROW, round_index, [0], [size],
-                        [int(np.count_nonzero(pair.alice & mask)) & 1],
-                        [int(np.count_nonzero(pair.bob & mask)) & 1], shuffled_sums)
-    if config.variant == CASCADE:
-        cascade_back_correction(pair, history, flipped, transcript)
-    else:
-        _apply_deletions(pair, [n - 1 - int(bits[::-1].argmax())], transcript, round_index)
+    transcript._masks.append(packed)
+    flipped = _disclose(transcript, _SUBSET_ROW, round_index, [0], [size],
+                        [(keys.alice & mask).bit_count() & 1],
+                        [(keys.bob & mask).bit_count() & 1], shuffled_prefixes)
+    if flipped:
+        if config.variant == CASCADE:
+            cascade_back_correction(pair, history, flipped, transcript)
+        keys.bob = _pack(pair.bob)
+    if config.variant == BBBSS:
+        highest = mask.bit_length() - 1
+        _record_deletions(transcript, round_index, [highest])
+        keys.delete(highest)
     return bool(flipped)
 
 
@@ -561,8 +622,10 @@ def reconcile(
 
     Executes ``num_passes`` block passes, then random-subset rounds until
     ``termination_successes`` consecutive comparisons have agreed since
-    the last correction (or the key becomes too short for subsets).  Pass
-    a :class:`Transcript` to capture the public-channel ledger.
+    the last correction (or the key becomes too short for subsets).  The
+    subset rounds run on the pair packed once into a :class:`PackedKeys`,
+    unpacked into ``pair`` after the last round.  Pass a
+    :class:`Transcript` to capture the public-channel ledger.
     Deterministic given the pair and the config.
     """
     _concrete_block_size(config)
@@ -575,12 +638,14 @@ def reconcile(
         run_pass(pair, p, config, t, history)
         passes_executed += 1
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SUBSET_STREAM]))
+    keys = PackedKeys(pair)
     successes = 0
     rounds = 0
-    while successes < config.termination_successes and len(pair) >= 2:
-        corrected = random_subset_round(pair, config, rounds, t, history, rng)
+    while successes < config.termination_successes and keys.n >= 2:
+        corrected = random_subset_round(keys, config, rounds, t, history, rng)
         rounds += 1
         successes = 0 if corrected else successes + 1
+    pair.alice, pair.bob = keys.unpack()
     residual = pair.residual_errors()
     return ReconcileOutcome(
         final_length=len(pair),

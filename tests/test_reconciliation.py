@@ -42,12 +42,13 @@ from coxcascade.reconciliation import (
     CascadeConfig,
     Event,
     KeyPair,
+    PackedKeys,
     ProtocolError,
     Transcript,
     _BLOCK_ROW,
     _bisect,
     _disclose,
-    _prefix_sums,
+    _prefix_parities,
     bits_from_string,
     cascade_back_correction,
     make_key_pair,
@@ -168,16 +169,16 @@ def hand_bisect(alice, bob, lo, hi):
 
 def locate(alice, bob, order, lo, hi, transcript, round_index=0):
     """Run ``_disclose`` on a batch of one, order[lo:hi], its parities read
-    from prefix sums gathered over the order from copies of the keys; the
+    from prefix parities gathered over the order from copies of the keys; the
     range must hold an odd number of differences.  Check that it flipped
     Bob's bit at the returned position, and nothing else, and recorded that
     flip last."""
     pair = KeyPair(alice.copy(), bob.copy())
-    ca = _prefix_sums(pair.alice, order)
-    cb = _prefix_sums(pair.bob, order)
-    flipped = _disclose(pair, transcript, _BLOCK_ROW, round_index, [lo], [hi],
-                        [int(ca[hi] - ca[lo]) & 1], [int(cb[hi] - cb[lo]) & 1],
-                        lambda: (order, ca, cb))
+    ca = _prefix_parities(pair.alice, order)
+    cb = _prefix_parities(pair.bob, order)
+    flipped = _disclose(transcript, _BLOCK_ROW, round_index, [lo], [hi],
+                        [int(ca[hi] ^ ca[lo])], [int(cb[hi] ^ cb[lo])],
+                        lambda: (pair, order, ca, cb))
     assert len(flipped) == 1
     found = flipped[0]
     assert np.flatnonzero(pair.bob != bob).tolist() == [found]
@@ -218,33 +219,33 @@ class TestBisectError:
             assert found in placement
 
     def test_even_count_precondition(self):
-        # stale sums claim one difference where the keys now agree (an even
-        # count): the search lands on an agreeing bit and corrects nothing
+        # stale prefixes claim one difference where the keys now agree (an
+        # even count): the search lands on an agreeing bit and corrects nothing
         pair = KeyPair(np.zeros(6, dtype=np.uint8), bits_from_string("000100"))
         order = np.arange(6)
-        ca = _prefix_sums(pair.alice, order)
-        cb = _prefix_sums(pair.bob, order)
+        ca = _prefix_parities(pair.alice, order)
+        cb = _prefix_parities(pair.bob, order)
         pair.bob[3] ^= 1
         t = Transcript()
         with pytest.raises(ProtocolError):
-            _disclose(pair, t, _BLOCK_ROW, 0, [0], [6], [0], [1],
-                      lambda: (order, ca, cb))
+            _disclose(t, _BLOCK_ROW, 0, [0], [6], [0], [1],
+                      lambda: (pair, order, ca, cb))
         assert t.corrections_made == 0
         assert pair.residual_errors() == 0
         assert t.events[0] == Event(COMPARE_BLOCK, 0, 0, 6, parity_a=0, parity_b=1)
 
     def test_agreeing_parities_flip_nothing(self):
         # two differences in range: the comparison agrees, nothing moves and
-        # the sums for a bisection are never asked for
+        # the keys and prefixes for a bisection are never asked for
         alice = np.zeros(6, dtype=np.uint8)
         bob = bits_from_string("010010")
         pair = KeyPair(alice, bob.copy())
         t = Transcript()
 
-        def no_sums():
-            raise AssertionError("sums built for an agreeing comparison")
+        def no_prefixes():
+            raise AssertionError("prefixes built for an agreeing comparison")
 
-        flipped = _disclose(pair, t, _BLOCK_ROW, 2, [0], [6], [0], [0], no_sums)
+        flipped = _disclose(t, _BLOCK_ROW, 2, [0], [6], [0], [0], no_prefixes)
         assert flipped == []
         assert np.array_equal(pair.bob, bob)
         assert t.events == [Event(COMPARE_BLOCK, 2, 0, 6, parity_a=0, parity_b=0)]
@@ -267,7 +268,7 @@ def reference_bisect(alice, bob, order, lo, hi, events, round_index):
 @st.composite
 def bisect_cases(draw):
     """Random keys, order, [lo, hi) with an odd number of differences in
-    order[lo:hi], and a start ``base <= lo`` for prefix sums over
+    order[lo:hi], and a start ``base <= lo`` for prefix parities over
     order[base:hi], as back-correction gathers them; positions outside the
     range may differ too."""
     n = draw(st.integers(1, 80))
@@ -305,14 +306,33 @@ class TestPrefixBisect:
         assert pa != pb
         assert t_new.events[0] == Event(COMPARE_BLOCK, round_index, lo, hi, pa, pb)
         assert t_new.events[1:-1] == ref_events
-        # back-correction's form: sums over order[base:hi] alone, no comparison
+        # back-correction's form: prefixes over order[base:hi] alone, no comparison
         pair, t_base = KeyPair(alice.copy(), bob.copy()), Transcript()
         assert _bisect(pair, t_base, round_index, lo, hi, order,
-                       _prefix_sums(pair.alice, order[base:hi]),
-                       _prefix_sums(pair.bob, order[base:hi]), base) == found
+                       _prefix_parities(pair.alice, order[base:hi]),
+                       _prefix_parities(pair.bob, order[base:hi]), base) == found
         assert t_base.events == t_new.events[1:]
         assert t_base.parities_revealed == len(ref_events)
         assert np.flatnonzero(pair.bob != bob).tolist() == [found]
+
+
+def bit_arrays(n: int):
+    """Uniform n-bit uint8 arrays, drawn as packed bytes."""
+    return st.binary(min_size=-(-n // 8), max_size=-(-n // 8)).map(
+        lambda b: np.unpackbits(np.frombuffer(b, dtype=np.uint8), count=n))
+
+
+class TestPrefixParities:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 300).flatmap(lambda n: st.tuples(
+        bit_arrays(n), st.integers(0, 2**32 - 1), st.integers(0, n))))
+    def test_equals_the_running_count_mod_2(self, case):
+        # orders may repeat no position and cover only part of the bits
+        bits, seed, m = case
+        order = np.random.default_rng(seed).permutation(len(bits))[:m]
+        c = _prefix_parities(bits, order)
+        assert c.dtype == np.uint8 and c[0] == 0
+        assert np.array_equal(c[1:], np.cumsum(bits[order], dtype=np.int64) & 1)
 
 
 @st.composite
@@ -337,17 +357,17 @@ class TestDiscloseBatch:
         runs = []
         for batches in ([range(len(lo))], [[j] for j in range(len(lo))]):
             pair = KeyPair(alice.copy(), bob.copy())
-            ca = _prefix_sums(pair.alice, order)
-            cb = _prefix_sums(pair.bob, order)
-            pa = [int(ca[h] - ca[l]) & 1 for l, h in zip(lo, hi)]
-            pb = [int(cb[h] - cb[l]) & 1 for l, h in zip(lo, hi)]
+            ca = _prefix_parities(pair.alice, order)
+            cb = _prefix_parities(pair.bob, order)
+            pa = [int(ca[h] ^ ca[l]) for l, h in zip(lo, hi)]
+            pb = [int(cb[h] ^ cb[l]) for l, h in zip(lo, hi)]
             t = Transcript()
             flipped = []
             for batch in batches:
-                flipped += _disclose(pair, t, _BLOCK_ROW, round_index,
+                flipped += _disclose(t, _BLOCK_ROW, round_index,
                                      [lo[j] for j in batch], [hi[j] for j in batch],
                                      [pa[j] for j in batch], [pb[j] for j in batch],
-                                     lambda: (order, ca, cb))
+                                     lambda: (pair, order, ca, cb))
             assert len(flipped) == sum(a != b for a, b in zip(pa, pb))
             for l, h in zip(lo, hi):
                 sel = order[l:h]
@@ -358,18 +378,18 @@ class TestDiscloseBatch:
 
     def test_agreeing_bit_inside_a_batch_raises(self):
         # three four-bit blocks: the first holds one difference; the second's
-        # sums are stale and claim one where the keys now agree, so its
+        # prefixes are stale and claim one where the keys now agree, so its
         # search lands on an agreeing bit; the third is never compared
         alice = np.zeros(12, dtype=np.uint8)
         pair = KeyPair(alice, bits_from_string("010000100000"))
         order = np.arange(12)
-        ca = _prefix_sums(pair.alice, order)
-        cb = _prefix_sums(pair.bob, order)
+        ca = _prefix_parities(pair.alice, order)
+        cb = _prefix_parities(pair.bob, order)
         pair.bob[6] ^= 1
         t = Transcript()
         with pytest.raises(ProtocolError):
-            _disclose(pair, t, _BLOCK_ROW, 1, [0, 4, 8], [4, 8, 12], [0, 0, 0], [1, 1, 0],
-                      lambda: (order, ca, cb))
+            _disclose(t, _BLOCK_ROW, 1, [0, 4, 8], [4, 8, 12], [0, 0, 0], [1, 1, 0],
+                      lambda: (pair, order, ca, cb))
         assert t.to_lines() == [
             "compare-block round=1 range=0:4 a=0 b=1",
             "bisect round=1 range=0:2 a=0 b=1",
@@ -541,48 +561,48 @@ class TestRandomSubsetRound:
         return CascadeConfig(initial_block_size=4, variant=variant, seed=seed)
 
     def test_zero_errors_always_agree(self):
-        pair = make_key_pair(32, ErrorPattern(32, ()), seed=6)
+        keys = PackedKeys(make_key_pair(32, ErrorPattern(32, ()), seed=6))
         config = self.config()
         rng = subset_stream(0)
         for r in range(50):
-            assert random_subset_round(pair, config, r, Transcript(), [], rng) is False
+            assert random_subset_round(keys, config, r, Transcript(), [], rng) is False
 
     def test_single_error_mismatch_probability(self):
         # the lone error joins the subset with probability 1/2 exactly
-        pair = make_key_pair(12, ErrorPattern(12, (5,)), seed=8)
+        keys = PackedKeys(make_key_pair(12, ErrorPattern(12, (5,)), seed=8))
         config = self.config(seed=21)
         rng = subset_stream(21)
         rounds = 10_000
         hits = 0
         for r in range(rounds):
-            corrected = random_subset_round(pair, config, r, Transcript(), [], rng)
+            corrected = random_subset_round(keys, config, r, Transcript(), [], rng)
             if corrected:
                 hits += 1
-                pair.bob[5] ^= 1  # restore the error for the next round
+                keys.bob ^= 1 << 5  # restore the error for the next round
         p_hat = hits / rounds
         assert abs(p_hat - 0.5) < 3.0 * math.sqrt(0.25 / rounds)
 
     def test_bbbss_deletes_exactly_one_bit(self):
-        pair = make_key_pair(12, ErrorPattern(12, (5,)), seed=8)
+        keys = PackedKeys(make_key_pair(12, ErrorPattern(12, (5,)), seed=8))
         t = Transcript()
-        random_subset_round(pair, self.config(variant=BBBSS, seed=4), 0, t, [],
+        random_subset_round(keys, self.config(variant=BBBSS, seed=4), 0, t, [],
                             subset_stream(4))
-        assert len(pair) == 11
+        assert keys.n == 11
         assert t.bits_deleted == 1
 
     def test_correction_fixes_a_true_difference(self):
-        pair = make_key_pair(16, ErrorPattern(16, (3,)), seed=2)
+        keys = PackedKeys(make_key_pair(16, ErrorPattern(16, (3,)), seed=2))
         config = self.config(seed=13)
         rng = subset_stream(13)
         for r in range(64):
-            if random_subset_round(pair, config, r, Transcript(), [], rng):
+            if random_subset_round(keys, config, r, Transcript(), [], rng):
                 break
-        assert pair.residual_errors() == 0
+        assert KeyPair(*keys.unpack()).residual_errors() == 0
 
     def test_minimum_length(self):
-        pair = make_key_pair(1, ErrorPattern(1, ()), seed=0)
+        keys = PackedKeys(make_key_pair(1, ErrorPattern(1, ()), seed=0))
         with pytest.raises(ValueError):
-            random_subset_round(pair, self.config(), 0, Transcript(), [], subset_stream(0))
+            random_subset_round(keys, self.config(), 0, Transcript(), [], subset_stream(0))
 
     @pytest.mark.parametrize("variant", [BBBSS, CASCADE])
     @pytest.mark.parametrize("n", [13, 24, 61])
@@ -592,7 +612,7 @@ class TestRandomSubsetRound:
         pair = make_key_pair(n, ErrorPattern(n, (0, n // 2, n - 1)), seed=n)
         alice, bob = pair.alice.copy(), pair.bob.copy()
         t = Transcript()
-        random_subset_round(pair, self.config(variant=variant, seed=9), 3, t, [],
+        random_subset_round(PackedKeys(pair), self.config(variant=variant, seed=9), 3, t, [],
                             subset_stream(9))
         event = t.events[0]
         assert event.kind == COMPARE_SUBSET
@@ -609,11 +629,11 @@ class TestRandomSubsetRound:
         config = self.config(seed=33)
         lines = []
         for _ in range(2):
-            pair = make_key_pair(24, ErrorPattern(24, (7, 11)), seed=1)
+            keys = PackedKeys(make_key_pair(24, ErrorPattern(24, (7, 11)), seed=1))
             rng = subset_stream(33)
             t = Transcript()
             for r in range(30):
-                random_subset_round(pair, config, r, t, [], rng)
+                random_subset_round(keys, config, r, t, [], rng)
             lines.append(t.to_lines())
         assert lines[0] == lines[1]
         assert any(line.startswith("correct ") for line in lines[0])
@@ -676,10 +696,11 @@ class TestSubsetStream:
         pair = make_key_pair(n, ErrorPattern(n, errors), seed=n)
         expected, redraws = oracle_subset_rounds(pair.alice, pair.bob, variant, 57, rounds)
         config = CascadeConfig(initial_block_size=4, variant=variant, seed=57)
+        keys = PackedKeys(pair)
         rng = subset_stream(57)
         t = Transcript()
         for r in range(rounds):
-            random_subset_round(pair, config, r, t, [], rng)
+            random_subset_round(keys, config, r, t, [], rng)
         assert t.to_lines() == expected
         if n <= 3:
             assert redraws > 0
@@ -696,16 +717,109 @@ class TestSubsetStream:
 
     def test_mean_subset_size_is_half_the_key(self):
         n, rounds = 61, 4000
-        pair = make_key_pair(n, ErrorPattern(n, ()), seed=3)
+        keys = PackedKeys(make_key_pair(n, ErrorPattern(n, ()), seed=3))
         config = CascadeConfig(initial_block_size=4, variant=CASCADE, seed=12)
         rng = subset_stream(12)
         t = Transcript()
         for r in range(rounds):
-            random_subset_round(pair, config, r, t, [], rng)
+            random_subset_round(keys, config, r, t, [], rng)
         sizes = np.array([e.hi for e in t.events], dtype=np.float64)
         assert len(sizes) == rounds
         # each position joins with probability 1/2: variance n/4 per round
         assert abs(sizes.mean() - n / 2) < 3.0 * math.sqrt(n / 4 / rounds)
+
+
+def replay_subset_round(alice, bob, variant, gen):
+    """One subset round replayed on numpy arrays, from ``gen``'s raw words.
+
+    Written without the simulator's packing: the mask is ``unpackbits`` of
+    the raw words' little-endian bytes cut to n bits, the parities are
+    ``count_nonzero`` over the unpacked keys, and a mismatch is bisected by
+    summing each left half afresh.  Returns the accepted draw's raw bytes
+    (uint8), the mask, both parities, the keys after the round and the
+    number of empty masks redrawn.
+    """
+    n = len(alice)
+    redraws = 0
+    while True:
+        raw = gen.bit_generator.random_raw(-(-n // 64)).astype("<u8").view(np.uint8)
+        mask = np.unpackbits(raw)[:n]
+        if np.count_nonzero(mask):
+            break
+        redraws += 1
+    pa = int(np.count_nonzero(alice & mask)) % 2
+    pb = int(np.count_nonzero(bob & mask)) % 2
+    alice, bob = alice.copy(), bob.copy()
+    positions = np.flatnonzero(mask)
+    if pa != pb:
+        order = positions[gen.permutation(len(positions))]
+        lo, hi = 0, len(order)
+        while hi - lo > 1:
+            mid = lo + (hi - lo + 1) // 2
+            if int(alice[order[lo:mid]].sum()) % 2 != int(bob[order[lo:mid]].sum()) % 2:
+                hi = mid
+            else:
+                lo = mid
+        bob[order[lo]] ^= 1
+    if variant == BBBSS:
+        alice, bob = np.delete(alice, positions.max()), np.delete(bob, positions.max())
+    return raw, mask, pa, pb, alice, bob, redraws
+
+
+def check_packed_round(alice, bob, variant, seed):
+    """Run one packed subset round from ``default_rng(seed)`` and check it
+    against :func:`replay_subset_round` on a twin generator; returns the
+    replay's redraw count."""
+    n = len(alice)
+    raw, mask, pa, pb, alice_after, bob_after, redraws = replay_subset_round(
+        alice, bob, variant, np.random.default_rng(seed))
+    keys = PackedKeys(KeyPair(alice.copy(), bob.copy()))
+    t = Transcript()
+    corrected = random_subset_round(keys, CascadeConfig(initial_block_size=4, variant=variant),
+                                    5, t, [], np.random.default_rng(seed))
+    events = t.events
+    assert events[0] == Event(COMPARE_SUBSET, 5, 0, int(np.count_nonzero(mask)), pa, pb,
+                              subset=np.packbits(np.unpackbits(raw)[:n]).tobytes())
+    assert corrected == (pa != pb)
+    if variant == BBBSS:
+        # the subset's highest position
+        assert events[-1] == Event(DELETE, 5, index=int(np.flatnonzero(mask)[-1]))
+    assert not any(e.kind == DELETE for e in events[:-1])
+    # position i of a packed key is bit i
+    assert keys.n == len(alice_after)
+    assert keys.alice == sum(1 << int(i) for i in np.flatnonzero(alice_after))
+    assert keys.bob == sum(1 << int(i) for i in np.flatnonzero(bob_after))
+    a, b = keys.unpack()
+    assert np.array_equal(a, alice_after) and np.array_equal(b, bob_after)
+    return redraws
+
+
+@st.composite
+def packed_round_cases(draw):
+    """Keys of n in 2..300 bits, word and byte boundaries drawn often, with
+    any set of differences."""
+    n = draw(st.one_of(st.integers(2, 300),
+                       st.sampled_from([2, 3, 7, 8, 9, 63, 64, 65, 127, 128, 129, 257, 300])))
+    alice = draw(bit_arrays(n))
+    bob = alice.copy()
+    bob[sorted(draw(st.sets(st.integers(0, n - 1), max_size=8)))] ^= 1
+    return alice, bob
+
+
+class TestPackedSubsetRound:
+    """A round on packed keys against a numpy replay of the same stream."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(packed_round_cases(), st.sampled_from([BBBSS, CASCADE]), st.integers(0, 2**32 - 1))
+    def test_matches_the_numpy_replay(self, case, variant, seed):
+        alice, bob = case
+        check_packed_round(alice, bob, variant, seed)
+
+    @pytest.mark.parametrize("variant", [BBBSS, CASCADE])
+    def test_empty_mask_is_redrawn_at_n_2(self, variant):
+        # default_rng(9)'s first two raw words each start with two zero bits
+        assert check_packed_round(bits_from_string("01"), bits_from_string("11"),
+                                  variant, 9) == 2
 
 
 class TestReconcile:
@@ -905,6 +1019,11 @@ PASS_PHASE_DIGESTS = {
 # back-correct, so no change to back-correction may move this digest.
 CASCADE_PASS_ZERO_DIGEST = "606840005b321958ee79b50554f9a8e16b2320b9644cd14ac568535662d04349"
 
+# SHA-256 over the lines and outcome repr of one Cascade run at n = 4099,
+# seed 17, its sub-seeds derived as the CLI derives them; computed before
+# the subset phase ran on packed keys.
+CASCADE_ODD_LENGTH_DIGEST = "4ea9ad1dd606945366a9e130b52a0e42f9a70afaac321b6ceae7f082ac1577c0"
+
 
 @pytest.fixture(scope="module")
 def golden_grid():
@@ -952,6 +1071,19 @@ class TestGoldenTranscripts:
                         lambda line: not line.startswith(COMPARE_BLOCK + " round=1 "), lines):
                     h.update(line.encode() + b"\n")
         assert h.hexdigest() == CASCADE_PASS_ZERO_DIGEST
+
+    def test_cascade_odd_length_digest(self):
+        # Cascade never changes length, and the grid's lengths are multiples
+        # of 8: this run's subset masks end in a partial byte
+        g, layout, n, seed = GammaIntensity(10.0, 2.0), TimeUnitLayout(250), 4099, 17
+        pair = make_key_pair(n, sample_error_pattern(n, layout, g, seed), seed + 1)
+        t = Transcript()
+        out = reconcile(pair, CascadeConfig(variant=CASCADE, seed=seed + 2).resolve(layout, g), t)
+        h = hashlib.sha256()
+        for line in t.to_lines():
+            h.update(line.encode() + b"\n")
+        h.update(repr(out).encode() + b"\n")
+        assert h.hexdigest() == CASCADE_ODD_LENGTH_DIGEST
 
     def test_no_block_compared_twice(self, golden_grid):
         # every block parity goes public once: no (round, range) repeats
