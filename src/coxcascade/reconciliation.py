@@ -5,9 +5,11 @@ positions.  They repeatedly shuffle with a shared permutation, partition
 into blocks, and compare block parities over a public channel; a
 mismatched block is bisected to locate and flip one of Bob's bits.  After
 the block passes, parities of random subsets are compared until enough
-consecutive agreements have accumulated.  Each later pass seeds its own
+consecutive agreements have accumulated; a mismatched subset is bisected
+over its positions in ascending key order.  Each later pass seeds its own
 shuffle from the session seed and its index; the subset rounds of a run
-share one stream, seeded once, whose raw 64-bit words are the subset masks.
+share one stream, seeded once, whose raw 64-bit words are the subset masks
+and which supplies nothing else.
 
 Two variants are simulated.  In the original protocol (``BBBSS``) the
 last bit of every compared block and subset is discarded to pay for the
@@ -22,22 +24,25 @@ bisected in turn, which can expose errors their passes missed
 Both parties live in one process.  Every publicly exchanged parity,
 deletion, and correction is appended to a :class:`Transcript`, so the
 information leaked to an eavesdropper is exactly the transcript ledger.
-One disclosure routine writes every comparison: it takes a batch of
-ranges with their parities, records each stretch of agreeing ones in one
-step and bisects each mismatch.  A block pass hands it all its blocks at
-once and a subset round its one subset.  Back-correction bisects with
-the same halving step but writes no comparison, since both parities of
-the block are already known.  The ledger holds plain integer rows, from
-which each read of ``Transcript.events`` builds the events afresh.
+A block pass hands all its blocks with their parities to one disclosure
+routine, which records each stretch of agreeing ones in one step and
+bisects each mismatch.  Back-correction bisects with the same halving
+step but writes no comparison, since both parities of the block are
+already known.  A subset round records its one comparison itself and
+halves a mismatch with the same rule on the packed keys.  The ledger
+holds plain integer rows, from which each read of ``Transcript.events``
+builds the events afresh.
 The simulator is omniscient (it can compare the two strings directly) but
 only uses that power for outcome metrics and internal sanity checks,
 never to steer the protocol.
 
 Only parities are ever published, so only parities are computed.  Block
-passes and bisections read XOR prefix parities of the gathered bits.  The
-subset phase holds both keys packed into Python ints (:class:`PackedKeys`),
-where a subset's parity is the bit count of an AND; numpy arrays are
-built only for a round whose parities differ.
+passes and their bisections read XOR prefix parities of the gathered
+bits.  The subset phase holds both keys packed into Python ints
+(:class:`PackedKeys`), where the parity of a subset, or of any stretch of
+it, is the bit count of an AND; numpy arrays are built only to list a
+mismatching subset's positions, and the keys are unpacked only for
+Cascade's back-correction.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from itertools import compress, repeat
 from operator import ne
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -218,7 +223,8 @@ class Event(NamedTuple):
     whose block they search), and the subset round otherwise.  ``lo:hi``
     ranges are positions in the round's shuffled order; a subset
     comparison spans ``0:hi``, ``hi`` being the subset's size, and its
-    bisections are ordinal ranges within the subset's shared random order.
+    bisections are ordinal ranges within the subset's positions in
+    ascending key order.
     ``subset`` is a subset comparison's mask over the key, packed as
     ``np.packbits(mask).tobytes()`` (n/8 bytes, zero padding bits): the
     round's raw stream bytes, cut to n bits.  :meth:`to_line` unpacks it
@@ -263,9 +269,12 @@ class Transcript:
     hi, parity_a, parity_b, index)``, ``kind`` indexing :data:`_KINDS` and
     unused fields -1, with each subset comparison's packed mask kept on the
     side in row order: the round's stream bytes, stored as drawn once the
-    padding bits are cleared.  :func:`_disclose` writes the comparison
-    rows, :func:`_bisect` the bisection and correction rows and
-    :func:`_record_deletions` the deletions; each bumps the counters in
+    padding bits are cleared.  :func:`_disclose` writes the block
+    comparison rows and :func:`random_subset_round` the subset comparison
+    rows with their masks; :func:`_bisect` writes the bisection and
+    correction rows of block passes and back-correction,
+    :func:`_bisect_subset` those of subset rounds, and
+    :func:`_record_deletions` the deletions.  Each bumps the counters in
     bulk.  :attr:`events` builds its :class:`Event` list afresh on every
     read, so changing the list it returns leaves the transcript as it was.
     """
@@ -353,7 +362,7 @@ def _prefix_parities(bits: np.ndarray, order: np.ndarray) -> np.ndarray:
     XOR, so it is a running count of ones taken modulo 2.  One gather per
     party serves a pass's block comparisons and every halving of the
     bisections that follow them; back-correction gathers only the block it
-    bisects, and a subset round only a mismatching subset.
+    bisects.
     """
     c = np.zeros(len(order) + 1, dtype=np.uint8)
     np.bitwise_xor.accumulate(bits[order], out=c[1:])
@@ -397,43 +406,86 @@ def _bisect(
     return found
 
 
+def _bisect_subset(
+    keys: PackedKeys, transcript: Transcript, round_index: int, positions: np.ndarray,
+    am: int, bm: int,
+) -> int:
+    """Find and correct one differing bit of a subset of the packed keys.
+
+    ``positions`` are the subset's key positions in ascending order, and
+    ``am`` and ``bm`` are Alice's and Bob's keys ANDed with its mask, which
+    must hold an odd number of differences.  The halving rule is
+    :func:`_bisect`'s over the ordinals of ``positions``: each halving
+    publicly compares the left half's parities (one row), each the bit
+    count of the keys' stretch from the left half's first position up to
+    the right half's first, and descends into the mismatching half (left
+    first).  The bit it ends on is flipped in ``keys.bob`` and recorded;
+    returns its position.
+    """
+    # Python ints from the positions' buffer: no NumPy scalar per halving
+    pos = memoryview(positions)
+    rows = transcript._rows
+    first = len(rows)
+    left, right = 0, len(pos)
+    while right - left > 1:
+        mid = left + (right - left + 1) // 2
+        low = pos[left]
+        stretch = (1 << (pos[mid] - low)) - 1
+        pa = ((am >> low) & stretch).bit_count() & 1
+        pb = ((bm >> low) & stretch).bit_count() & 1
+        rows.append((_BISECT_ROW, round_index, left, mid, pa, pb, -1))
+        if pa != pb:
+            right = mid
+        else:
+            left = mid
+    transcript.parities_revealed += len(rows) - first
+    found = pos[left]
+    if not (am ^ bm) >> found & 1:
+        raise ProtocolError("bisection landed on an agreeing bit; the searched subset "
+                            "had an even number of differences")
+    keys.bob ^= 1 << found
+    rows.append((_CORRECT_ROW, round_index, -1, -1, -1, -1, found))
+    transcript.corrections_made += 1
+    return found
+
+
 def _disclose(
     transcript: Transcript,
-    kind: int,
     round_index: int,
     lo: Sequence[int],
     hi: Sequence[int],
     parity_a: Sequence[int],
     parity_b: Sequence[int],
-    prefixes: Callable[[], tuple[KeyPair, np.ndarray, np.ndarray, np.ndarray]],
+    pair: KeyPair,
+    order: np.ndarray,
+    ca: np.ndarray,
+    cb: np.ndarray,
 ) -> list[int]:
-    """Disclose a batch of comparisons; correct one bit per mismatch.
+    """Disclose a batch of block comparisons; correct one bit per mismatch.
 
-    The simulator's one disclosure step: only it writes comparison rows.
-    Comparison ``j`` of the batch covers order[lo[j]:hi[j]] and carries
-    Alice's and Bob's parities ``parity_a[j]`` and ``parity_b[j]``; every
-    one is recorded as given, in batch order, a stretch of agreeing ones in
-    one step.  On the first mismatch ``prefixes()`` is called once for
-    ``(pair, order, ca, cb)``: the keys to correct, the order the ranges
-    index, and Alice's and Bob's prefix parities over it.  Each mismatch is
-    bisected by :func:`_bisect` before the next comparison's row.  A flip
-    inside one range toggles both ends of every later range alike, so the
-    prefixes serve the whole batch.  Returns the flipped positions, one per
-    mismatch in batch order, in the coordinates ``order`` maps into.
+    Only it writes ``compare-block`` rows.  Comparison ``j`` of the batch
+    covers order[lo[j]:hi[j]] and carries Alice's and Bob's parities
+    ``parity_a[j]`` and ``parity_b[j]``; every one is recorded as given, in
+    batch order, a stretch of agreeing ones in one step.  ``ca`` and ``cb``
+    are Alice's and Bob's prefix parities over ``order``, and each mismatch
+    is bisected by :func:`_bisect` on ``pair`` before the next comparison's
+    row.  A flip inside one range toggles both ends of every later range
+    alike, so the prefixes serve the whole batch.  Returns the flipped
+    positions, one per mismatch in batch order, in the coordinates
+    ``order`` maps into.
     """
     rows = transcript._rows
     flipped: list[int] = []
     start = 0
     for j in compress(range(len(lo)), map(ne, parity_a, parity_b)):
         stop = j + 1
-        rows.extend(zip(repeat(kind), repeat(round_index), lo[start:stop], hi[start:stop],
-                        parity_a[start:stop], parity_b[start:stop], repeat(-1)))
+        rows.extend(zip(repeat(_BLOCK_ROW), repeat(round_index), lo[start:stop],
+                        hi[start:stop], parity_a[start:stop], parity_b[start:stop],
+                        repeat(-1)))
         transcript.parities_revealed += stop - start
-        if not flipped:
-            pair, order, ca, cb = prefixes()
         flipped.append(_bisect(pair, transcript, round_index, lo[j], hi[j], order, ca, cb))
         start = stop
-    rows.extend(zip(repeat(kind), repeat(round_index), lo[start:], hi[start:],
+    rows.extend(zip(repeat(_BLOCK_ROW), repeat(round_index), lo[start:], hi[start:],
                     parity_a[start:], parity_b[start:], repeat(-1)))
     transcript.parities_revealed += len(lo) - start
     return flipped
@@ -520,8 +572,7 @@ def run_pass(
     starts, ends = np.array(lo), np.array(hi)
     pa = (ca[ends] ^ ca[starts]).tolist()
     pb = (cb[ends] ^ cb[starts]).tolist()
-    flipped = _disclose(transcript, _BLOCK_ROW, pass_index, lo, hi, pa, pb,
-                        lambda: (pair, perm, ca, cb))
+    flipped = _disclose(transcript, pass_index, lo, hi, pa, pb, pair, perm, ca, cb)
     if config.variant == BBBSS:
         deleted = perm[ends - 1]
         _record_deletions(transcript, pass_index, deleted.tolist())
@@ -561,13 +612,12 @@ def random_subset_round(
     an empty mask is redrawn from the same stream.  Those bytes with the
     padding bits cleared are the event's packed mask, and bit-reversed byte
     by byte they are the mask as one int, whose AND with each key gives
-    that party's parity.  Only on a parity mismatch are the keys unpacked
-    and the subset bisected like a block, in a shared random order, the
-    stream's next permutation of the subset, over which the prefix
-    parities are then built.  In BBBSS mode the subset's last bit (its
-    highest position) is deleted after the round; in Cascade mode a
-    correction is back-corrected on the unpacked keys.  Either way Bob's
-    key is packed again after a correction.
+    that party's parity.  On a parity mismatch the subset is bisected by
+    :func:`_bisect_subset` over its positions in ascending key order, on
+    the packed keys; the stream supplies nothing but masks.  In BBBSS mode
+    the subset's last bit (its highest position) is deleted after the
+    round.  In Cascade mode a correction is back-corrected on the keys
+    unpacked for it, and Bob's key is packed again afterwards.
     """
     n = keys.n
     if n < 2:
@@ -580,29 +630,24 @@ def random_subset_round(
         mask = int.from_bytes(packed.translate(_BIT_REVERSED), "little")
         if mask:
             break
-    size = mask.bit_count()
-    pair = None
-
-    def shuffled_prefixes():
-        nonlocal pair
-        pair = KeyPair(*keys.unpack())
-        subset = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n).view(bool)
-        order = np.flatnonzero(subset)[rng.permutation(size)]
-        return pair, order, _prefix_parities(pair.alice, order), _prefix_parities(pair.bob, order)
-
+    am, bm = keys.alice & mask, keys.bob & mask
+    pa, pb = am.bit_count() & 1, bm.bit_count() & 1
+    transcript._rows.append((_SUBSET_ROW, round_index, 0, mask.bit_count(), pa, pb, -1))
     transcript._masks.append(packed)
-    flipped = _disclose(transcript, _SUBSET_ROW, round_index, [0], [size],
-                        [(keys.alice & mask).bit_count() & 1],
-                        [(keys.bob & mask).bit_count() & 1], shuffled_prefixes)
-    if flipped:
+    transcript.parities_revealed += 1
+    if pa != pb:
+        subset = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n).view(bool)
+        positions = np.flatnonzero(subset)
+        found = _bisect_subset(keys, transcript, round_index, positions, am, bm)
         if config.variant == CASCADE:
-            cascade_back_correction(pair, history, flipped, transcript)
-        keys.bob = _pack(pair.bob)
+            pair = KeyPair(*keys.unpack())
+            cascade_back_correction(pair, history, [found], transcript)
+            keys.bob = _pack(pair.bob)
     if config.variant == BBBSS:
         highest = mask.bit_length() - 1
         _record_deletions(transcript, round_index, [highest])
         keys.delete(highest)
-    return bool(flipped)
+    return pa != pb
 
 
 def _concrete_block_size(config: CascadeConfig) -> int:

@@ -7,10 +7,13 @@ placements, and a batch of ranges against the same ranges one at a time;
 Cascade back-correction against a crafted two-pass scenario and its
 parity ledger against fresh gathers after every pass; statistical
 behaviour against seeded Monte Carlo; subset rounds against an oracle
-that reads PCG64's raw words bit by bit.  One pinned digest per variant
-over a seed × length × block-size grid keeps transcripts byte-identical,
-a second one over the lines before the first subset comparison pins the
-block passes on their own, and a third pins Cascade's pass 0.
+that reads PCG64's raw words bit by bit, and their packed halving against
+the block bisection over the subset's positions.  One pinned digest per
+variant over a seed × length × block-size grid keeps transcripts
+byte-identical, a second one over the lines before the first subset
+comparison pins the block passes on their own, a third pins every line up
+to each run's first mismatching subset comparison, and a fourth pins
+Cascade's pass 0.
 """
 
 import hashlib
@@ -45,8 +48,8 @@ from coxcascade.reconciliation import (
     PackedKeys,
     ProtocolError,
     Transcript,
-    _BLOCK_ROW,
     _bisect,
+    _bisect_subset,
     _disclose,
     _prefix_parities,
     bits_from_string,
@@ -176,9 +179,8 @@ def locate(alice, bob, order, lo, hi, transcript, round_index=0):
     pair = KeyPair(alice.copy(), bob.copy())
     ca = _prefix_parities(pair.alice, order)
     cb = _prefix_parities(pair.bob, order)
-    flipped = _disclose(transcript, _BLOCK_ROW, round_index, [lo], [hi],
-                        [int(ca[hi] ^ ca[lo])], [int(cb[hi] ^ cb[lo])],
-                        lambda: (pair, order, ca, cb))
+    flipped = _disclose(transcript, round_index, [lo], [hi],
+                        [int(ca[hi] ^ ca[lo])], [int(cb[hi] ^ cb[lo])], pair, order, ca, cb)
     assert len(flipped) == 1
     found = flipped[0]
     assert np.flatnonzero(pair.bob != bob).tolist() == [found]
@@ -228,24 +230,20 @@ class TestBisectError:
         pair.bob[3] ^= 1
         t = Transcript()
         with pytest.raises(ProtocolError):
-            _disclose(t, _BLOCK_ROW, 0, [0], [6], [0], [1],
-                      lambda: (pair, order, ca, cb))
+            _disclose(t, 0, [0], [6], [0], [1], pair, order, ca, cb)
         assert t.corrections_made == 0
         assert pair.residual_errors() == 0
         assert t.events[0] == Event(COMPARE_BLOCK, 0, 0, 6, parity_a=0, parity_b=1)
 
     def test_agreeing_parities_flip_nothing(self):
-        # two differences in range: the comparison agrees, nothing moves and
-        # the keys and prefixes for a bisection are never asked for
+        # two differences in range: the comparison agrees and nothing moves
         alice = np.zeros(6, dtype=np.uint8)
         bob = bits_from_string("010010")
         pair = KeyPair(alice, bob.copy())
+        order = np.arange(6)
         t = Transcript()
-
-        def no_prefixes():
-            raise AssertionError("prefixes built for an agreeing comparison")
-
-        flipped = _disclose(t, _BLOCK_ROW, 2, [0], [6], [0], [0], no_prefixes)
+        flipped = _disclose(t, 2, [0], [6], [0], [0], pair, order,
+                            _prefix_parities(pair.alice, order), _prefix_parities(pair.bob, order))
         assert flipped == []
         assert np.array_equal(pair.bob, bob)
         assert t.events == [Event(COMPARE_BLOCK, 2, 0, 6, parity_a=0, parity_b=0)]
@@ -364,10 +362,10 @@ class TestDiscloseBatch:
             t = Transcript()
             flipped = []
             for batch in batches:
-                flipped += _disclose(t, _BLOCK_ROW, round_index,
+                flipped += _disclose(t, round_index,
                                      [lo[j] for j in batch], [hi[j] for j in batch],
                                      [pa[j] for j in batch], [pb[j] for j in batch],
-                                     lambda: (pair, order, ca, cb))
+                                     pair, order, ca, cb)
             assert len(flipped) == sum(a != b for a, b in zip(pa, pb))
             for l, h in zip(lo, hi):
                 sel = order[l:h]
@@ -388,8 +386,8 @@ class TestDiscloseBatch:
         pair.bob[6] ^= 1
         t = Transcript()
         with pytest.raises(ProtocolError):
-            _disclose(t, _BLOCK_ROW, 1, [0, 4, 8], [4, 8, 12], [0, 0, 0], [1, 1, 0],
-                      lambda: (pair, order, ca, cb))
+            _disclose(t, 1, [0, 4, 8], [4, 8, 12], [0, 0, 0], [1, 1, 0],
+                      pair, order, ca, cb)
         assert t.to_lines() == [
             "compare-block round=1 range=0:4 a=0 b=1",
             "bisect round=1 range=0:2 a=0 b=1",
@@ -645,11 +643,10 @@ def oracle_subset_rounds(alice, bob, variant, seed, rounds):
     Written without the simulator's helpers: the masks are read bit by bit
     from PCG64's raw words with integer shifts (word i covers positions
     64i..64i+63, its bytes least significant first, each byte's bits most
-    significant first), and a mismatch is bisected by hand in the order
-    the generator's next ``permutation`` gives.
+    significant first), and a mismatch is bisected by hand over the
+    subset's positions in ascending key order; nothing else is drawn.
     """
     bit_gen = np.random.PCG64(np.random.SeedSequence([seed, 2]))
-    gen = np.random.Generator(bit_gen)
     alice, bob = list(alice), list(bob)
     lines, redraws = [], 0
     for r in range(rounds):
@@ -666,7 +663,7 @@ def oracle_subset_rounds(alice, bob, variant, seed, rounds):
         lines.append(f"compare-subset round={r} bits={','.join(map(str, subset))} "
                      f"a={pa} b={pb}")
         if pa != pb:
-            order = [subset[i] for i in gen.permutation(len(subset))]
+            order = subset
             lo, hi = 0, len(order)
             while hi - lo > 1:
                 mid = lo + (hi - lo + 1) // 2
@@ -734,10 +731,10 @@ def replay_subset_round(alice, bob, variant, gen):
 
     Written without the simulator's packing: the mask is ``unpackbits`` of
     the raw words' little-endian bytes cut to n bits, the parities are
-    ``count_nonzero`` over the unpacked keys, and a mismatch is bisected by
-    summing each left half afresh.  Returns the accepted draw's raw bytes
-    (uint8), the mask, both parities, the keys after the round and the
-    number of empty masks redrawn.
+    ``count_nonzero`` over the unpacked keys, and a mismatch is bisected in
+    ascending key order by summing each left half afresh.  Returns the
+    accepted draw's raw bytes (uint8), the mask, both parities, the keys
+    after the round and the number of empty masks redrawn.
     """
     n = len(alice)
     redraws = 0
@@ -752,7 +749,7 @@ def replay_subset_round(alice, bob, variant, gen):
     alice, bob = alice.copy(), bob.copy()
     positions = np.flatnonzero(mask)
     if pa != pb:
-        order = positions[gen.permutation(len(positions))]
+        order = positions
         lo, hi = 0, len(order)
         while hi - lo > 1:
             mid = lo + (hi - lo + 1) // 2
@@ -820,6 +817,62 @@ class TestPackedSubsetRound:
         # default_rng(9)'s first two raw words each start with two zero bits
         assert check_packed_round(bits_from_string("01"), bits_from_string("11"),
                                   variant, 9) == 2
+
+
+@st.composite
+def subset_bisect_cases(draw):
+    """Keys of n in 1..300 bits, a subset's ascending positions holding an
+    odd number of differences, and any differences outside the subset."""
+    n = draw(st.integers(1, 300))
+    alice = draw(bit_arrays(n))
+    subset = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    inside = draw(st.sets(st.sampled_from(subset), min_size=1))
+    if len(inside) % 2 == 0:
+        inside.discard(min(inside))
+    outside = draw(st.sets(st.integers(0, n - 1))) - set(subset)
+    bob = alice.copy()
+    bob[sorted(inside | outside)] ^= 1
+    return alice, bob, np.array(subset, dtype=np.int64)
+
+
+class TestSubsetBisect:
+    """The packed halving of a subset round against the block bisection."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(subset_bisect_cases(), st.integers(0, 5))
+    def test_matches_bisect_over_the_positions(self, case, round_index):
+        # one halving rule: _bisect over the subset's positions, read from
+        # XOR prefix parities, writes the same rows and flips the same bit
+        alice, bob, positions = case
+        mask = sum(1 << int(p) for p in positions)
+        keys = PackedKeys(KeyPair(alice, bob))
+        t_packed = Transcript()
+        found = _bisect_subset(keys, t_packed, round_index, positions,
+                               keys.alice & mask, keys.bob & mask)
+        pair, t_block = KeyPair(alice.copy(), bob.copy()), Transcript()
+        assert _bisect(pair, t_block, round_index, 0, len(positions), positions,
+                       _prefix_parities(pair.alice, positions),
+                       _prefix_parities(pair.bob, positions)) == found
+        assert alice[found] != bob[found]
+        assert t_packed.events == t_block.events
+        assert (t_packed.parities_revealed, t_packed.corrections_made) == (
+            t_block.parities_revealed, t_block.corrections_made)
+        a, b = keys.unpack()
+        assert np.array_equal(a, alice) and np.array_equal(b, pair.bob)
+
+    def test_even_differences_raise(self):
+        # the subset {0, 2, 3, 5} holds two differences, at 0 and 2: the
+        # first half agrees and the search lands on the agreeing bit 5
+        keys = PackedKeys(KeyPair(np.zeros(6, dtype=np.uint8), bits_from_string("101000")))
+        mask = 0b101101
+        t = Transcript()
+        with pytest.raises(ProtocolError):
+            _bisect_subset(keys, t, 4, np.array([0, 2, 3, 5]), keys.alice & mask,
+                           keys.bob & mask)
+        assert t.to_lines() == ["bisect round=4 range=0:2 a=0 b=0",
+                                "bisect round=4 range=2:3 a=0 b=0"]
+        assert (t.parities_revealed, t.corrections_made) == (2, 0)
+        assert keys.bob == 0b101
 
 
 class TestReconcile:
@@ -965,7 +1018,7 @@ class TestReconcile:
         assert not any(e.kind == DELETE for e in t.events)
 
 
-# A BBBSS run at n = 131072 needs ~870 subset rounds.  It runs in a fresh
+# A BBBSS run at n = 131072 needs ~900 subset rounds.  It runs in a fresh
 # interpreter, whose own high-water mark (VmHWM) is its peak resident memory:
 # the transcript must keep each round's subset in n/8 bytes, not n/2 ints.
 LONG_KEY_RUN = """
@@ -995,14 +1048,13 @@ class TestLongKeyMemory:
 
 
 # SHA-256 per variant over every transcript line and outcome repr of the
-# grid below.  The BBBSS digest was computed with one fresh gather per block
-# and per halving: how parities are computed must not change a byte of the
-# public channel.  The Cascade digest is that of back-correction from the
-# per-pass parity ledger, which compares no block twice.  Block size 3 makes
-# Cascade back-corrections flip bits in blocks of the pass just run.
+# grid below, with subset bisections in ascending key order.  The Cascade
+# digest is that of back-correction from the per-pass parity ledger, which
+# compares no block twice.  Block size 3 makes Cascade back-corrections
+# flip bits in blocks of the pass just run.
 GOLDEN_DIGESTS = {
-    BBBSS: "6636aee76e33f46011312258dd6e29886cebb6daa0b9b3713ede7bb24c12ff04",
-    CASCADE: "2b3deb06ce755b63a20e4bc63e1ce1c8c6bfaa128bc6fbcb01adefbc95e0ba97",
+    BBBSS: "71c476e491d54d2e8aa97e932f05ae1642de52d3df98c3ebe70a05af9eb01050",
+    CASCADE: "6a9623110ea0f403d226a6671c1f276cd0ab06057ef723746e737631faefea9b",
 }
 
 # SHA-256 per variant over the lines of the same grid that come before each
@@ -1012,6 +1064,15 @@ GOLDEN_DIGESTS = {
 PASS_PHASE_DIGESTS = {
     BBBSS: "2f4e08bc0dc0f34cfa4d041284babbb82ae3b3a50298edd3c65b3867b6ce355e",
     CASCADE: "71c6113ddb27894133c280d962e77639d477fadcbe24ffdf94abc530dd794ed8",
+}
+
+# SHA-256 per variant over the lines of the same grid up to and including
+# each run's first mismatching compare-subset (all lines of a run with
+# none), computed while subset bisections still ran in a permuted order:
+# the order a subset is halved in may move only the lines after it.
+SUBSET_PREFIX_DIGESTS = {
+    BBBSS: "af12e5ebe790d77624e4456cb2cc927b7269579be8661cb5ece3a3c6e3c03015",
+    CASCADE: "aa844b83bf91771ae0be04adcb4884a07081596add4fca83379982005ad1213c",
 }
 
 # SHA-256 over the Cascade lines of the same grid that come before each
@@ -1062,6 +1123,15 @@ class TestGoldenTranscripts:
                     lambda line: not line.startswith(COMPARE_SUBSET + " "), lines):
                 hashes[variant].update(line.encode() + b"\n")
         assert {v: h.hexdigest() for v, h in hashes.items()} == PASS_PHASE_DIGESTS
+
+    def test_subset_prefix_digest(self, golden_grid):
+        hashes = {variant: hashlib.sha256() for variant in SUBSET_PREFIX_DIGESTS}
+        for variant, lines, _ in golden_grid:
+            for line in lines:
+                hashes[variant].update(line.encode() + b"\n")
+                if line.startswith(COMPARE_SUBSET + " ") and line.endswith(("a=0 b=1", "a=1 b=0")):
+                    break
+        assert {v: h.hexdigest() for v, h in hashes.items()} == SUBSET_PREFIX_DIGESTS
 
     def test_cascade_pass_zero_digest(self, golden_grid):
         h = hashlib.sha256()
