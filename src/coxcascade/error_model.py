@@ -72,7 +72,10 @@ class TimeUnitLayout:
 
 @dataclass(frozen=True)
 class ErrorPattern:
-    """Sorted distinct error positions in an ``n``-bit raw key."""
+    """Sorted distinct error positions in an ``n``-bit raw key.
+
+    Positions are integers (Python or NumPy, not bools) in ``[0, n)``.
+    """
 
     n: int
     positions: tuple[int, ...]
@@ -82,6 +85,10 @@ class ErrorPattern:
             raise ValueError(f"key length must be >= 0, got {self.n!r}")
         prev = -1
         for p in self.positions:
+            if isinstance(p, bool) or not isinstance(p, numbers.Integral):
+                raise ValueError(f"positions must be integers, got {p!r}")
+            if p < 0:
+                raise ValueError(f"positions must be >= 0, got {p!r}")
             if p <= prev:
                 raise ValueError("positions must be strictly increasing")
             prev = p

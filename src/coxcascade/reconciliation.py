@@ -29,20 +29,21 @@ routine, which records each stretch of agreeing ones in one step and
 bisects each mismatch.  Back-correction bisects with the same halving
 step but writes no comparison, since both parities of the block are
 already known.  A subset round records its one comparison itself and
-halves a mismatch with the same rule on the packed keys.  The ledger
-holds plain integer rows, from which each read of ``Transcript.events``
-builds the events afresh.
+bisects a mismatch with the same halving step.  The ledger holds plain
+integer rows, from which each read of ``Transcript.events`` builds the
+events afresh.
 The simulator is omniscient (it can compare the two strings directly) but
 only uses that power for outcome metrics and internal sanity checks,
 never to steer the protocol.
 
-Only parities are ever published, so only parities are computed.  Block
-passes and their bisections read XOR prefix parities of the gathered
-bits.  The subset phase holds both keys packed into Python ints
-(:class:`PackedKeys`), where the parity of a subset, or of any stretch of
-it, is the bit count of an AND; numpy arrays are built only to list a
-mismatching subset's positions, and the keys are unpacked only for
-Cascade's back-correction.
+Only parities are ever published, so only parities are computed, on one
+key form: both keys packed into Python ints for the whole run
+(:class:`PackedKeys`), where a parity is the bit count of an AND.  One
+halving step, :func:`_bisect`, serves block passes, back-correction and
+subset rounds.  NumPy only shuffles a pass (unpack, gather, block
+parities by ``bitwise_xor.reduceat``, pass-order bits packed into bytes),
+applies a BBBSS pass's deletions with one keep mask, and lists a
+mismatching subset's positions.
 """
 
 from __future__ import annotations
@@ -108,24 +109,28 @@ class ProtocolError(RuntimeError):
 class KeyPair:
     """Alice's and Bob's equal-length bit arrays.
 
-    Corrections flip Bob's bits only; deletions shorten both arrays.
+    Corrections flip Bob's bits only; deletions shorten both arrays.  Each
+    key is a one-dimensional array of integers or bools holding only 0 and
+    1, kept as uint8; any other element type is refused, not rounded.
     """
 
     __slots__ = ("alice", "bob")
 
     def __init__(self, alice, bob):
-        alice = np.asarray(alice, dtype=np.uint8)
-        bob = np.asarray(bob, dtype=np.uint8)
+        alice, bob = np.asarray(alice), np.asarray(bob)
         if alice.ndim != 1 or bob.ndim != 1:
             raise ValueError("keys must be one-dimensional bit arrays")
         if alice.shape != bob.shape:
             raise ValueError(
                 f"key lengths differ: {alice.shape[0]} vs {bob.shape[0]}"
             )
-        if alice.size and (alice.max() > 1 or bob.max() > 1):
-            raise ValueError("keys must contain only bits 0 and 1")
-        self.alice = alice
-        self.bob = bob
+        for key in (alice, bob):
+            if key.size and key.dtype.kind not in "biu":
+                raise ValueError(f"keys must hold integers or bools, got dtype {key.dtype}")
+            if key.size and (key.min() < 0 or key.max() > 1):
+                raise ValueError("keys must contain only bits 0 and 1")
+        self.alice = alice.astype(np.uint8, copy=False)
+        self.bob = bob.astype(np.uint8, copy=False)
 
     def __len__(self) -> int:
         return int(self.alice.shape[0])
@@ -139,22 +144,23 @@ def bits_from_string(s: str) -> np.ndarray:
     return np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0")
 
 
+def _packed(bits: np.ndarray) -> bytes:
+    """Bits eight to a byte, bit i at bit i % 8 of byte i // 8."""
+    return np.packbits(bits, bitorder="little").tobytes()
+
+
 def _pack(bits: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def _unpack(key: int, n: int) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(key.to_bytes(-(-n // 8), "little"), dtype=np.uint8),
-                         count=n, bitorder="little")
+    return int.from_bytes(_packed(bits), "little")
 
 
 class PackedKeys:
     """Alice's and Bob's keys packed into Python ints, position i at bit i.
 
-    The subset phase works on this form: the parity of a key over a mask
-    ``m`` is ``(key & m).bit_count() & 1``.  :func:`reconcile` packs its
-    pair once before the first subset round and unpacks it once after the
-    last; :func:`random_subset_round` corrects and deletes bits in place.
+    Every phase of a run works on this form: the parity of a key over a
+    mask ``m`` is ``(key & m).bit_count() & 1``.  :func:`reconcile` packs
+    its pair once before the first pass and unpacks it once after the last
+    subset round; :func:`run_pass`, :func:`cascade_back_correction` and
+    :func:`random_subset_round` correct and delete bits in place.
     """
 
     __slots__ = ("alice", "bob", "n")
@@ -165,8 +171,11 @@ class PackedKeys:
         self.n = len(pair)
 
     def unpack(self) -> tuple[np.ndarray, np.ndarray]:
-        """Alice's and Bob's keys as uint8 bit arrays."""
-        return _unpack(self.alice, self.n), _unpack(self.bob, self.n)
+        """Alice's and Bob's keys as uint8 bit arrays (views of one buffer)."""
+        n, size = self.n, -(-self.n // 8)
+        raw = self.alice.to_bytes(size, "little") + self.bob.to_bytes(size, "little")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        return bits[:n], bits[8 * size:8 * size + n]
 
     def delete(self, i: int) -> None:
         """Delete position ``i`` from both keys: the bits above it move down one."""
@@ -271,12 +280,12 @@ class Transcript:
     side in row order: the round's stream bytes, stored as drawn once the
     padding bits are cleared.  :func:`_disclose` writes the block
     comparison rows and :func:`random_subset_round` the subset comparison
-    rows with their masks; :func:`_bisect` writes the bisection and
-    correction rows of block passes and back-correction,
-    :func:`_bisect_subset` those of subset rounds, and
-    :func:`_record_deletions` the deletions.  Each bumps the counters in
-    bulk.  :attr:`events` builds its :class:`Event` list afresh on every
-    read, so changing the list it returns leaves the transcript as it was.
+    rows with their masks; :func:`_bisect` writes every bisection row, of
+    block passes, back-correction and subset rounds alike,
+    :func:`_correct` every correction row, and :func:`_record_deletions`
+    the deletions.  Each bumps the counters in bulk.  :attr:`events`
+    builds its :class:`Event` list afresh on every read, so changing the
+    list it returns leaves the transcript as it was.
     """
 
     def __init__(self) -> None:
@@ -310,21 +319,28 @@ class ReconcileOutcome:
 
 @dataclass
 class PassRecord:
-    """One Cascade pass's partition and block parity ledger.
+    """One Cascade pass's partition, block parity ledger and packed keys.
 
     Block ``j`` is permutation[j * block_size:(j + 1) * block_size], and
-    ``inverse`` maps a key position to its slot in that order.
+    ``inverse`` maps a key position to its slot in that order (a
+    memoryview of the inverse permutation, so a lookup is a Python int).
     ``parity_a[j]`` is Alice's parity of block ``j``: public once the pass
     compared it, and fixed for the run.  ``parity_b[j]`` is Bob's, which
     :func:`cascade_back_correction` toggles on every flip inside the block.
+    ``alice`` and ``bob`` are the two keys gathered in the pass's order and
+    packed eight bits to a byte, slot s at bit s % 8 of byte s // 8:
+    Alice's is fixed, and Bob's bit is toggled with ``parity_b``, so a
+    recorded block is bisected from these bytes with no gather.
     """
 
     pass_index: int
     permutation: np.ndarray
-    inverse: np.ndarray
+    inverse: memoryview
     block_size: int
     parity_a: list[int]
     parity_b: list[int]
+    alice: bytes
+    bob: bytearray
 
 
 def make_key_pair(n: int, pattern: ErrorPattern, seed: int) -> KeyPair:
@@ -351,128 +367,102 @@ def partition(n: int, k: int) -> list[tuple[int, int]]:
     """Consecutive ranges of size ``k`` covering [0, n); the last may be short."""
     if k < 1 or k > n:
         raise ValueError(f"block size must satisfy 1 <= k <= {n}, got {k!r}")
-    return [(lo, min(lo + k, n)) for lo in range(0, n, k)]
-
-
-def _prefix_parities(bits: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Prefix parities of ``bits[order]``: ``c[i]`` is the parity of order[:i].
-
-    This is the simulator's one gather for block and bisection parities:
-    the parity of order[lo:hi] is ``c[hi] ^ c[lo]``.  The scan is a uint8
-    XOR, so it is a running count of ones taken modulo 2.  One gather per
-    party serves a pass's block comparisons and every halving of the
-    bisections that follow them; back-correction gathers only the block it
-    bisects.
-    """
-    c = np.zeros(len(order) + 1, dtype=np.uint8)
-    np.bitwise_xor.accumulate(bits[order], out=c[1:])
-    return c
+    starts = range(0, n, k)
+    return list(zip(starts, [*starts[1:], n]))
 
 
 def _bisect(
-    pair: KeyPair, transcript: Transcript, round_index: int, left: int, right: int,
-    order: np.ndarray, ca: np.ndarray, cb: np.ndarray, base: int = 0,
+    transcript: Transcript, round_index: int, pos: Sequence[int], left: int, right: int,
+    va: int, vb: int,
 ) -> int:
-    """Find and correct one differing bit of order[left:right].
+    """Halve the ordinals left:right down to one; return its position.
 
-    ``ca`` and ``cb`` are Alice's and Bob's prefix parities over
-    order[base:], and the range must hold an odd number of differences.
-    Each halving publicly compares the left half's parities (one row), each
-    the XOR of two prefix parities, and descends into the mismatching half
-    (left first), which keeps the count odd.  The bit it ends on is flipped
-    on Bob's side and recorded; returns its position.
+    ``pos`` maps ordinals to ascending positions: a block's slots in its
+    pass's order (a ``range``), or a subset's key positions.  ``va`` and
+    ``vb`` are Alice's and Bob's bits from ``pos[left]`` upwards, that
+    position at bit 0; the range holds an odd number of differences, and
+    bits from ``pos[right]`` upwards are never read.  Each halving publicly
+    compares the parities of the left half, the low ``pos[mid] -
+    pos[left]`` bits (one row), and keeps the mismatching half (left
+    first) by a mask, or the right by a shift.  The caller corrects the
+    position returned (:func:`_correct`).
     """
-    # Python ints from the prefixes' buffers: no NumPy scalar per halving
-    ca, cb = memoryview(ca), memoryview(cb)
     rows = transcript._rows
     first = len(rows)
+    base = pos[left]
     while right - left > 1:
         mid = left + (right - left + 1) // 2
-        pa = ca[mid - base] ^ ca[left - base]
-        pb = cb[mid - base] ^ cb[left - base]
+        top = pos[mid]
+        low = (1 << (top - base)) - 1
+        a = va & low
+        b = vb & low
+        pa = a.bit_count() & 1
+        pb = b.bit_count() & 1
         rows.append((_BISECT_ROW, round_index, left, mid, pa, pb, -1))
         if pa != pb:
             right = mid
+            va = a
+            vb = b
         else:
+            va >>= top - base
+            vb >>= top - base
             left = mid
+            base = top
     transcript.parities_revealed += len(rows) - first
-    found = int(order[left])
-    if pair.alice[found] == pair.bob[found]:
+    return base
+
+
+def _correct(keys: PackedKeys, transcript: Transcript, round_index: int, index: int) -> None:
+    """Flip Bob's bit at key position ``index`` and record the correction.
+
+    The omniscient check: the bit must differ between the keys, or the
+    range bisected onto it held an even number of differences.
+    """
+    bit = 1 << index
+    if not (keys.alice ^ keys.bob) & bit:
         raise ProtocolError("bisection landed on an agreeing bit; the searched range "
                             "had an even number of differences")
-    pair.bob[found] ^= 1
-    rows.append((_CORRECT_ROW, round_index, -1, -1, -1, -1, found))
+    keys.bob ^= bit
+    transcript._rows.append((_CORRECT_ROW, round_index, -1, -1, -1, -1, index))
     transcript.corrections_made += 1
-    return found
 
 
-def _bisect_subset(
-    keys: PackedKeys, transcript: Transcript, round_index: int, positions: np.ndarray,
-    am: int, bm: int,
+def _bisect_block(
+    keys: PackedKeys, transcript: Transcript, round_index: int, order: np.ndarray,
+    packed_a: bytes, packed_b: bytes, lo: int, hi: int,
 ) -> int:
-    """Find and correct one differing bit of a subset of the packed keys.
+    """Bisect block order[lo:hi] and correct the bit found; return its position.
 
-    ``positions`` are the subset's key positions in ascending order, and
-    ``am`` and ``bm`` are Alice's and Bob's keys ANDed with its mask, which
-    must hold an odd number of differences.  The halving rule is
-    :func:`_bisect`'s over the ordinals of ``positions``: each halving
-    publicly compares the left half's parities (one row), each the bit
-    count of the keys' stretch from the left half's first position up to
-    the right half's first, and descends into the mismatching half (left
-    first).  The bit it ends on is flipped in ``keys.bob`` and recorded;
-    returns its position.
+    ``packed_a`` and ``packed_b`` are Alice's and Bob's keys gathered by
+    ``order`` and packed eight bits to a byte (:func:`_packed`); only the
+    bytes holding the block are read.
     """
-    # Python ints from the positions' buffer: no NumPy scalar per halving
-    pos = memoryview(positions)
-    rows = transcript._rows
-    first = len(rows)
-    left, right = 0, len(pos)
-    while right - left > 1:
-        mid = left + (right - left + 1) // 2
-        low = pos[left]
-        stretch = (1 << (pos[mid] - low)) - 1
-        pa = ((am >> low) & stretch).bit_count() & 1
-        pb = ((bm >> low) & stretch).bit_count() & 1
-        rows.append((_BISECT_ROW, round_index, left, mid, pa, pb, -1))
-        if pa != pb:
-            right = mid
-        else:
-            left = mid
-    transcript.parities_revealed += len(rows) - first
-    found = pos[left]
-    if not (am ^ bm) >> found & 1:
-        raise ProtocolError("bisection landed on an agreeing bit; the searched subset "
-                            "had an even number of differences")
-    keys.bob ^= 1 << found
-    rows.append((_CORRECT_ROW, round_index, -1, -1, -1, -1, found))
-    transcript.corrections_made += 1
-    return found
+    first, last, shift = lo >> 3, (hi + 7) >> 3, lo & 7
+    slot = _bisect(transcript, round_index, range(hi), lo, hi,
+                   int.from_bytes(packed_a[first:last], "little") >> shift,
+                   int.from_bytes(packed_b[first:last], "little") >> shift)
+    index = order.item(slot)
+    _correct(keys, transcript, round_index, index)
+    return index
 
 
 def _disclose(
-    transcript: Transcript,
-    round_index: int,
-    lo: Sequence[int],
-    hi: Sequence[int],
-    parity_a: Sequence[int],
-    parity_b: Sequence[int],
-    pair: KeyPair,
-    order: np.ndarray,
-    ca: np.ndarray,
-    cb: np.ndarray,
+    transcript: Transcript, round_index: int, lo: Sequence[int], hi: Sequence[int],
+    parity_a: Sequence[int], parity_b: Sequence[int],
+    keys: PackedKeys, order: np.ndarray, packed_a: bytes, packed_b: bytes,
 ) -> list[int]:
     """Disclose a batch of block comparisons; correct one bit per mismatch.
 
     Only it writes ``compare-block`` rows.  Comparison ``j`` of the batch
     covers order[lo[j]:hi[j]] and carries Alice's and Bob's parities
     ``parity_a[j]`` and ``parity_b[j]``; every one is recorded as given, in
-    batch order, a stretch of agreeing ones in one step.  ``ca`` and ``cb``
-    are Alice's and Bob's prefix parities over ``order``, and each mismatch
-    is bisected by :func:`_bisect` on ``pair`` before the next comparison's
-    row.  A flip inside one range toggles both ends of every later range
-    alike, so the prefixes serve the whole batch.  Returns the flipped
-    positions, one per mismatch in batch order, in the coordinates
-    ``order`` maps into.
+    batch order, a stretch of agreeing ones in one step.  The ranges are
+    disjoint.  ``packed_a`` and ``packed_b`` are Alice's and Bob's keys
+    gathered by ``order`` and packed (:func:`_packed`) when the parities
+    were taken.  Each mismatch is bisected and corrected on ``keys`` by
+    :func:`_bisect_block` before the next comparison's row; a correction
+    changes no other range's bits, so the bytes serve the whole batch.
+    Returns the flipped key positions, one per mismatch in batch order.
     """
     rows = transcript._rows
     flipped: list[int] = []
@@ -483,7 +473,8 @@ def _disclose(
                         hi[start:stop], parity_a[start:stop], parity_b[start:stop],
                         repeat(-1)))
         transcript.parities_revealed += stop - start
-        flipped.append(_bisect(pair, transcript, round_index, lo[j], hi[j], order, ca, cb))
+        flipped.append(_bisect_block(keys, transcript, round_index, order,
+                                     packed_a, packed_b, lo[j], hi[j]))
         start = stop
     rows.extend(zip(repeat(_BLOCK_ROW), repeat(round_index), lo[start:], hi[start:],
                     parity_a[start:], parity_b[start:], repeat(-1)))
@@ -501,26 +492,30 @@ def _record_deletions(
 
 
 def cascade_back_correction(
-    pair: KeyPair, history: list[PassRecord], flipped: Sequence[int], transcript: Transcript
+    keys: PackedKeys, history: list[PassRecord], flipped: Sequence[int], transcript: Transcript
 ) -> int:
     """Bisect the recorded blocks that corrections have left odd.
 
-    Every flip in ``flipped``, and every flip made here, toggles Bob's
-    parity of the one block holding that bit in each record of
-    ``history``.  A block whose two recorded parities then differ holds an
-    odd number of differences; blocks are bisected in the order they turn
-    odd, under their own pass's round, from a gather of that block alone.
-    A block that a later flip has evened again is skipped.  Nothing is
-    compared: Alice's block parity is public since its pass, and Bob holds
-    his.  Returns the number of additional corrections.  Only meaningful
-    for the Cascade variant, where no bits are ever deleted and recorded
-    partitions stay valid.
+    ``flipped`` are key positions already corrected on ``keys`` that the
+    records of ``history`` have not yet seen.  Every one of them, and every
+    flip made here, toggles Bob's bit and parity of the one block holding
+    that bit in each record.  A block whose two recorded parities then
+    differ holds an odd number of differences; blocks are bisected in the
+    order they turn odd, under their own pass's round, from the record's
+    packed keys, and the bit found is corrected on ``keys``.  A block that
+    a later flip has evened again is skipped.  Nothing is compared: Alice's
+    block parity is public since its pass, and Bob holds his.  Returns the
+    number of additional corrections.  Only meaningful for the Cascade
+    variant, where no bits are ever deleted and recorded partitions stay
+    valid.
     """
     queue: deque[tuple[PassRecord, int]] = deque()
 
     def toggle(index: int) -> None:
         for rec in history:
-            j = int(rec.inverse[index]) // rec.block_size
+            slot = rec.inverse[index]
+            j = slot // rec.block_size
+            rec.bob[slot >> 3] ^= 1 << (slot & 7)
             rec.parity_b[j] ^= 1
             if rec.parity_b[j] != rec.parity_a[j]:
                 queue.append((rec, j))
@@ -533,16 +528,15 @@ def cascade_back_correction(
         if rec.parity_a[j] == rec.parity_b[j]:
             continue
         lo = j * rec.block_size
-        block = rec.permutation[lo:lo + rec.block_size]
-        toggle(_bisect(pair, transcript, rec.pass_index, lo, lo + len(block), rec.permutation,
-                       _prefix_parities(pair.alice, block), _prefix_parities(pair.bob, block),
-                       lo))
+        hi = min(lo + rec.block_size, len(rec.permutation))
+        toggle(_bisect_block(keys, transcript, rec.pass_index, rec.permutation,
+                             rec.alice, rec.bob, lo, hi))
         corrections += 1
     return corrections
 
 
 def run_pass(
-    pair: KeyPair,
+    keys: PackedKeys,
     pass_index: int,
     config: CascadeConfig,
     transcript: Transcript,
@@ -553,38 +547,42 @@ def run_pass(
     Pass 0 runs on the raw bit order; later passes use the shared
     shuffle for their round.  The block size is the configured initial
     size grown by ``block_growth ** pass_index`` (capped at the current
-    key length).  One prefix-parity gather per party over the pass's order
-    gives every block parity and every halving of the pass, and the blocks
-    go to :func:`_disclose` as one batch.  In BBBSS mode the last bit of
-    every compared block is then deleted.  In Cascade mode the pass joins
-    ``history`` with its block parities as compared, and its corrections
-    go to :func:`cascade_back_correction`, which also bisects any block of
-    this pass that a later flip leaves odd.
+    key length).  The keys are unpacked and gathered in the pass's order
+    once; one ``bitwise_xor.reduceat`` per party gives every block parity,
+    the gathered bits are packed into bytes for the bisections, and the
+    blocks go to :func:`_disclose` as one batch.  In BBBSS mode the last
+    bit of every compared block is then deleted from both keys with one
+    keep mask.  In Cascade mode the pass joins ``history`` with its block
+    parities as compared and its packed keys, and its corrections go to
+    :func:`cascade_back_correction`, which also bisects any block of this
+    pass that a later flip leaves odd.
     """
-    n = len(pair)
+    n = keys.n
     if n == 0:
         return
     k = min(_concrete_block_size(config) * config.block_growth**pass_index, n)
     perm = np.arange(n) if pass_index == 0 else shared_permutation(n, pass_index, config.seed)
-    ca = _prefix_parities(pair.alice, perm)
-    cb = _prefix_parities(pair.bob, perm)
+    alice, bob = keys.unpack()
+    ga, gb = alice[perm], bob[perm]
     lo, hi = zip(*partition(n, k))
-    starts, ends = np.array(lo), np.array(hi)
-    pa = (ca[ends] ^ ca[starts]).tolist()
-    pb = (cb[ends] ^ cb[starts]).tolist()
-    flipped = _disclose(transcript, pass_index, lo, hi, pa, pb, pair, perm, ca, cb)
+    starts = np.array(lo)
+    pa = np.bitwise_xor.reduceat(ga, starts).tolist()
+    pb = np.bitwise_xor.reduceat(gb, starts).tolist()
+    packed_a, packed_b = _packed(ga), _packed(gb)
+    flipped = _disclose(transcript, pass_index, lo, hi, pa, pb, keys, perm, packed_a, packed_b)
     if config.variant == BBBSS:
-        deleted = perm[ends - 1]
+        deleted = perm[np.array(hi) - 1]
         _record_deletions(transcript, pass_index, deleted.tolist())
         keep = np.ones(n, dtype=bool)
         keep[deleted] = False
-        pair.alice = pair.alice[keep]
-        pair.bob = pair.bob[keep]
+        bob[flipped] ^= 1  # Bob's bits as the pass corrected them
+        keys.alice, keys.bob, keys.n = _pack(alice[keep]), _pack(bob[keep]), n - len(deleted)
         return
     inverse = np.empty_like(perm)
     inverse[perm] = np.arange(n)
-    history.append(PassRecord(pass_index, perm, inverse, k, pa, pb))
-    cascade_back_correction(pair, history, flipped, transcript)
+    history.append(PassRecord(pass_index, perm, memoryview(inverse), k, pa, pb, packed_a,
+                              bytearray(packed_b)))
+    cascade_back_correction(keys, history, flipped, transcript)
 
 
 # Byte b with its bits in reverse order: the stream's mask bytes hold
@@ -612,12 +610,12 @@ def random_subset_round(
     an empty mask is redrawn from the same stream.  Those bytes with the
     padding bits cleared are the event's packed mask, and bit-reversed byte
     by byte they are the mask as one int, whose AND with each key gives
-    that party's parity.  On a parity mismatch the subset is bisected by
-    :func:`_bisect_subset` over its positions in ascending key order, on
-    the packed keys; the stream supplies nothing but masks.  In BBBSS mode
-    the subset's last bit (its highest position) is deleted after the
-    round.  In Cascade mode a correction is back-corrected on the keys
-    unpacked for it, and Bob's key is packed again afterwards.
+    that party's parity.  On a parity mismatch the subset's positions are
+    listed in ascending key order and bisected by :func:`_bisect` from the
+    masked keys; the stream supplies nothing but masks.  In BBBSS mode the
+    subset's last bit (its highest position) is deleted after the round.
+    In Cascade mode a correction goes to :func:`cascade_back_correction`
+    on the same packed keys.
     """
     n = keys.n
     if n < 2:
@@ -637,12 +635,12 @@ def random_subset_round(
     transcript.parities_revealed += 1
     if pa != pb:
         subset = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n).view(bool)
-        positions = np.flatnonzero(subset)
-        found = _bisect_subset(keys, transcript, round_index, positions, am, bm)
+        # Python ints from the positions' buffer: no NumPy scalar per halving
+        pos = memoryview(np.flatnonzero(subset))
+        found = _bisect(transcript, round_index, pos, 0, len(pos), am >> pos[0], bm >> pos[0])
+        _correct(keys, transcript, round_index, found)
         if config.variant == CASCADE:
-            pair = KeyPair(*keys.unpack())
-            cascade_back_correction(pair, history, [found], transcript)
-            keys.bob = _pack(pair.bob)
+            cascade_back_correction(keys, history, [found], transcript)
     if config.variant == BBBSS:
         highest = mask.bit_length() - 1
         _record_deletions(transcript, round_index, [highest])
@@ -667,23 +665,23 @@ def reconcile(
 
     Executes ``num_passes`` block passes, then random-subset rounds until
     ``termination_successes`` consecutive comparisons have agreed since
-    the last correction (or the key becomes too short for subsets).  The
-    subset rounds run on the pair packed once into a :class:`PackedKeys`,
-    unpacked into ``pair`` after the last round.  Pass a
-    :class:`Transcript` to capture the public-channel ledger.
-    Deterministic given the pair and the config.
+    the last correction (or the key becomes too short for subsets).  Every
+    phase runs on the pair packed once into a :class:`PackedKeys`, unpacked
+    into ``pair`` after the last round.  Pass a :class:`Transcript` to
+    capture the public-channel ledger.  Deterministic given the pair and
+    the config.
     """
     _concrete_block_size(config)
     t = transcript if transcript is not None else Transcript()
     history: list[PassRecord] = []
+    keys = PackedKeys(pair)
     passes_executed = 0
     for p in range(config.num_passes):
-        if len(pair) == 0:
+        if keys.n == 0:
             break
-        run_pass(pair, p, config, t, history)
+        run_pass(keys, p, config, t, history)
         passes_executed += 1
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SUBSET_STREAM]))
-    keys = PackedKeys(pair)
     successes = 0
     rounds = 0
     while successes < config.termination_successes and keys.n >= 2:

@@ -40,6 +40,7 @@ from .reconciliation import (
     PARITY_EVENT_KINDS,
     CascadeConfig,
     KeyPair,
+    PackedKeys,
     Transcript,
     bits_from_string,
     make_key_pair,
@@ -385,7 +386,7 @@ def _worked_example_records() -> list[CheckRecord]:
     bob = alice.copy()
     bob[list(EXAMPLE_ERROR_POSITIONS)] ^= 1
     t = Transcript()
-    run_pass(KeyPair(alice, bob), 0, CascadeConfig(initial_block_size=5), t, [])
+    run_pass(PackedKeys(KeyPair(alice, bob)), 0, CascadeConfig(initial_block_size=5), t, [])
     compares = [e for e in t.events if e.kind == COMPARE_BLOCK]
     pa = tuple(e.parity_a for e in compares[:6])
     pb = tuple(e.parity_b for e in compares[:6])

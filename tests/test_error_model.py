@@ -7,6 +7,7 @@ and seeded Monte Carlo for the sampler.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,22 @@ class TestTypes:
             ErrorPattern(10, (5, 2))
         with pytest.raises(ValueError):
             ErrorPattern(10, (0, 10))
+
+    @pytest.mark.parametrize("position, message", [
+        (1.5, "positions must be integers, got 1.5"),
+        (True, "positions must be integers, got True"),
+        (np.float64(2.0), "positions must be integers"),
+        (-1, "positions must be >= 0, got -1"),
+    ])
+    def test_pattern_positions_refused(self, position, message):
+        # refused with a message that says why, not coerced or left to a
+        # later IndexError
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ErrorPattern(5, (position,))
+
+    def test_pattern_numpy_positions_accepted(self):
+        pattern = ErrorPattern(5, (np.int64(1), np.int32(3), np.uint8(4)))
+        assert pattern.positions == (1, 3, 4)
 
 
 class TestPmf:

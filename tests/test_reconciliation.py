@@ -1,19 +1,20 @@
 """Protocol simulator tests.
 
 The fixed 31-bit regression (six planted errors, five-bit blocks, second
-and sixth block parities disagreeing) pins the block pass; bisection is
-checked against a hand-simulated halving oracle and exhaustive error
-placements, and a batch of ranges against the same ranges one at a time;
-Cascade back-correction against a crafted two-pass scenario and its
-parity ledger against fresh gathers after every pass; statistical
-behaviour against seeded Monte Carlo; subset rounds against an oracle
-that reads PCG64's raw words bit by bit, and their packed halving against
-the block bisection over the subset's positions.  One pinned digest per
-variant over a seed × length × block-size grid keeps transcripts
-byte-identical, a second one over the lines before the first subset
-comparison pins the block passes on their own, a third pins every line up
-to each run's first mismatching subset comparison, and a fourth pins
-Cascade's pass 0.
+and sixth block parities disagreeing) pins the block pass.  The one
+halving step is checked against a per-halving reference, on a block of a
+pass-order packed key and on a random subset's positions, and against a
+hand-simulated halving oracle and exhaustive error placements; a batch of
+ranges against the same ranges one at a time.  Cascade back-correction is
+checked against a crafted two-pass scenario, and each pass's parity ledger
+and packed keys against fresh gathers after every pass and after the
+subset phase; statistical behaviour against seeded Monte Carlo; subset
+rounds against an oracle that reads PCG64's raw words bit by bit.  One
+pinned digest per variant over a seed × length × block-size grid keeps
+transcripts byte-identical, a second one over the lines before the first
+subset comparison pins the block passes on their own, a third pins every
+line up to each run's first mismatching subset comparison, and a fourth
+pins Cascade's pass 0.
 """
 
 import hashlib
@@ -49,9 +50,8 @@ from coxcascade.reconciliation import (
     ProtocolError,
     Transcript,
     _bisect,
-    _bisect_subset,
+    _correct,
     _disclose,
-    _prefix_parities,
     bits_from_string,
     cascade_back_correction,
     make_key_pair,
@@ -95,6 +95,21 @@ class TestKeyPair:
     def test_non_bits_rejected(self):
         with pytest.raises(ValueError):
             KeyPair([0, 2], [0, 1])
+
+    @pytest.mark.parametrize("key", [[0.7, 1.2], [0.0, 1.0], np.array(["0", "1"])])
+    def test_non_integer_keys_refused(self, key):
+        # not rounded or cast to bits: [0.7, 1.2] once became [0, 1]
+        with pytest.raises(ValueError, match="integers or bools"):
+            KeyPair(key, [0, 1])
+        with pytest.raises(ValueError, match="integers or bools"):
+            KeyPair([0, 1], key)
+
+    @pytest.mark.parametrize("key", [[False, True], np.array([0, 1], dtype=np.int8),
+                                     np.array([0, 1], dtype=np.uint64)])
+    def test_integer_and_bool_keys_accepted(self, key):
+        pair = KeyPair(key, [1, 1])
+        assert pair.alice.dtype == np.uint8 and pair.alice.tolist() == [0, 1]
+        assert pair.residual_errors() == 1
 
     def test_determinism(self):
         pattern = ErrorPattern(64, (5, 9))
@@ -170,21 +185,34 @@ def hand_bisect(alice, bob, lo, hi):
     return lo, comparisons
 
 
+def packed(bits) -> bytes:
+    """Bits packed eight to a byte, bit i at bit i % 8 of byte i // 8."""
+    return np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little").tobytes()
+
+
+def parity(bits) -> int:
+    return int(np.sum(bits)) % 2
+
+
+def residual(keys: PackedKeys) -> int:
+    return (keys.alice ^ keys.bob).bit_count()
+
+
 def locate(alice, bob, order, lo, hi, transcript, round_index=0):
-    """Run ``_disclose`` on a batch of one, order[lo:hi], its parities read
-    from prefix parities gathered over the order from copies of the keys; the
-    range must hold an odd number of differences.  Check that it flipped
-    Bob's bit at the returned position, and nothing else, and recorded that
-    flip last."""
-    pair = KeyPair(alice.copy(), bob.copy())
-    ca = _prefix_parities(pair.alice, order)
-    cb = _prefix_parities(pair.bob, order)
-    flipped = _disclose(transcript, round_index, [lo], [hi],
-                        [int(ca[hi] ^ ca[lo])], [int(cb[hi] ^ cb[lo])], pair, order, ca, cb)
+    """Run ``_disclose`` on a batch of one, order[lo:hi], its parities and
+    packed bits gathered over the order from copies of the keys; the range
+    must hold an odd number of differences.  Check that it flipped Bob's
+    bit at the returned position, and nothing else, and recorded that flip
+    last."""
+    keys = PackedKeys(KeyPair(alice.copy(), bob.copy()))
+    ga, gb = alice[order], bob[order]
+    flipped = _disclose(transcript, round_index, [lo], [hi], [parity(ga[lo:hi])],
+                        [parity(gb[lo:hi])], keys, order, packed(ga), packed(gb))
     assert len(flipped) == 1
     found = flipped[0]
-    assert np.flatnonzero(pair.bob != bob).tolist() == [found]
-    assert np.array_equal(pair.alice, alice)
+    a, b = keys.unpack()
+    assert np.flatnonzero(b != bob).tolist() == [found]
+    assert np.array_equal(a, alice)
     assert transcript.events[-1] == Event(CORRECT, round_index, index=found)
     return found
 
@@ -221,31 +249,30 @@ class TestBisectError:
             assert found in placement
 
     def test_even_count_precondition(self):
-        # stale prefixes claim one difference where the keys now agree (an
+        # stale packed bits claim one difference where the keys now agree (an
         # even count): the search lands on an agreeing bit and corrects nothing
         pair = KeyPair(np.zeros(6, dtype=np.uint8), bits_from_string("000100"))
-        order = np.arange(6)
-        ca = _prefix_parities(pair.alice, order)
-        cb = _prefix_parities(pair.bob, order)
-        pair.bob[3] ^= 1
+        stale_a, stale_b = packed(pair.alice), packed(pair.bob)
+        keys = PackedKeys(pair)
+        keys.bob ^= 1 << 3
         t = Transcript()
         with pytest.raises(ProtocolError):
-            _disclose(t, 0, [0], [6], [0], [1], pair, order, ca, cb)
+            _disclose(t, 0, [0], [6], [0], [1], keys, np.arange(6), stale_a, stale_b)
         assert t.corrections_made == 0
-        assert pair.residual_errors() == 0
+        assert residual(keys) == 0
         assert t.events[0] == Event(COMPARE_BLOCK, 0, 0, 6, parity_a=0, parity_b=1)
 
     def test_agreeing_parities_flip_nothing(self):
         # two differences in range: the comparison agrees and nothing moves
         alice = np.zeros(6, dtype=np.uint8)
         bob = bits_from_string("010010")
-        pair = KeyPair(alice, bob.copy())
-        order = np.arange(6)
+        keys = PackedKeys(KeyPair(alice, bob))
+        before = keys.bob
         t = Transcript()
-        flipped = _disclose(t, 2, [0], [6], [0], [0], pair, order,
-                            _prefix_parities(pair.alice, order), _prefix_parities(pair.bob, order))
+        flipped = _disclose(t, 2, [0], [6], [0], [0], keys, np.arange(6),
+                            packed(alice), packed(bob))
         assert flipped == []
-        assert np.array_equal(pair.bob, bob)
+        assert keys.bob == before
         assert t.events == [Event(COMPARE_BLOCK, 2, 0, 6, parity_a=0, parity_b=0)]
 
 
@@ -263,15 +290,21 @@ def reference_bisect(alice, bob, order, lo, hi, events, round_index):
     return int(order[lo])
 
 
+def bit_arrays(n: int):
+    """Uniform n-bit uint8 arrays, drawn as packed bytes."""
+    return st.binary(min_size=-(-n // 8), max_size=-(-n // 8)).map(
+        lambda b: np.unpackbits(np.frombuffer(b, dtype=np.uint8), count=n))
+
+
 @st.composite
-def bisect_cases(draw):
-    """Random keys, order, [lo, hi) with an odd number of differences in
-    order[lo:hi], and a start ``base <= lo`` for prefix parities over
-    order[base:hi], as back-correction gathers them; positions outside the
-    range may differ too."""
+def block_cases(draw):
+    """Random keys, an order, and [lo, hi) with an odd number of
+    differences in order[lo:hi]; positions outside the range may differ
+    too.  The halving gets the pass-order packed keys from slot ``lo``
+    upwards, the bits past ``hi`` included, with ``range`` for positions:
+    a block's ordinals are its slots."""
     n = draw(st.integers(1, 80))
-    alice = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
-                     dtype=np.uint8)
+    alice = draw(bit_arrays(n))
     order = np.array(draw(st.permutations(range(n))), dtype=np.int64)
     m = draw(st.integers(1, n))  # orders may cover only part of the key
     order = order[:m]
@@ -285,52 +318,81 @@ def bisect_cases(draw):
     bob = alice.copy()
     bob[order[sorted(inside)]] ^= 1
     bob[sorted(outside)] ^= 1
-    base = draw(st.integers(0, lo))
-    return alice, bob, order, lo, hi, base
+    va, vb = (int.from_bytes(packed(bits[order]), "little") >> lo for bits in (alice, bob))
+    return alice, bob, order, lo, hi, range(m), va, vb, order
 
 
-class TestPrefixBisect:
-    @settings(max_examples=300, deadline=None)
-    @given(bisect_cases(), st.integers(0, 5))
+@st.composite
+def subset_cases(draw):
+    """Keys of n in 1..300 bits, a subset's ascending positions holding an
+    odd number of differences, and any differences outside the subset.  The
+    halving gets the keys masked to the subset from its first position
+    upwards, with the positions themselves, so it returns a key position."""
+    n = draw(st.integers(1, 300))
+    alice = draw(bit_arrays(n))
+    subset = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    inside = draw(st.sets(st.sampled_from(subset), min_size=1))
+    if len(inside) % 2 == 0:
+        inside.discard(min(inside))
+    outside = draw(st.sets(st.integers(0, n - 1))) - set(subset)
+    bob = alice.copy()
+    bob[sorted(inside | outside)] ^= 1
+    keys = PackedKeys(KeyPair(alice, bob))
+    mask = sum(1 << p for p in subset)
+    positions = np.array(subset, dtype=np.int64)
+    return (alice, bob, positions, 0, len(subset), memoryview(positions),
+            (keys.alice & mask) >> subset[0], (keys.bob & mask) >> subset[0], np.arange(n))
+
+
+class TestBisect:
+    """The one halving step of block passes, back-correction and subsets."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(block_cases(), subset_cases()), st.integers(0, 5))
     def test_matches_per_halving_reference(self, case, round_index):
-        alice, bob, order, lo, hi, base = case
-        t_new, ref_events = Transcript(), []
-        found = locate(alice, bob, order, lo, hi, t_new, round_index)
+        # ``to_key`` maps what _bisect returns (a slot or a key position)
+        # to the key position the reference returns
+        alice, bob, order, lo, hi, pos, va, vb, to_key = case
+        ref_events = []
         expected = reference_bisect(alice, bob, order, lo, hi, ref_events, round_index)
+        t = Transcript()
+        found = int(to_key[_bisect(t, round_index, pos, lo, hi, va, vb)])
         assert found == expected
         assert alice[found] != bob[found]
-        pa = int(alice[order[lo:hi]].sum()) % 2
-        pb = int(bob[order[lo:hi]].sum()) % 2
-        assert pa != pb
-        assert t_new.events[0] == Event(COMPARE_BLOCK, round_index, lo, hi, pa, pb)
-        assert t_new.events[1:-1] == ref_events
-        # back-correction's form: prefixes over order[base:hi] alone, no comparison
-        pair, t_base = KeyPair(alice.copy(), bob.copy()), Transcript()
-        assert _bisect(pair, t_base, round_index, lo, hi, order,
-                       _prefix_parities(pair.alice, order[base:hi]),
-                       _prefix_parities(pair.bob, order[base:hi]), base) == found
-        assert t_base.events == t_new.events[1:]
-        assert t_base.parities_revealed == len(ref_events)
-        assert np.flatnonzero(pair.bob != bob).tolist() == [found]
+        assert t.events == ref_events
+        assert t.parities_revealed == len(ref_events)
 
-
-def bit_arrays(n: int):
-    """Uniform n-bit uint8 arrays, drawn as packed bytes."""
-    return st.binary(min_size=-(-n // 8), max_size=-(-n // 8)).map(
-        lambda b: np.unpackbits(np.frombuffer(b, dtype=np.uint8), count=n))
-
-
-class TestPrefixParities:
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 300).flatmap(lambda n: st.tuples(
-        bit_arrays(n), st.integers(0, 2**32 - 1), st.integers(0, n))))
-    def test_equals_the_running_count_mod_2(self, case):
-        # orders may repeat no position and cover only part of the bits
-        bits, seed, m = case
-        order = np.random.default_rng(seed).permutation(len(bits))[:m]
-        c = _prefix_parities(bits, order)
-        assert c.dtype == np.uint8 and c[0] == 0
-        assert np.array_equal(c[1:], np.cumsum(bits[order], dtype=np.int64) & 1)
+    @given(block_cases(), st.integers(0, 5))
+    def test_disclosed_block_matches_the_reference(self, case, round_index):
+        # a block compared and bisected by _disclose, its bits cut from the
+        # pass's packed bytes: the comparison, the reference's halvings, one
+        # correction
+        alice, bob, order, lo, hi, *_ = case
+        ref_events = []
+        expected = reference_bisect(alice, bob, order, lo, hi, ref_events, round_index)
+        t = Transcript()
+        assert locate(alice, bob, order, lo, hi, t, round_index) == expected
+        pa, pb = parity(alice[order[lo:hi]]), parity(bob[order[lo:hi]])
+        assert pa != pb
+        assert t.events[0] == Event(COMPARE_BLOCK, round_index, lo, hi, pa, pb)
+        assert t.events[1:-1] == ref_events
+
+    def test_even_differences_raise(self):
+        # the subset {0, 2, 3, 5} holds two differences, at 0 and 2: the
+        # first half agrees and the search lands on the agreeing bit 5,
+        # which the correction refuses
+        keys = PackedKeys(KeyPair(np.zeros(6, dtype=np.uint8), bits_from_string("101000")))
+        mask = 0b101101
+        t = Transcript()
+        found = _bisect(t, 4, [0, 2, 3, 5], 0, 4, keys.alice & mask, keys.bob & mask)
+        assert found == 5
+        with pytest.raises(ProtocolError):
+            _correct(keys, t, 4, found)
+        assert t.to_lines() == ["bisect round=4 range=0:2 a=0 b=0",
+                                "bisect round=4 range=2:3 a=0 b=0"]
+        assert (t.parities_revealed, t.corrections_made) == (2, 0)
+        assert keys.bob == 0b101
 
 
 @st.composite
@@ -352,42 +414,40 @@ class TestDiscloseBatch:
         # every block in one batch, then each block in a batch of its own
         alice, bob, order, k = case
         lo, hi = zip(*partition(len(order), k))
+        ga, gb = alice[order], bob[order]
+        pa = [parity(ga[l:h]) for l, h in zip(lo, hi)]
+        pb = [parity(gb[l:h]) for l, h in zip(lo, hi)]
         runs = []
         for batches in ([range(len(lo))], [[j] for j in range(len(lo))]):
-            pair = KeyPair(alice.copy(), bob.copy())
-            ca = _prefix_parities(pair.alice, order)
-            cb = _prefix_parities(pair.bob, order)
-            pa = [int(ca[h] ^ ca[l]) for l, h in zip(lo, hi)]
-            pb = [int(cb[h] ^ cb[l]) for l, h in zip(lo, hi)]
+            keys = PackedKeys(KeyPair(alice.copy(), bob.copy()))
             t = Transcript()
             flipped = []
             for batch in batches:
                 flipped += _disclose(t, round_index,
                                      [lo[j] for j in batch], [hi[j] for j in batch],
                                      [pa[j] for j in batch], [pb[j] for j in batch],
-                                     pair, order, ca, cb)
+                                     keys, order, packed(ga), packed(gb))
             assert len(flipped) == sum(a != b for a, b in zip(pa, pb))
+            a, b = keys.unpack()
             for l, h in zip(lo, hi):
                 sel = order[l:h]
-                assert int(pair.alice[sel].sum()) % 2 == int(pair.bob[sel].sum()) % 2
-            runs.append((t.events, flipped, pair.bob.tolist(),
+                assert parity(a[sel]) == parity(b[sel])
+            runs.append((t.events, flipped, b.tolist(),
                          (t.parities_revealed, t.corrections_made, t.bits_deleted)))
         assert runs[0] == runs[1]
 
     def test_agreeing_bit_inside_a_batch_raises(self):
         # three four-bit blocks: the first holds one difference; the second's
-        # prefixes are stale and claim one where the keys now agree, so its
+        # packed bits are stale and claim one where the keys now agree, so its
         # search lands on an agreeing bit; the third is never compared
         alice = np.zeros(12, dtype=np.uint8)
-        pair = KeyPair(alice, bits_from_string("010000100000"))
-        order = np.arange(12)
-        ca = _prefix_parities(pair.alice, order)
-        cb = _prefix_parities(pair.bob, order)
-        pair.bob[6] ^= 1
+        bob = bits_from_string("010000100000")
+        keys = PackedKeys(KeyPair(alice, bob))
+        keys.bob ^= 1 << 6
         t = Transcript()
         with pytest.raises(ProtocolError):
             _disclose(t, 1, [0, 4, 8], [4, 8, 12], [0, 0, 0], [1, 1, 0],
-                      pair, order, ca, cb)
+                      keys, np.arange(12), packed(alice), packed(bob))
         assert t.to_lines() == [
             "compare-block round=1 range=0:4 a=0 b=1",
             "bisect round=1 range=0:2 a=0 b=1",
@@ -398,7 +458,22 @@ class TestDiscloseBatch:
             "bisect round=1 range=6:7 a=0 b=1",
         ]
         assert (t.parities_revealed, t.corrections_made, t.bits_deleted) == (6, 1, 0)
-        assert pair.residual_errors() == 0
+        assert residual(keys) == 0
+
+
+def check_records(keys: PackedKeys, history) -> None:
+    """Each record's parities are those of fresh gathers, every recorded
+    block agrees, and its packed keys are the keys gathered in its pass's
+    order."""
+    alice, bob = keys.unpack()
+    for rec in history:
+        spans = partition(keys.n, rec.block_size)
+        fresh = [[parity(bits[rec.permutation[lo:hi]]) for lo, hi in spans]
+                 for bits in (alice, bob)]
+        assert rec.parity_a == fresh[0]
+        assert rec.parity_b == fresh[1] == fresh[0]
+        assert rec.alice == packed(alice[rec.permutation])
+        assert rec.bob == packed(bob[rec.permutation])
 
 
 class TestRunPass:
@@ -407,9 +482,9 @@ class TestRunPass:
                              variant=variant, seed=seed)
 
     def test_error_free_pass(self):
-        pair = make_key_pair(64, ErrorPattern(64, ()), seed=4)
+        keys = PackedKeys(make_key_pair(64, ErrorPattern(64, ()), seed=4))
         t = Transcript()
-        assert run_pass(pair, 0, self.config(8), t, []) is None
+        assert run_pass(keys, 0, self.config(8), t, []) is None
         assert t.corrections_made == 0
         assert all(e.parity_a == e.parity_b for e in t.events
                    if e.kind == COMPARE_BLOCK)
@@ -418,10 +493,9 @@ class TestRunPass:
         # 30-bit prefix, identity order, five-bit blocks: mismatches exactly
         # at the second and sixth block, two corrections, blocks 4/5 untouched
         pair = example_pair()
-        pair.alice = pair.alice[:30]
-        pair.bob = pair.bob[:30]
+        keys = PackedKeys(KeyPair(pair.alice[:30], pair.bob[:30]))
         t = Transcript()
-        run_pass(pair, 0, self.config(5, variant=CASCADE), t, [])
+        run_pass(keys, 0, self.config(5, variant=CASCADE), t, [])
         assert t.corrections_made == 2
         compares = [e for e in t.events if e.kind == COMPARE_BLOCK]
         mismatched = [i + 1 for i, e in enumerate(compares)
@@ -431,27 +505,23 @@ class TestRunPass:
             (0, 0), (0, 1), (1, 1), (0, 0), (0, 0), (0, 1)]
         corrected = sorted(e.index for e in t.events if e.kind == CORRECT)
         assert corrected == [6, 29]
-        assert pair.residual_errors() == 4  # the two even blocks stay hidden
+        assert residual(keys) == 4  # the two even blocks stay hidden
 
     def test_blocks_agree_after_pass(self):
         # after every pass of a Cascade run, every block of every recorded
-        # pass agrees, and each record's parities are those of fresh gathers
+        # pass agrees, and each record's parities and packed keys are those
+        # of fresh gathers
         g = GammaIntensity(10, 2)
         back_corrections = 0
         for seed in range(5):
             pattern = sample_error_pattern(512, TimeUnitLayout(128), g, seed)
-            pair = make_key_pair(512, pattern, seed + 100)
+            keys = PackedKeys(make_key_pair(512, pattern, seed + 100))
             config = self.config(8, variant=CASCADE, seed=seed)
             t, history = Transcript(), []
             for p in range(config.num_passes):
-                run_pass(pair, p, config, t, history)
+                run_pass(keys, p, config, t, history)
                 assert [rec.pass_index for rec in history] == list(range(p + 1))
-                for rec in history:
-                    spans = partition(len(pair), rec.block_size)
-                    fresh = [[int(bits[rec.permutation[lo:hi]].sum()) & 1 for lo, hi in spans]
-                             for bits in (pair.alice, pair.bob)]
-                    assert rec.parity_a == fresh[0]
-                    assert rec.parity_b == fresh[1] == fresh[0]
+                check_records(keys, history)
             current = 0  # the pass whose comparisons an event follows
             for e in t.events:
                 if e.kind == COMPARE_BLOCK:
@@ -460,17 +530,25 @@ class TestRunPass:
         assert back_corrections > 0
 
     def test_bbbss_deletes_one_bit_per_block(self):
+        # the keys left are the corrected keys less the deleted positions
         pair = make_key_pair(64, ErrorPattern(64, (10,)), seed=4)
+        keys = PackedKeys(pair)
         t = Transcript()
-        run_pass(pair, 0, self.config(8, variant=BBBSS), t, [])
-        assert len(pair) == 64 - 8
+        run_pass(keys, 0, self.config(8, variant=BBBSS), t, [])
+        assert keys.n == 64 - 8
         assert t.bits_deleted == 8
+        bob = pair.bob.copy()
+        bob[[e.index for e in t.events if e.kind == CORRECT]] ^= 1
+        kept = np.delete(np.arange(64), [e.index for e in t.events if e.kind == DELETE])
+        a, b = keys.unpack()
+        assert t.corrections_made == 1
+        assert np.array_equal(a, pair.alice[kept]) and np.array_equal(b, bob[kept])
 
     def test_cascade_deletes_nothing(self):
-        pair = make_key_pair(64, ErrorPattern(64, (10,)), seed=4)
+        keys = PackedKeys(make_key_pair(64, ErrorPattern(64, (10,)), seed=4))
         t = Transcript()
-        run_pass(pair, 0, self.config(8, variant=CASCADE), t, [])
-        assert len(pair) == 64
+        run_pass(keys, 0, self.config(8, variant=CASCADE), t, [])
+        assert keys.n == 64
         assert t.bits_deleted == 0
 
 
@@ -504,16 +582,16 @@ class TestCascadeBackCorrection:
         alice = np.zeros(n, dtype=np.uint8)
         bob = alice.copy()
         bob[[0, 1, 4, 5]] ^= 1
-        pair = KeyPair(alice, bob)
+        keys = PackedKeys(KeyPair(alice, bob))
         config = CascadeConfig(initial_block_size=k, num_passes=2,
                                variant=CASCADE, seed=seed)
         t = Transcript()
         history = []
-        run_pass(pair, 0, config, t, history)
+        run_pass(keys, 0, config, t, history)
         assert t.corrections_made == 0  # all four errors hidden
-        run_pass(pair, 1, config, t, history)
+        run_pass(keys, 1, config, t, history)
         assert t.corrections_made == 4
-        assert pair.residual_errors() == 0
+        assert residual(keys) == 0
         kinds = [(e.kind, e.round_index) for e in t.events]
         assert kinds.count((COMPARE_BLOCK, 0)) == n // k  # each block compared once
         assert kinds.count((COMPARE_BLOCK, 1)) == n // (2 * k)
@@ -546,7 +624,41 @@ class TestCascadeBackCorrection:
     def test_direct_call_with_empty_history(self):
         pair = make_key_pair(16, ErrorPattern(16, (2,)), seed=0)
         pair.bob[2] ^= 1  # clear the difference so nothing can be flipped
-        assert cascade_back_correction(pair, [], [2], Transcript()) == 0
+        assert cascade_back_correction(PackedKeys(pair), [], [2], Transcript()) == 0
+
+    def test_subset_phase_back_correction_keeps_the_records(self):
+        # one Cascade pass of large blocks leaves errors for the subset
+        # rounds; each subset correction reopens a recorded block, which is
+        # bisected from the record's packed keys.  After the subset phase
+        # every record still matches fresh gathers and every block agrees.
+        g = GammaIntensity(10, 2)
+        subset_back_corrections = 0
+        for seed in range(6):
+            pattern = sample_error_pattern(512, TimeUnitLayout(128), g, seed)
+            keys = PackedKeys(make_key_pair(512, pattern, seed + 100))
+            config = CascadeConfig(initial_block_size=64, num_passes=2,
+                                   variant=CASCADE, seed=seed)
+            t, history = Transcript(), []
+            for p in range(config.num_passes):
+                run_pass(keys, p, config, t, history)
+            check_records(keys, history)
+            rng = subset_stream(config.seed)
+            successes = rounds = 0
+            while successes < config.termination_successes:
+                corrected = random_subset_round(keys, config, rounds, t, history, rng)
+                rounds += 1
+                successes = 0 if corrected else successes + 1
+            check_records(keys, history)
+            assert residual(keys) == 0
+            # each mismatching subset round corrects one bit itself; every
+            # further correction after the first subset comparison came from
+            # bisecting a record's block
+            subset_events = list(itertools.dropwhile(
+                lambda e: e.kind != COMPARE_SUBSET, t.events))
+            direct = sum(e.kind == COMPARE_SUBSET and e.parity_a != e.parity_b
+                         for e in subset_events)
+            subset_back_corrections += sum(e.kind == CORRECT for e in subset_events) - direct
+        assert subset_back_corrections > 0
 
 
 def subset_stream(seed: int) -> np.random.Generator:
@@ -817,62 +929,6 @@ class TestPackedSubsetRound:
         # default_rng(9)'s first two raw words each start with two zero bits
         assert check_packed_round(bits_from_string("01"), bits_from_string("11"),
                                   variant, 9) == 2
-
-
-@st.composite
-def subset_bisect_cases(draw):
-    """Keys of n in 1..300 bits, a subset's ascending positions holding an
-    odd number of differences, and any differences outside the subset."""
-    n = draw(st.integers(1, 300))
-    alice = draw(bit_arrays(n))
-    subset = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
-    inside = draw(st.sets(st.sampled_from(subset), min_size=1))
-    if len(inside) % 2 == 0:
-        inside.discard(min(inside))
-    outside = draw(st.sets(st.integers(0, n - 1))) - set(subset)
-    bob = alice.copy()
-    bob[sorted(inside | outside)] ^= 1
-    return alice, bob, np.array(subset, dtype=np.int64)
-
-
-class TestSubsetBisect:
-    """The packed halving of a subset round against the block bisection."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(subset_bisect_cases(), st.integers(0, 5))
-    def test_matches_bisect_over_the_positions(self, case, round_index):
-        # one halving rule: _bisect over the subset's positions, read from
-        # XOR prefix parities, writes the same rows and flips the same bit
-        alice, bob, positions = case
-        mask = sum(1 << int(p) for p in positions)
-        keys = PackedKeys(KeyPair(alice, bob))
-        t_packed = Transcript()
-        found = _bisect_subset(keys, t_packed, round_index, positions,
-                               keys.alice & mask, keys.bob & mask)
-        pair, t_block = KeyPair(alice.copy(), bob.copy()), Transcript()
-        assert _bisect(pair, t_block, round_index, 0, len(positions), positions,
-                       _prefix_parities(pair.alice, positions),
-                       _prefix_parities(pair.bob, positions)) == found
-        assert alice[found] != bob[found]
-        assert t_packed.events == t_block.events
-        assert (t_packed.parities_revealed, t_packed.corrections_made) == (
-            t_block.parities_revealed, t_block.corrections_made)
-        a, b = keys.unpack()
-        assert np.array_equal(a, alice) and np.array_equal(b, pair.bob)
-
-    def test_even_differences_raise(self):
-        # the subset {0, 2, 3, 5} holds two differences, at 0 and 2: the
-        # first half agrees and the search lands on the agreeing bit 5
-        keys = PackedKeys(KeyPair(np.zeros(6, dtype=np.uint8), bits_from_string("101000")))
-        mask = 0b101101
-        t = Transcript()
-        with pytest.raises(ProtocolError):
-            _bisect_subset(keys, t, 4, np.array([0, 2, 3, 5]), keys.alice & mask,
-                           keys.bob & mask)
-        assert t.to_lines() == ["bisect round=4 range=0:2 a=0 b=0",
-                                "bisect round=4 range=2:3 a=0 b=0"]
-        assert (t.parities_revealed, t.corrections_made) == (2, 0)
-        assert keys.bob == 0b101
 
 
 class TestReconcile:
