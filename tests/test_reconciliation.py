@@ -344,23 +344,29 @@ def subset_cases(draw):
             (keys.alice & mask) >> subset[0], (keys.bob & mask) >> subset[0], np.arange(n))
 
 
-class TestBisect:
-    """The one halving step of block passes, back-correction and subsets."""
+def check_bisect(case, round_index):
+    """_bisect against reference_bisect: the same key position, a true
+    difference, the same halving events.  ``to_key`` maps what _bisect
+    returns (a slot or a key position) to the key position the reference
+    returns."""
+    alice, bob, order, lo, hi, pos, va, vb, to_key = case
+    ref_events = []
+    expected = reference_bisect(alice, bob, order, lo, hi, ref_events, round_index)
+    t = Transcript()
+    found = int(to_key[_bisect(t, round_index, pos, lo, hi, va, vb)])
+    assert found == expected
+    assert alice[found] != bob[found]
+    assert t.events == ref_events
+    assert t.parities_revealed == len(ref_events)
 
-    @settings(max_examples=400, deadline=None)
-    @given(st.one_of(block_cases(), subset_cases()), st.integers(0, 5))
+
+class TestPrefixBisect:
+    """The halving step on the blocks of passes and back-correction."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_cases(), st.integers(0, 5))
     def test_matches_per_halving_reference(self, case, round_index):
-        # ``to_key`` maps what _bisect returns (a slot or a key position)
-        # to the key position the reference returns
-        alice, bob, order, lo, hi, pos, va, vb, to_key = case
-        ref_events = []
-        expected = reference_bisect(alice, bob, order, lo, hi, ref_events, round_index)
-        t = Transcript()
-        found = int(to_key[_bisect(t, round_index, pos, lo, hi, va, vb)])
-        assert found == expected
-        assert alice[found] != bob[found]
-        assert t.events == ref_events
-        assert t.parities_revealed == len(ref_events)
+        check_bisect(case, round_index)
 
     @settings(max_examples=200, deadline=None)
     @given(block_cases(), st.integers(0, 5))
@@ -377,6 +383,15 @@ class TestBisect:
         assert pa != pb
         assert t.events[0] == Event(COMPARE_BLOCK, round_index, lo, hi, pa, pb)
         assert t.events[1:-1] == ref_events
+
+
+class TestSubsetBisect:
+    """The same halving step on a random subset, in key order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(subset_cases(), st.integers(0, 5))
+    def test_matches_bisect_over_the_positions(self, case, round_index):
+        check_bisect(case, round_index)
 
     def test_even_differences_raise(self):
         # the subset {0, 2, 3, 5} holds two differences, at 0 and 2: the
