@@ -31,18 +31,12 @@ from .reconciliation import (
     CascadeConfig,
     Event,
     KeyPair,
-    PackedKeys,
     ProtocolError,
     ReconcileOutcome,
     Transcript,
     bits_from_string,
-    cascade_back_correction,
     make_key_pair,
-    partition,
-    random_subset_round,
     reconcile,
-    run_pass,
-    shared_permutation,
 )
 from .special_functions import (
     SeriesNonConvergence,

@@ -81,6 +81,7 @@ class ErrorPattern:
     positions: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _require_int(self.n, "key length n")
         if self.n < 0:
             raise ValueError(f"key length must be >= 0, got {self.n!r}")
         prev = -1
@@ -256,6 +257,7 @@ def sample_process(
     length, and place that many distinct positions uniformly inside the
     unit.  Deterministic for a fixed ``(n, layout, g, seed)``.
     """
+    _require_int(n, "key length n")
     if n < 1:
         raise ValueError(f"key length must be >= 1, got {n!r}")
     rng = np.random.default_rng(seed)

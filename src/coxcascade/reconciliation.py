@@ -38,7 +38,7 @@ never to steer the protocol.
 
 Only parities are ever published, so only parities are computed, on one
 key form: both keys packed into Python ints for the whole run
-(:class:`PackedKeys`), where a parity is the bit count of an AND.  One
+(:class:`_PackedKeys`), where a parity is the bit count of an AND.  One
 halving step, :func:`_bisect`, serves block passes, back-correction and
 subset rounds.  NumPy only shuffles a pass (unpack, gather, block
 parities by ``bitwise_xor.reduceat``, pass-order bits packed into bytes),
@@ -67,19 +67,12 @@ __all__ = [
     "CascadeConfig",
     "Event",
     "KeyPair",
-    "PackedKeys",
-    "PassRecord",
     "ProtocolError",
     "ReconcileOutcome",
     "Transcript",
     "bits_from_string",
-    "cascade_back_correction",
     "make_key_pair",
-    "partition",
-    "random_subset_round",
     "reconcile",
-    "run_pass",
-    "shared_permutation",
 ]
 
 BBBSS = "bbbss"
@@ -153,14 +146,14 @@ def _pack(bits: np.ndarray) -> int:
     return int.from_bytes(_packed(bits), "little")
 
 
-class PackedKeys:
+class _PackedKeys:
     """Alice's and Bob's keys packed into Python ints, position i at bit i.
 
     Every phase of a run works on this form: the parity of a key over a
     mask ``m`` is ``(key & m).bit_count() & 1``.  :func:`reconcile` packs
     its pair once before the first pass and unpacks it once after the last
-    subset round; :func:`run_pass`, :func:`cascade_back_correction` and
-    :func:`random_subset_round` correct and delete bits in place.
+    subset round; :func:`_run_pass`, :func:`_cascade_back_correction` and
+    :func:`_random_subset_round` correct and delete bits in place.
     """
 
     __slots__ = ("alice", "bob", "n")
@@ -279,7 +272,7 @@ class Transcript:
     unused fields -1, with each subset comparison's packed mask kept on the
     side in row order: the round's stream bytes, stored as drawn once the
     padding bits are cleared.  :func:`_disclose` writes the block
-    comparison rows and :func:`random_subset_round` the subset comparison
+    comparison rows and :func:`_random_subset_round` the subset comparison
     rows with their masks; :func:`_bisect` writes every bisection row, of
     block passes, back-correction and subset rounds alike,
     :func:`_correct` every correction row, and :func:`_record_deletions`
@@ -318,7 +311,7 @@ class ReconcileOutcome:
 
 
 @dataclass
-class PassRecord:
+class _PassRecord:
     """One Cascade pass's partition, block parity ledger and packed keys.
 
     Block ``j`` is permutation[j * block_size:(j + 1) * block_size], and
@@ -326,7 +319,7 @@ class PassRecord:
     memoryview of the inverse permutation, so a lookup is a Python int).
     ``parity_a[j]`` is Alice's parity of block ``j``: public once the pass
     compared it, and fixed for the run.  ``parity_b[j]`` is Bob's, which
-    :func:`cascade_back_correction` toggles on every flip inside the block.
+    :func:`_cascade_back_correction` toggles on every flip inside the block.
     ``alice`` and ``bob`` are the two keys gathered in the pass's order and
     packed eight bits to a byte, slot s at bit s % 8 of byte s // 8:
     Alice's is fixed, and Bob's bit is toggled with ``parity_b``, so a
@@ -345,6 +338,7 @@ class PassRecord:
 
 def make_key_pair(n: int, pattern: ErrorPattern, seed: int) -> KeyPair:
     """Uniform random bits for Alice; Bob differs exactly at the pattern."""
+    _require_int(n, "key length n")
     if pattern.n != n:
         raise ValueError(f"pattern is for a {pattern.n}-bit key, expected {n}")
     rng = np.random.default_rng(seed)
@@ -355,7 +349,7 @@ def make_key_pair(n: int, pattern: ErrorPattern, seed: int) -> KeyPair:
     return KeyPair(alice, bob)
 
 
-def shared_permutation(n: int, round_index: int, seed: int) -> np.ndarray:
+def _shared_permutation(n: int, round_index: int, seed: int) -> np.ndarray:
     """Deterministic unbiased shuffle of [0, n) shared by both parties."""
     if n < 1:
         raise ValueError(f"permutation length must be >= 1, got {n!r}")
@@ -363,7 +357,7 @@ def shared_permutation(n: int, round_index: int, seed: int) -> np.ndarray:
     return rng.permutation(n)
 
 
-def partition(n: int, k: int) -> list[tuple[int, int]]:
+def _partition(n: int, k: int) -> list[tuple[int, int]]:
     """Consecutive ranges of size ``k`` covering [0, n); the last may be short."""
     if k < 1 or k > n:
         raise ValueError(f"block size must satisfy 1 <= k <= {n}, got {k!r}")
@@ -412,7 +406,7 @@ def _bisect(
     return base
 
 
-def _correct(keys: PackedKeys, transcript: Transcript, round_index: int, index: int) -> None:
+def _correct(keys: _PackedKeys, transcript: Transcript, round_index: int, index: int) -> None:
     """Flip Bob's bit at key position ``index`` and record the correction.
 
     The omniscient check: the bit must differ between the keys, or the
@@ -428,7 +422,7 @@ def _correct(keys: PackedKeys, transcript: Transcript, round_index: int, index: 
 
 
 def _bisect_block(
-    keys: PackedKeys, transcript: Transcript, round_index: int, order: np.ndarray,
+    keys: _PackedKeys, transcript: Transcript, round_index: int, order: np.ndarray,
     packed_a: bytes, packed_b: bytes, lo: int, hi: int,
 ) -> int:
     """Bisect block order[lo:hi] and correct the bit found; return its position.
@@ -449,7 +443,7 @@ def _bisect_block(
 def _disclose(
     transcript: Transcript, round_index: int, lo: Sequence[int], hi: Sequence[int],
     parity_a: Sequence[int], parity_b: Sequence[int],
-    keys: PackedKeys, order: np.ndarray, packed_a: bytes, packed_b: bytes,
+    keys: _PackedKeys, order: np.ndarray, packed_a: bytes, packed_b: bytes,
 ) -> list[int]:
     """Disclose a batch of block comparisons; correct one bit per mismatch.
 
@@ -491,8 +485,8 @@ def _record_deletions(
     transcript.bits_deleted += len(indices)
 
 
-def cascade_back_correction(
-    keys: PackedKeys, history: list[PassRecord], flipped: Sequence[int], transcript: Transcript
+def _cascade_back_correction(
+    keys: _PackedKeys, history: list[_PassRecord], flipped: Sequence[int], transcript: Transcript
 ) -> int:
     """Bisect the recorded blocks that corrections have left odd.
 
@@ -509,7 +503,7 @@ def cascade_back_correction(
     variant, where no bits are ever deleted and recorded partitions stay
     valid.
     """
-    queue: deque[tuple[PassRecord, int]] = deque()
+    queue: deque[tuple[_PassRecord, int]] = deque()
 
     def toggle(index: int) -> None:
         for rec in history:
@@ -535,12 +529,12 @@ def cascade_back_correction(
     return corrections
 
 
-def run_pass(
-    keys: PackedKeys,
+def _run_pass(
+    keys: _PackedKeys,
     pass_index: int,
     config: CascadeConfig,
     transcript: Transcript,
-    history: list[PassRecord],
+    history: list[_PassRecord],
 ) -> None:
     """One block pass: shuffle, partition, compare, bisect mismatches.
 
@@ -554,17 +548,17 @@ def run_pass(
     bit of every compared block is then deleted from both keys with one
     keep mask.  In Cascade mode the pass joins ``history`` with its block
     parities as compared and its packed keys, and its corrections go to
-    :func:`cascade_back_correction`, which also bisects any block of this
+    :func:`_cascade_back_correction`, which also bisects any block of this
     pass that a later flip leaves odd.
     """
     n = keys.n
     if n == 0:
         return
     k = min(_concrete_block_size(config) * config.block_growth**pass_index, n)
-    perm = np.arange(n) if pass_index == 0 else shared_permutation(n, pass_index, config.seed)
+    perm = np.arange(n) if pass_index == 0 else _shared_permutation(n, pass_index, config.seed)
     alice, bob = keys.unpack()
     ga, gb = alice[perm], bob[perm]
-    lo, hi = zip(*partition(n, k))
+    lo, hi = zip(*_partition(n, k))
     starts = np.array(lo)
     pa = np.bitwise_xor.reduceat(ga, starts).tolist()
     pb = np.bitwise_xor.reduceat(gb, starts).tolist()
@@ -580,9 +574,9 @@ def run_pass(
         return
     inverse = np.empty_like(perm)
     inverse[perm] = np.arange(n)
-    history.append(PassRecord(pass_index, perm, memoryview(inverse), k, pa, pb, packed_a,
-                              bytearray(packed_b)))
-    cascade_back_correction(keys, history, flipped, transcript)
+    history.append(_PassRecord(pass_index, perm, memoryview(inverse), k, pa, pb, packed_a,
+                               bytearray(packed_b)))
+    _cascade_back_correction(keys, history, flipped, transcript)
 
 
 # Byte b with its bits in reverse order: the stream's mask bytes hold
@@ -590,12 +584,12 @@ def run_pass(
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def random_subset_round(
-    keys: PackedKeys,
+def _random_subset_round(
+    keys: _PackedKeys,
     config: CascadeConfig,
     round_index: int,
     transcript: Transcript,
-    history: list[PassRecord],
+    history: list[_PassRecord],
     rng: np.random.Generator,
 ) -> bool:
     """One random-subset comparison; returns True if a bit was corrected.
@@ -614,7 +608,7 @@ def random_subset_round(
     listed in ascending key order and bisected by :func:`_bisect` from the
     masked keys; the stream supplies nothing but masks.  In BBBSS mode the
     subset's last bit (its highest position) is deleted after the round.
-    In Cascade mode a correction goes to :func:`cascade_back_correction`
+    In Cascade mode a correction goes to :func:`_cascade_back_correction`
     on the same packed keys.
     """
     n = keys.n
@@ -640,7 +634,7 @@ def random_subset_round(
         found = _bisect(transcript, round_index, pos, 0, len(pos), am >> pos[0], bm >> pos[0])
         _correct(keys, transcript, round_index, found)
         if config.variant == CASCADE:
-            cascade_back_correction(keys, history, [found], transcript)
+            _cascade_back_correction(keys, history, [found], transcript)
     if config.variant == BBBSS:
         highest = mask.bit_length() - 1
         _record_deletions(transcript, round_index, [highest])
@@ -666,26 +660,29 @@ def reconcile(
     Executes ``num_passes`` block passes, then random-subset rounds until
     ``termination_successes`` consecutive comparisons have agreed since
     the last correction (or the key becomes too short for subsets).  Every
-    phase runs on the pair packed once into a :class:`PackedKeys`, unpacked
-    into ``pair`` after the last round.  Pass a :class:`Transcript` to
-    capture the public-channel ledger.  Deterministic given the pair and
-    the config.
+    phase runs on the pair packed once into a :class:`_PackedKeys`, unpacked
+    into ``pair`` after the last round.  Pass an empty :class:`Transcript`
+    to capture the public-channel ledger; one that already holds rows is
+    refused, since the outcome's leak and deletion counts are the
+    transcript's.  Deterministic given the pair and the config.
     """
     _concrete_block_size(config)
     t = transcript if transcript is not None else Transcript()
-    history: list[PassRecord] = []
-    keys = PackedKeys(pair)
+    if t._rows:
+        raise ValueError("transcript already holds rows; pass an empty Transcript")
+    history: list[_PassRecord] = []
+    keys = _PackedKeys(pair)
     passes_executed = 0
     for p in range(config.num_passes):
         if keys.n == 0:
             break
-        run_pass(keys, p, config, t, history)
+        _run_pass(keys, p, config, t, history)
         passes_executed += 1
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SUBSET_STREAM]))
     successes = 0
     rounds = 0
     while successes < config.termination_successes and keys.n >= 2:
-        corrected = random_subset_round(keys, config, rounds, t, history, rng)
+        corrected = _random_subset_round(keys, config, rounds, t, history, rng)
         rounds += 1
         successes = 0 if corrected else successes + 1
     pair.alice, pair.bob = keys.unpack()

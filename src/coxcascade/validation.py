@@ -40,12 +40,10 @@ from .reconciliation import (
     PARITY_EVENT_KINDS,
     CascadeConfig,
     KeyPair,
-    PackedKeys,
     Transcript,
     bits_from_string,
     make_key_pair,
     reconcile,
-    run_pass,
 )
 from .special_functions import hyp2f1_one_sum, hyp3f2_sum
 
@@ -381,12 +379,12 @@ def check_simulator_statistics(
 def _worked_example_records() -> list[CheckRecord]:
     """Fixed 31-bit regression: the first six block parities and the
     mismatching block set of a five-bit block pass over the raw order,
-    read from the pass's transcript."""
+    read from the transcript of a one-pass run."""
     alice = bits_from_string(EXAMPLE_KEY_BITS)
     bob = alice.copy()
     bob[list(EXAMPLE_ERROR_POSITIONS)] ^= 1
     t = Transcript()
-    run_pass(PackedKeys(KeyPair(alice, bob)), 0, CascadeConfig(initial_block_size=5), t, [])
+    reconcile(KeyPair(alice, bob), CascadeConfig(initial_block_size=5, num_passes=1), t)
     compares = [e for e in t.events if e.kind == COMPARE_BLOCK]
     pa = tuple(e.parity_a for e in compares[:6])
     pb = tuple(e.parity_b for e in compares[:6])

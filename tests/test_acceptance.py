@@ -33,7 +33,6 @@ from coxcascade.reconciliation import (
     Transcript,
     bits_from_string,
     make_key_pair,
-    partition,
     reconcile,
 )
 from coxcascade.special_functions import hyp2f1_one_sum, hyp3f2_sum, ln_pochhammer
@@ -236,7 +235,7 @@ def test_criterion_09_worked_example_regression():
     alice = bits_from_string(EXAMPLE_KEY_BITS)
     bob = alice.copy()
     bob[list(EXAMPLE_ERROR_POSITIONS)] ^= 1
-    spans = partition(31, 5)
+    spans = [(lo, min(lo + 5, 31)) for lo in range(0, 31, 5)]
     pa = tuple(int(alice[lo:hi].sum()) & 1 for lo, hi in spans[:6])
     pb = tuple(int(bob[lo:hi].sum()) & 1 for lo, hi in spans[:6])
     mismatch = tuple(

@@ -80,6 +80,8 @@ class TestTypes:
             ErrorPattern(10, (5, 2))
         with pytest.raises(ValueError):
             ErrorPattern(10, (0, 10))
+        with pytest.raises(ValueError, match="key length n must be an integer, got 2.5"):
+            ErrorPattern(2.5, ())
 
     @pytest.mark.parametrize("position, message", [
         (1.5, "positions must be integers, got 1.5"),
@@ -381,3 +383,6 @@ class TestSampler:
     def test_length_domain(self):
         with pytest.raises(ValueError):
             sample_error_pattern(0, TimeUnitLayout(10), G_MAIN, seed=1)
+        for sample in (sample_process, sample_error_pattern):
+            with pytest.raises(ValueError, match="key length n must be an integer, got 10.5"):
+                sample(10.5, TimeUnitLayout(4), G_MAIN, seed=1)

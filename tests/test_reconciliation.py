@@ -1,20 +1,40 @@
 """Protocol simulator tests.
 
-The fixed 31-bit regression (six planted errors, five-bit blocks, second
-and sixth block parities disagreeing) pins the block pass.  The one
-halving step is checked against a per-halving reference, on a block of a
-pass-order packed key and on a random subset's positions, and against a
-hand-simulated halving oracle and exhaustive error placements; a batch of
-ranges against the same ranges one at a time.  Cascade back-correction is
-checked against a crafted two-pass scenario, and each pass's parity ledger
-and packed keys against fresh gathers after every pass and after the
-subset phase; statistical behaviour against seeded Monte Carlo; subset
-rounds against an oracle that reads PCG64's raw words bit by bit.  One
-pinned digest per variant over a seed × length × block-size grid keeps
-transcripts byte-identical, a second one over the lines before the first
-subset comparison pins the block passes on their own, a third pins every
-line up to each run's first mismatching subset comparison, and a fourth
-pins Cascade's pass 0.
+The protocol's rules are checked by one executable spec.
+:func:`spec_reconcile` runs a whole reconciliation as the README's output
+contracts state it, on plain lists of bits: block passes and their
+shuffles, the halving rule, BBBSS deletions, Cascade's parity records
+and first-in-first-out back-correction, the subset stream's masks and the
+termination rule.  ``TestProtocolSpec`` runs it against ``reconcile`` on
+random runs and asserts the same transcript lines, outcome and keys.
+
+The other tests pin what a run's lines cannot show:
+
+- the omniscient checks: a halving fed stale packed bytes lands on an
+  agreeing bit and raises ``ProtocolError`` (``TestBisectError``,
+  ``TestSubsetBisect``, ``TestDiscloseBatch``), and a halving always
+  lands on a true difference (``TestBisectError``);
+- each Cascade pass record's parities and packed keys, against fresh
+  gathers after every pass and after the subset phase (``check_records``
+  in ``TestRunPass`` and ``TestCascadeBackCorrection``), and the fixed
+  31-bit worked example's pass (``TestRunPass``);
+- the step functions' own contracts: BBBSS deletions replayed, an empty
+  history, the minimum subset-round length, an event's packed subset
+  mask (``TestRunPass``, ``TestCascadeBackCorrection``,
+  ``TestRandomSubsetRound``, ``TestTranscriptSerialization``);
+- statistics: the shuffle's uniformity, a subset's mean size and the
+  chance that a lone error joins a subset;
+- refusals of bad keys, configs and a used transcript; the ledger's
+  counters against its rows (``TestReconcile``); the peak memory of a
+  BBBSS run at n = 131072 (``TestLongKeyMemory``);
+- byte identity (``TestGoldenTranscripts``): ``GOLDEN_DIGESTS`` over
+  every line and outcome of a seed × length × block-size grid, and four
+  partial digests, each added to show what one contract change kept:
+  ``PASS_PHASE_DIGESTS`` (the lines before each run's first subset
+  comparison), ``SUBSET_PREFIX_DIGESTS`` (up to and including its first
+  mismatching one), ``CASCADE_PASS_ZERO_DIGEST`` (Cascade's pass 0) and
+  ``CASCADE_ODD_LENGTH_DIGEST`` (a Cascade run whose masks end in a
+  partial byte).
 """
 
 import hashlib
@@ -26,10 +46,11 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coxcascade
@@ -46,20 +67,21 @@ from coxcascade.reconciliation import (
     CascadeConfig,
     Event,
     KeyPair,
-    PackedKeys,
     ProtocolError,
+    ReconcileOutcome,
     Transcript,
     _bisect,
+    _cascade_back_correction,
     _correct,
     _disclose,
+    _PackedKeys,
+    _partition,
+    _random_subset_round,
+    _run_pass,
+    _shared_permutation,
     bits_from_string,
-    cascade_back_correction,
     make_key_pair,
-    partition,
-    random_subset_round,
     reconcile,
-    run_pass,
-    shared_permutation,
 )
 from coxcascade.validation import EXAMPLE_ERROR_POSITIONS, EXAMPLE_KEY_BITS
 
@@ -89,6 +111,8 @@ class TestKeyPair:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             make_key_pair(10, ErrorPattern(8, (1,)), seed=0)
+        with pytest.raises(ValueError, match="key length n must be an integer"):
+            make_key_pair(4.0, ErrorPattern(4, ()), seed=1)
         with pytest.raises(ValueError):
             KeyPair([0, 1], [0, 1, 1])
 
@@ -120,7 +144,7 @@ class TestKeyPair:
 
 class TestSharedPermutation:
     def test_roundtrip(self):
-        perm = shared_permutation(100, 3, seed=42)
+        perm = _shared_permutation(100, 3, seed=42)
         x = np.arange(100)
         shuffled = x[perm]
         inv = np.empty_like(perm)
@@ -128,14 +152,14 @@ class TestSharedPermutation:
         assert np.array_equal(shuffled[inv], x)
 
     def test_determinism(self):
-        a = shared_permutation(10, 0, seed=5)
-        b = shared_permutation(10, 0, seed=5)
+        a = _shared_permutation(10, 0, seed=5)
+        b = _shared_permutation(10, 0, seed=5)
         assert np.array_equal(a, b)
-        c = shared_permutation(10, 1, seed=5)
+        c = _shared_permutation(10, 1, seed=5)
         assert not np.array_equal(a, c)
 
     def test_is_bijection(self):
-        perm = shared_permutation(257, 2, seed=9)
+        perm = _shared_permutation(257, 2, seed=9)
         assert sorted(perm) == list(range(257))
 
     def test_uniformity(self):
@@ -143,7 +167,7 @@ class TestSharedPermutation:
         draws = 10_000
         counts: dict[tuple, int] = {}
         for seed in range(draws):
-            key = tuple(shared_permutation(4, 0, seed))
+            key = tuple(_shared_permutation(4, 0, seed))
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 24
         p = 1.0 / 24.0
@@ -154,35 +178,21 @@ class TestSharedPermutation:
 
 class TestPartition:
     def test_worked_example_shape(self):
-        spans = partition(31, 5)
+        spans = _partition(31, 5)
         assert len(spans) == 7
         assert spans[-1] == (30, 31)
         assert all(hi - lo == 5 for lo, hi in spans[:-1])
 
     def test_single_block(self):
-        assert partition(10, 10) == [(0, 10)]
+        assert _partition(10, 10) == [(0, 10)]
 
     def test_remainder_sizes(self):
-        assert [hi - lo for lo, hi in partition(10, 3)] == [3, 3, 3, 1]
+        assert [hi - lo for lo, hi in _partition(10, 3)] == [3, 3, 3, 1]
 
     @pytest.mark.parametrize("k", [0, -1, 11])
     def test_domain(self, k):
         with pytest.raises(ValueError):
-            partition(10, k)
-
-
-def hand_bisect(alice, bob, lo, hi):
-    """Independent halving oracle mirroring the protocol's published rule:
-    compare the left (larger) half, descend into the mismatching side."""
-    comparisons = 0
-    while hi - lo > 1:
-        mid = lo + (hi - lo + 1) // 2
-        comparisons += 1
-        if int(alice[lo:mid].sum()) % 2 != int(bob[lo:mid].sum()) % 2:
-            hi = mid
-        else:
-            lo = mid
-    return lo, comparisons
+            _partition(10, k)
 
 
 def packed(bits) -> bytes:
@@ -194,7 +204,7 @@ def parity(bits) -> int:
     return int(np.sum(bits)) % 2
 
 
-def residual(keys: PackedKeys) -> int:
+def residual(keys: _PackedKeys) -> int:
     return (keys.alice ^ keys.bob).bit_count()
 
 
@@ -204,7 +214,7 @@ def locate(alice, bob, order, lo, hi, transcript, round_index=0):
     must hold an odd number of differences.  Check that it flipped Bob's
     bit at the returned position, and nothing else, and recorded that flip
     last."""
-    keys = PackedKeys(KeyPair(alice.copy(), bob.copy()))
+    keys = _PackedKeys(KeyPair(alice.copy(), bob.copy()))
     ga, gb = alice[order], bob[order]
     flipped = _disclose(transcript, round_index, [lo], [hi], [parity(ga[lo:hi])],
                         [parity(gb[lo:hi])], keys, order, packed(ga), packed(gb))
@@ -227,17 +237,15 @@ class TestBisectError:
         assert t.parities_revealed == 1  # the comparison; no halvings needed
 
     def test_size_five_block_all_offsets(self):
-        for offset in range(5):
-            alice = np.zeros(5, dtype=np.uint8)
-            bob = alice.copy()
-            bob[offset] ^= 1
-            t = Transcript()
-            found = locate(alice, bob, np.arange(5), 0, 5, t)
-            oracle_idx, oracle_comparisons = hand_bisect(alice, bob, 0, 5)
-            assert found == offset == oracle_idx
-            bisect_events = [e for e in t.events if e.kind == BISECT]
-            assert len(bisect_events) == oracle_comparisons
-            assert len(bisect_events) <= 3  # ceil(log2 5)
+        # five five-bit blocks, one error at each offset: each is found where
+        # it is, in the rule's 3, 3, 2, 2 and 2 halvings (at most ceil(log2 5))
+        lines = check_against_spec(Run(25, (0, 6, 12, 18, 24), CASCADE, 5, passes=1,
+                                       key_seed=25))
+        assert [line for line in lines if line.startswith("correct ")] == [
+            f"correct round=0 index={i}" for i in (0, 6, 12, 18, 24)]
+        kinds = " ".join(line.split()[0] for line in lines)
+        blocks = kinds.split("compare-subset")[0].split("compare-block")[1:]
+        assert [block.split().count("bisect") for block in blocks] == [3, 3, 2, 2, 2]
 
     def test_three_errors_exhaustive(self):
         # any odd placement: the returned index is always a true difference
@@ -253,7 +261,7 @@ class TestBisectError:
         # even count): the search lands on an agreeing bit and corrects nothing
         pair = KeyPair(np.zeros(6, dtype=np.uint8), bits_from_string("000100"))
         stale_a, stale_b = packed(pair.alice), packed(pair.bob)
-        keys = PackedKeys(pair)
+        keys = _PackedKeys(pair)
         keys.bob ^= 1 << 3
         t = Transcript()
         with pytest.raises(ProtocolError):
@@ -266,7 +274,7 @@ class TestBisectError:
         # two differences in range: the comparison agrees and nothing moves
         alice = np.zeros(6, dtype=np.uint8)
         bob = bits_from_string("010010")
-        keys = PackedKeys(KeyPair(alice, bob))
+        keys = _PackedKeys(KeyPair(alice, bob))
         before = keys.bob
         t = Transcript()
         flipped = _disclose(t, 2, [0], [6], [0], [0], keys, np.arange(6),
@@ -276,128 +284,14 @@ class TestBisectError:
         assert t.events == [Event(COMPARE_BLOCK, 2, 0, 6, parity_a=0, parity_b=0)]
 
 
-def reference_bisect(alice, bob, order, lo, hi, events, round_index):
-    """Per-halving reference: each halving sums its own left half afresh."""
-    while hi - lo > 1:
-        mid = lo + (hi - lo + 1) // 2
-        pa = int(alice[order[lo:mid]].sum()) % 2
-        pb = int(bob[order[lo:mid]].sum()) % 2
-        events.append(Event(BISECT, round_index, lo=lo, hi=mid, parity_a=pa, parity_b=pb))
-        if pa != pb:
-            hi = mid
-        else:
-            lo = mid
-    return int(order[lo])
-
-
-def bit_arrays(n: int):
-    """Uniform n-bit uint8 arrays, drawn as packed bytes."""
-    return st.binary(min_size=-(-n // 8), max_size=-(-n // 8)).map(
-        lambda b: np.unpackbits(np.frombuffer(b, dtype=np.uint8), count=n))
-
-
-@st.composite
-def block_cases(draw):
-    """Random keys, an order, and [lo, hi) with an odd number of
-    differences in order[lo:hi]; positions outside the range may differ
-    too.  The halving gets the pass-order packed keys from slot ``lo``
-    upwards, the bits past ``hi`` included, with ``range`` for positions:
-    a block's ordinals are its slots."""
-    n = draw(st.integers(1, 80))
-    alice = draw(bit_arrays(n))
-    order = np.array(draw(st.permutations(range(n))), dtype=np.int64)
-    m = draw(st.integers(1, n))  # orders may cover only part of the key
-    order = order[:m]
-    lo = draw(st.integers(0, m - 1))
-    hi = draw(st.integers(lo + 1, m))
-    inside = draw(st.sets(st.integers(lo, hi - 1), min_size=1))
-    if len(inside) % 2 == 0:
-        inside.discard(min(inside))
-    outside = draw(st.sets(st.integers(0, n - 1)))
-    outside -= set(order[lo:hi].tolist())
-    bob = alice.copy()
-    bob[order[sorted(inside)]] ^= 1
-    bob[sorted(outside)] ^= 1
-    va, vb = (int.from_bytes(packed(bits[order]), "little") >> lo for bits in (alice, bob))
-    return alice, bob, order, lo, hi, range(m), va, vb, order
-
-
-@st.composite
-def subset_cases(draw):
-    """Keys of n in 1..300 bits, a subset's ascending positions holding an
-    odd number of differences, and any differences outside the subset.  The
-    halving gets the keys masked to the subset from its first position
-    upwards, with the positions themselves, so it returns a key position."""
-    n = draw(st.integers(1, 300))
-    alice = draw(bit_arrays(n))
-    subset = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
-    inside = draw(st.sets(st.sampled_from(subset), min_size=1))
-    if len(inside) % 2 == 0:
-        inside.discard(min(inside))
-    outside = draw(st.sets(st.integers(0, n - 1))) - set(subset)
-    bob = alice.copy()
-    bob[sorted(inside | outside)] ^= 1
-    keys = PackedKeys(KeyPair(alice, bob))
-    mask = sum(1 << p for p in subset)
-    positions = np.array(subset, dtype=np.int64)
-    return (alice, bob, positions, 0, len(subset), memoryview(positions),
-            (keys.alice & mask) >> subset[0], (keys.bob & mask) >> subset[0], np.arange(n))
-
-
-def check_bisect(case, round_index):
-    """_bisect against reference_bisect: the same key position, a true
-    difference, the same halving events.  ``to_key`` maps what _bisect
-    returns (a slot or a key position) to the key position the reference
-    returns."""
-    alice, bob, order, lo, hi, pos, va, vb, to_key = case
-    ref_events = []
-    expected = reference_bisect(alice, bob, order, lo, hi, ref_events, round_index)
-    t = Transcript()
-    found = int(to_key[_bisect(t, round_index, pos, lo, hi, va, vb)])
-    assert found == expected
-    assert alice[found] != bob[found]
-    assert t.events == ref_events
-    assert t.parities_revealed == len(ref_events)
-
-
-class TestPrefixBisect:
-    """The halving step on the blocks of passes and back-correction."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(block_cases(), st.integers(0, 5))
-    def test_matches_per_halving_reference(self, case, round_index):
-        check_bisect(case, round_index)
-
-    @settings(max_examples=200, deadline=None)
-    @given(block_cases(), st.integers(0, 5))
-    def test_disclosed_block_matches_the_reference(self, case, round_index):
-        # a block compared and bisected by _disclose, its bits cut from the
-        # pass's packed bytes: the comparison, the reference's halvings, one
-        # correction
-        alice, bob, order, lo, hi, *_ = case
-        ref_events = []
-        expected = reference_bisect(alice, bob, order, lo, hi, ref_events, round_index)
-        t = Transcript()
-        assert locate(alice, bob, order, lo, hi, t, round_index) == expected
-        pa, pb = parity(alice[order[lo:hi]]), parity(bob[order[lo:hi]])
-        assert pa != pb
-        assert t.events[0] == Event(COMPARE_BLOCK, round_index, lo, hi, pa, pb)
-        assert t.events[1:-1] == ref_events
-
-
 class TestSubsetBisect:
     """The same halving step on a random subset, in key order."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(subset_cases(), st.integers(0, 5))
-    def test_matches_bisect_over_the_positions(self, case, round_index):
-        check_bisect(case, round_index)
 
     def test_even_differences_raise(self):
         # the subset {0, 2, 3, 5} holds two differences, at 0 and 2: the
         # first half agrees and the search lands on the agreeing bit 5,
         # which the correction refuses
-        keys = PackedKeys(KeyPair(np.zeros(6, dtype=np.uint8), bits_from_string("101000")))
+        keys = _PackedKeys(KeyPair(np.zeros(6, dtype=np.uint8), bits_from_string("101000")))
         mask = 0b101101
         t = Transcript()
         found = _bisect(t, 4, [0, 2, 3, 5], 0, 4, keys.alice & mask, keys.bob & mask)
@@ -410,54 +304,14 @@ class TestSubsetBisect:
         assert keys.bob == 0b101
 
 
-@st.composite
-def batch_cases(draw):
-    """Random keys and order, and a block size partitioning the order."""
-    n = draw(st.integers(1, 80))
-    alice = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
-                     dtype=np.uint8)
-    bob = alice.copy()
-    bob[sorted(draw(st.sets(st.integers(0, n - 1))))] ^= 1
-    order = np.array(draw(st.permutations(range(n))), dtype=np.int64)
-    return alice, bob, order, draw(st.integers(1, n))
-
-
 class TestDiscloseBatch:
-    @settings(max_examples=200, deadline=None)
-    @given(batch_cases(), st.integers(0, 5))
-    def test_batch_matches_ranges_one_at_a_time(self, case, round_index):
-        # every block in one batch, then each block in a batch of its own
-        alice, bob, order, k = case
-        lo, hi = zip(*partition(len(order), k))
-        ga, gb = alice[order], bob[order]
-        pa = [parity(ga[l:h]) for l, h in zip(lo, hi)]
-        pb = [parity(gb[l:h]) for l, h in zip(lo, hi)]
-        runs = []
-        for batches in ([range(len(lo))], [[j] for j in range(len(lo))]):
-            keys = PackedKeys(KeyPair(alice.copy(), bob.copy()))
-            t = Transcript()
-            flipped = []
-            for batch in batches:
-                flipped += _disclose(t, round_index,
-                                     [lo[j] for j in batch], [hi[j] for j in batch],
-                                     [pa[j] for j in batch], [pb[j] for j in batch],
-                                     keys, order, packed(ga), packed(gb))
-            assert len(flipped) == sum(a != b for a, b in zip(pa, pb))
-            a, b = keys.unpack()
-            for l, h in zip(lo, hi):
-                sel = order[l:h]
-                assert parity(a[sel]) == parity(b[sel])
-            runs.append((t.events, flipped, b.tolist(),
-                         (t.parities_revealed, t.corrections_made, t.bits_deleted)))
-        assert runs[0] == runs[1]
-
     def test_agreeing_bit_inside_a_batch_raises(self):
         # three four-bit blocks: the first holds one difference; the second's
         # packed bits are stale and claim one where the keys now agree, so its
         # search lands on an agreeing bit; the third is never compared
         alice = np.zeros(12, dtype=np.uint8)
         bob = bits_from_string("010000100000")
-        keys = PackedKeys(KeyPair(alice, bob))
+        keys = _PackedKeys(KeyPair(alice, bob))
         keys.bob ^= 1 << 6
         t = Transcript()
         with pytest.raises(ProtocolError):
@@ -476,13 +330,13 @@ class TestDiscloseBatch:
         assert residual(keys) == 0
 
 
-def check_records(keys: PackedKeys, history) -> None:
+def check_records(keys: _PackedKeys, history) -> None:
     """Each record's parities are those of fresh gathers, every recorded
     block agrees, and its packed keys are the keys gathered in its pass's
     order."""
     alice, bob = keys.unpack()
     for rec in history:
-        spans = partition(keys.n, rec.block_size)
+        spans = _partition(keys.n, rec.block_size)
         fresh = [[parity(bits[rec.permutation[lo:hi]]) for lo, hi in spans]
                  for bits in (alice, bob)]
         assert rec.parity_a == fresh[0]
@@ -497,9 +351,9 @@ class TestRunPass:
                              variant=variant, seed=seed)
 
     def test_error_free_pass(self):
-        keys = PackedKeys(make_key_pair(64, ErrorPattern(64, ()), seed=4))
+        keys = _PackedKeys(make_key_pair(64, ErrorPattern(64, ()), seed=4))
         t = Transcript()
-        assert run_pass(keys, 0, self.config(8), t, []) is None
+        assert _run_pass(keys, 0, self.config(8), t, []) is None
         assert t.corrections_made == 0
         assert all(e.parity_a == e.parity_b for e in t.events
                    if e.kind == COMPARE_BLOCK)
@@ -508,9 +362,9 @@ class TestRunPass:
         # 30-bit prefix, identity order, five-bit blocks: mismatches exactly
         # at the second and sixth block, two corrections, blocks 4/5 untouched
         pair = example_pair()
-        keys = PackedKeys(KeyPair(pair.alice[:30], pair.bob[:30]))
+        keys = _PackedKeys(KeyPair(pair.alice[:30], pair.bob[:30]))
         t = Transcript()
-        run_pass(keys, 0, self.config(5, variant=CASCADE), t, [])
+        _run_pass(keys, 0, self.config(5, variant=CASCADE), t, [])
         assert t.corrections_made == 2
         compares = [e for e in t.events if e.kind == COMPARE_BLOCK]
         mismatched = [i + 1 for i, e in enumerate(compares)
@@ -530,11 +384,11 @@ class TestRunPass:
         back_corrections = 0
         for seed in range(5):
             pattern = sample_error_pattern(512, TimeUnitLayout(128), g, seed)
-            keys = PackedKeys(make_key_pair(512, pattern, seed + 100))
+            keys = _PackedKeys(make_key_pair(512, pattern, seed + 100))
             config = self.config(8, variant=CASCADE, seed=seed)
             t, history = Transcript(), []
             for p in range(config.num_passes):
-                run_pass(keys, p, config, t, history)
+                _run_pass(keys, p, config, t, history)
                 assert [rec.pass_index for rec in history] == list(range(p + 1))
                 check_records(keys, history)
             current = 0  # the pass whose comparisons an event follows
@@ -547,9 +401,9 @@ class TestRunPass:
     def test_bbbss_deletes_one_bit_per_block(self):
         # the keys left are the corrected keys less the deleted positions
         pair = make_key_pair(64, ErrorPattern(64, (10,)), seed=4)
-        keys = PackedKeys(pair)
+        keys = _PackedKeys(pair)
         t = Transcript()
-        run_pass(keys, 0, self.config(8, variant=BBBSS), t, [])
+        _run_pass(keys, 0, self.config(8, variant=BBBSS), t, [])
         assert keys.n == 64 - 8
         assert t.bits_deleted == 8
         bob = pair.bob.copy()
@@ -560,9 +414,9 @@ class TestRunPass:
         assert np.array_equal(a, pair.alice[kept]) and np.array_equal(b, bob[kept])
 
     def test_cascade_deletes_nothing(self):
-        keys = PackedKeys(make_key_pair(64, ErrorPattern(64, (10,)), seed=4))
+        keys = _PackedKeys(make_key_pair(64, ErrorPattern(64, (10,)), seed=4))
         t = Transcript()
-        run_pass(keys, 0, self.config(8, variant=CASCADE), t, [])
+        _run_pass(keys, 0, self.config(8, variant=CASCADE), t, [])
         assert keys.n == 64
         assert t.bits_deleted == 0
 
@@ -589,7 +443,7 @@ class TestCascadeBackCorrection:
         n, k = 24, 4
 
         def pass1_blocks(s):
-            inverse = np.argsort(shared_permutation(n, 1, s))
+            inverse = np.argsort(_shared_permutation(n, 1, s))
             return [int(inverse[p]) // (2 * k) for p in (0, 1, 4, 5)]
 
         seed = next(s for s in range(1000)
@@ -597,14 +451,14 @@ class TestCascadeBackCorrection:
         alice = np.zeros(n, dtype=np.uint8)
         bob = alice.copy()
         bob[[0, 1, 4, 5]] ^= 1
-        keys = PackedKeys(KeyPair(alice, bob))
+        keys = _PackedKeys(KeyPair(alice, bob))
         config = CascadeConfig(initial_block_size=k, num_passes=2,
                                variant=CASCADE, seed=seed)
         t = Transcript()
         history = []
-        run_pass(keys, 0, config, t, history)
+        _run_pass(keys, 0, config, t, history)
         assert t.corrections_made == 0  # all four errors hidden
-        run_pass(keys, 1, config, t, history)
+        _run_pass(keys, 1, config, t, history)
         assert t.corrections_made == 4
         assert residual(keys) == 0
         kinds = [(e.kind, e.round_index) for e in t.events]
@@ -639,7 +493,7 @@ class TestCascadeBackCorrection:
     def test_direct_call_with_empty_history(self):
         pair = make_key_pair(16, ErrorPattern(16, (2,)), seed=0)
         pair.bob[2] ^= 1  # clear the difference so nothing can be flipped
-        assert cascade_back_correction(PackedKeys(pair), [], [2], Transcript()) == 0
+        assert _cascade_back_correction(_PackedKeys(pair), [], [2], Transcript()) == 0
 
     def test_subset_phase_back_correction_keeps_the_records(self):
         # one Cascade pass of large blocks leaves errors for the subset
@@ -650,17 +504,17 @@ class TestCascadeBackCorrection:
         subset_back_corrections = 0
         for seed in range(6):
             pattern = sample_error_pattern(512, TimeUnitLayout(128), g, seed)
-            keys = PackedKeys(make_key_pair(512, pattern, seed + 100))
+            keys = _PackedKeys(make_key_pair(512, pattern, seed + 100))
             config = CascadeConfig(initial_block_size=64, num_passes=2,
                                    variant=CASCADE, seed=seed)
             t, history = Transcript(), []
             for p in range(config.num_passes):
-                run_pass(keys, p, config, t, history)
+                _run_pass(keys, p, config, t, history)
             check_records(keys, history)
             rng = subset_stream(config.seed)
             successes = rounds = 0
             while successes < config.termination_successes:
-                corrected = random_subset_round(keys, config, rounds, t, history, rng)
+                corrected = _random_subset_round(keys, config, rounds, t, history, rng)
                 rounds += 1
                 successes = 0 if corrected else successes + 1
             check_records(keys, history)
@@ -686,21 +540,21 @@ class TestRandomSubsetRound:
         return CascadeConfig(initial_block_size=4, variant=variant, seed=seed)
 
     def test_zero_errors_always_agree(self):
-        keys = PackedKeys(make_key_pair(32, ErrorPattern(32, ()), seed=6))
+        keys = _PackedKeys(make_key_pair(32, ErrorPattern(32, ()), seed=6))
         config = self.config()
         rng = subset_stream(0)
         for r in range(50):
-            assert random_subset_round(keys, config, r, Transcript(), [], rng) is False
+            assert _random_subset_round(keys, config, r, Transcript(), [], rng) is False
 
     def test_single_error_mismatch_probability(self):
         # the lone error joins the subset with probability 1/2 exactly
-        keys = PackedKeys(make_key_pair(12, ErrorPattern(12, (5,)), seed=8))
+        keys = _PackedKeys(make_key_pair(12, ErrorPattern(12, (5,)), seed=8))
         config = self.config(seed=21)
         rng = subset_stream(21)
         rounds = 10_000
         hits = 0
         for r in range(rounds):
-            corrected = random_subset_round(keys, config, r, Transcript(), [], rng)
+            corrected = _random_subset_round(keys, config, r, Transcript(), [], rng)
             if corrected:
                 hits += 1
                 keys.bob ^= 1 << 5  # restore the error for the next round
@@ -708,26 +562,26 @@ class TestRandomSubsetRound:
         assert abs(p_hat - 0.5) < 3.0 * math.sqrt(0.25 / rounds)
 
     def test_bbbss_deletes_exactly_one_bit(self):
-        keys = PackedKeys(make_key_pair(12, ErrorPattern(12, (5,)), seed=8))
+        keys = _PackedKeys(make_key_pair(12, ErrorPattern(12, (5,)), seed=8))
         t = Transcript()
-        random_subset_round(keys, self.config(variant=BBBSS, seed=4), 0, t, [],
+        _random_subset_round(keys, self.config(variant=BBBSS, seed=4), 0, t, [],
                             subset_stream(4))
         assert keys.n == 11
         assert t.bits_deleted == 1
 
     def test_correction_fixes_a_true_difference(self):
-        keys = PackedKeys(make_key_pair(16, ErrorPattern(16, (3,)), seed=2))
+        keys = _PackedKeys(make_key_pair(16, ErrorPattern(16, (3,)), seed=2))
         config = self.config(seed=13)
         rng = subset_stream(13)
         for r in range(64):
-            if random_subset_round(keys, config, r, Transcript(), [], rng):
+            if _random_subset_round(keys, config, r, Transcript(), [], rng):
                 break
         assert KeyPair(*keys.unpack()).residual_errors() == 0
 
     def test_minimum_length(self):
-        keys = PackedKeys(make_key_pair(1, ErrorPattern(1, ()), seed=0))
+        keys = _PackedKeys(make_key_pair(1, ErrorPattern(1, ()), seed=0))
         with pytest.raises(ValueError):
-            random_subset_round(keys, self.config(), 0, Transcript(), [], subset_stream(0))
+            _random_subset_round(keys, self.config(), 0, Transcript(), [], subset_stream(0))
 
     @pytest.mark.parametrize("variant", [BBBSS, CASCADE])
     @pytest.mark.parametrize("n", [13, 24, 61])
@@ -737,7 +591,7 @@ class TestRandomSubsetRound:
         pair = make_key_pair(n, ErrorPattern(n, (0, n // 2, n - 1)), seed=n)
         alice, bob = pair.alice.copy(), pair.bob.copy()
         t = Transcript()
-        random_subset_round(PackedKeys(pair), self.config(variant=variant, seed=9), 3, t, [],
+        _random_subset_round(_PackedKeys(pair), self.config(variant=variant, seed=9), 3, t, [],
                             subset_stream(9))
         event = t.events[0]
         assert event.kind == COMPARE_SUBSET
@@ -754,196 +608,218 @@ class TestRandomSubsetRound:
         config = self.config(seed=33)
         lines = []
         for _ in range(2):
-            keys = PackedKeys(make_key_pair(24, ErrorPattern(24, (7, 11)), seed=1))
+            keys = _PackedKeys(make_key_pair(24, ErrorPattern(24, (7, 11)), seed=1))
             rng = subset_stream(33)
             t = Transcript()
             for r in range(30):
-                random_subset_round(keys, config, r, t, [], rng)
+                _random_subset_round(keys, config, r, t, [], rng)
             lines.append(t.to_lines())
         assert lines[0] == lines[1]
         assert any(line.startswith("correct ") for line in lines[0])
 
 
-def oracle_subset_rounds(alice, bob, variant, seed, rounds):
-    """Expected transcript lines of ``rounds`` subset rounds, and the redraws.
-
-    Written without the simulator's helpers: the masks are read bit by bit
-    from PCG64's raw words with integer shifts (word i covers positions
-    64i..64i+63, its bytes least significant first, each byte's bits most
-    significant first), and a mismatch is bisected by hand over the
-    subset's positions in ascending key order; nothing else is drawn.
-    """
-    bit_gen = np.random.PCG64(np.random.SeedSequence([seed, 2]))
-    alice, bob = list(alice), list(bob)
-    lines, redraws = [], 0
-    for r in range(rounds):
-        n = len(alice)
-        while True:
-            words = [int(w) for w in bit_gen.random_raw(-(-n // 64))]
-            subset = [p for p in range(n)
-                      if words[p // 64] >> (8 * (p % 64 // 8) + 7 - p % 8) & 1]
-            if subset:
-                break
-            redraws += 1
-        pa = sum(alice[p] for p in subset) % 2
-        pb = sum(bob[p] for p in subset) % 2
-        lines.append(f"compare-subset round={r} bits={','.join(map(str, subset))} "
-                     f"a={pa} b={pb}")
-        if pa != pb:
-            order = subset
-            lo, hi = 0, len(order)
-            while hi - lo > 1:
-                mid = lo + (hi - lo + 1) // 2
-                qa = sum(alice[p] for p in order[lo:mid]) % 2
-                qb = sum(bob[p] for p in order[lo:mid]) % 2
-                lines.append(f"bisect round={r} range={lo}:{mid} a={qa} b={qb}")
-                lo, hi = (lo, mid) if qa != qb else (mid, hi)
-            bob[order[lo]] ^= 1
-            lines.append(f"correct round={r} index={order[lo]}")
-        if variant == BBBSS:
-            lines.append(f"delete round={r} index={subset[-1]}")
-            del alice[subset[-1]], bob[subset[-1]]
-    return lines, redraws
-
-
 class TestSubsetStream:
     """The subset rounds of a run draw from one PCG64 stream seeded (seed, 2)."""
 
-    @pytest.mark.parametrize("n, errors, variant, rounds", [
-        (130, (), BBBSS, 80),                # shrinks across 128, 64 and odd n
-        (203, (0, 9, 77, 150, 202), BBBSS, 60),
-        (100, (1, 2, 40, 63, 64, 99), CASCADE, 60),
-        (2, (), CASCADE, 40),                # a quarter of its masks are empty
-        (3, (1,), CASCADE, 40),
-    ])
-    def test_rounds_match_the_raw_stream_oracle(self, n, errors, variant, rounds):
-        pair = make_key_pair(n, ErrorPattern(n, errors), seed=n)
-        expected, redraws = oracle_subset_rounds(pair.alice, pair.bob, variant, 57, rounds)
-        config = CascadeConfig(initial_block_size=4, variant=variant, seed=57)
-        keys = PackedKeys(pair)
-        rng = subset_stream(57)
-        t = Transcript()
-        for r in range(rounds):
-            random_subset_round(keys, config, r, t, [], rng)
-        assert t.to_lines() == expected
-        if n <= 3:
-            assert redraws > 0
-        if errors:
-            assert any(line.startswith("bisect ") for line in expected)
-
     def test_reconcile_draws_from_the_oracle_stream(self):
-        # an error-free run: 20 agreeing rounds, each the next raw words
-        pair = make_key_pair(150, ErrorPattern(150, ()), seed=4)
-        expected, _ = oracle_subset_rounds(pair.alice, pair.bob, CASCADE, 8, 20)
-        t = Transcript()
-        reconcile(pair, CascadeConfig(initial_block_size=10, variant=CASCADE, seed=8), t)
-        assert [line for line in t.to_lines() if "subset" in line] == expected
+        # an error-free run: 20 agreeing rounds, each the stream's next words
+        lines = check_against_spec(Run(150, (), CASCADE, 10, seed=8, key_seed=4))
+        assert sum(line.startswith("compare-subset ") for line in lines) == 20
 
     def test_mean_subset_size_is_half_the_key(self):
         n, rounds = 61, 4000
-        keys = PackedKeys(make_key_pair(n, ErrorPattern(n, ()), seed=3))
+        keys = _PackedKeys(make_key_pair(n, ErrorPattern(n, ()), seed=3))
         config = CascadeConfig(initial_block_size=4, variant=CASCADE, seed=12)
         rng = subset_stream(12)
         t = Transcript()
         for r in range(rounds):
-            random_subset_round(keys, config, r, t, [], rng)
+            _random_subset_round(keys, config, r, t, [], rng)
         sizes = np.array([e.hi for e in t.events], dtype=np.float64)
         assert len(sizes) == rounds
         # each position joins with probability 1/2: variance n/4 per round
         assert abs(sizes.mean() - n / 2) < 3.0 * math.sqrt(n / 4 / rounds)
 
 
-def replay_subset_round(alice, bob, variant, gen):
-    """One subset round replayed on numpy arrays, from ``gen``'s raw words.
-
-    Written without the simulator's packing: the mask is ``unpackbits`` of
-    the raw words' little-endian bytes cut to n bits, the parities are
-    ``count_nonzero`` over the unpacked keys, and a mismatch is bisected in
-    ascending key order by summing each left half afresh.  Returns the
-    accepted draw's raw bytes (uint8), the mask, both parities, the keys
-    after the round and the number of empty masks redrawn.
+def spec_reconcile(alice: list, bob: list, config: CascadeConfig):
+    """The whole protocol as the README's output contracts state it, on
+    plain lists of bits, which it corrects and (BBBSS) shortens in place as
+    ``reconcile`` does the pair.  Returns the transcript lines and the
+    outcome.  Written from the stated rules alone, not from the simulator;
+    every correction must land on a true difference.
     """
-    n = len(alice)
-    redraws = 0
-    while True:
-        raw = gen.bit_generator.random_raw(-(-n // 64)).astype("<u8").view(np.uint8)
-        mask = np.unpackbits(raw)[:n]
-        if np.count_nonzero(mask):
-            break
-        redraws += 1
-    pa = int(np.count_nonzero(alice & mask)) % 2
-    pb = int(np.count_nonzero(bob & mask)) % 2
-    alice, bob = alice.copy(), bob.copy()
-    positions = np.flatnonzero(mask)
-    if pa != pb:
-        order = positions
-        lo, hi = 0, len(order)
+    lines = []
+    records = []  # Cascade: (round, order, block size, Alice's and Bob's parities)
+    queue = []  # recorded blocks in the order they turned odd
+
+    def parity(key, positions):
+        return sum(key[i] for i in positions) % 2
+
+    def bisect(round_index, order, lo, hi):
+        # left half first, the larger when odd; keep the mismatching half
         while hi - lo > 1:
             mid = lo + (hi - lo + 1) // 2
-            if int(alice[order[lo:mid]].sum()) % 2 != int(bob[order[lo:mid]].sum()) % 2:
-                hi = mid
-            else:
-                lo = mid
-        bob[order[lo]] ^= 1
-    if variant == BBBSS:
-        alice, bob = np.delete(alice, positions.max()), np.delete(bob, positions.max())
-    return raw, mask, pa, pb, alice, bob, redraws
+            a, b = parity(alice, order[lo:mid]), parity(bob, order[lo:mid])
+            lines.append(f"bisect round={round_index} range={lo}:{mid} a={a} b={b}")
+            lo, hi = (lo, mid) if a != b else (mid, hi)
+        index = order[lo]
+        assert alice[index] != bob[index]
+        bob[index] ^= 1
+        lines.append(f"correct round={round_index} index={index}")
+        return index
+
+    def toggle(index):
+        # a flip toggles Bob's recorded parity of its block in every pass
+        for rec in records:
+            _, order, k, pa, pb = rec
+            j = order.index(index) // k
+            pb[j] ^= 1
+            if pa[j] != pb[j]:
+                queue.append((rec, j))
+
+    def back_correct(flipped):
+        for index in flipped:
+            toggle(index)
+        while queue:
+            (round_index, order, k, pa, pb), j = queue.pop(0)
+            if pa[j] != pb[j]:
+                toggle(bisect(round_index, order, j * k, min(j * k + k, len(order))))
+
+    passes = 0
+    for p in range(config.num_passes):
+        n = len(alice)
+        if n == 0:
+            break
+        k = min(config.initial_block_size * config.block_growth**p, n)
+        order = list(range(n)) if p == 0 else [int(i) for i in np.random.default_rng(
+            np.random.SeedSequence([config.seed, 1, p])).permutation(n)]
+        blocks = [(lo, min(lo + k, n)) for lo in range(0, n, k)]
+        pa = [parity(alice, order[lo:hi]) for lo, hi in blocks]
+        pb = [parity(bob, order[lo:hi]) for lo, hi in blocks]
+        flipped = []
+        for (lo, hi), a, b in zip(blocks, pa, pb):
+            lines.append(f"compare-block round={p} range={lo}:{hi} a={a} b={b}")
+            if a != b:
+                flipped.append(bisect(p, order, lo, hi))
+        if config.variant == BBBSS:
+            gone = [order[hi - 1] for _, hi in blocks]
+            lines += [f"delete round={p} index={i}" for i in gone]
+            for i in sorted(gone, reverse=True):
+                del alice[i], bob[i]
+        else:
+            records.append((p, order, k, pa, pb))
+            back_correct(flipped)
+        passes += 1
+
+    stream = np.random.PCG64(np.random.SeedSequence([config.seed, 2]))
+    rounds = successes = 0
+    while successes < config.termination_successes and len(alice) >= 2:
+        n = len(alice)
+        subset = []
+        while not subset:
+            # word w holds positions 64w..64w+63: its bytes least significant
+            # first, each byte's bits most significant first
+            words = [int(w) for w in stream.random_raw(-(-n // 64))]
+            subset = [i for i in range(n) if words[i // 64] >> (i % 64 // 8 * 8 + 7 - i % 8) & 1]
+        a, b = parity(alice, subset), parity(bob, subset)
+        lines.append(f"compare-subset round={rounds} bits={','.join(map(str, subset))} "
+                     f"a={a} b={b}")
+        if a != b:
+            found = bisect(rounds, subset, 0, len(subset))
+            if config.variant == CASCADE:
+                back_correct([found])
+        if config.variant == BBBSS:
+            lines.append(f"delete round={rounds} index={subset[-1]}")
+            del alice[subset[-1]], bob[subset[-1]]
+        rounds += 1
+        successes = 0 if a != b else successes + 1
+
+    kinds = Counter(line.split(" ", 1)[0] for line in lines)
+    residual = sum(x != y for x, y in zip(alice, bob))
+    return lines, ReconcileOutcome(
+        final_length=len(alice),
+        residual_error_count=residual,
+        leaked_parities=kinds["compare-block"] + kinds["compare-subset"] + kinds["bisect"],
+        deleted_bits=kinds["delete"],
+        passes_executed=passes,
+        subset_rounds=rounds,
+        success=residual == 0,
+    )
 
 
-def check_packed_round(alice, bob, variant, seed):
-    """Run one packed subset round from ``default_rng(seed)`` and check it
-    against :func:`replay_subset_round` on a twin generator; returns the
-    replay's redraw count."""
-    n = len(alice)
-    raw, mask, pa, pb, alice_after, bob_after, redraws = replay_subset_round(
-        alice, bob, variant, np.random.default_rng(seed))
-    keys = PackedKeys(KeyPair(alice.copy(), bob.copy()))
-    t = Transcript()
-    corrected = random_subset_round(keys, CascadeConfig(initial_block_size=4, variant=variant),
-                                    5, t, [], np.random.default_rng(seed))
-    events = t.events
-    assert events[0] == Event(COMPARE_SUBSET, 5, 0, int(np.count_nonzero(mask)), pa, pb,
-                              subset=np.packbits(np.unpackbits(raw)[:n]).tobytes())
-    assert corrected == (pa != pb)
-    if variant == BBBSS:
-        # the subset's highest position
-        assert events[-1] == Event(DELETE, 5, index=int(np.flatnonzero(mask)[-1]))
-    assert not any(e.kind == DELETE for e in events[:-1])
-    # position i of a packed key is bit i
-    assert keys.n == len(alice_after)
-    assert keys.alice == sum(1 << int(i) for i in np.flatnonzero(alice_after))
-    assert keys.bob == sum(1 << int(i) for i in np.flatnonzero(bob_after))
-    a, b = keys.unpack()
-    assert np.array_equal(a, alice_after) and np.array_equal(b, bob_after)
-    return redraws
+class Run(NamedTuple):
+    """One reconciliation: an n-bit key pair from ``make_key_pair`` with
+    the given errors and key seed, and the protocol's parameters."""
+
+    n: int
+    errors: tuple[int, ...]
+    variant: str
+    block_size: int
+    growth: int = 2
+    passes: int = 4
+    termination: int = 20
+    seed: int = 0
+    key_seed: int = 0
 
 
 @st.composite
-def packed_round_cases(draw):
-    """Keys of n in 2..300 bits, word and byte boundaries drawn often, with
-    any set of differences."""
-    n = draw(st.one_of(st.integers(2, 300),
-                       st.sampled_from([2, 3, 7, 8, 9, 63, 64, 65, 127, 128, 129, 257, 300])))
-    alice = draw(bit_arrays(n))
-    bob = alice.copy()
-    bob[sorted(draw(st.sets(st.integers(0, n - 1), max_size=8)))] ^= 1
-    return alice, bob
+def runs(draw):
+    n = draw(st.integers(1, 300))
+    count = draw(st.integers(0, n // 10 + 1))  # up to a tenth of the key in error
+    errors = draw(st.sets(st.integers(0, n - 1), min_size=count, max_size=count))
+    return Run(n, tuple(sorted(errors)),
+               draw(st.sampled_from([BBBSS, CASCADE])), draw(st.integers(1, n)),
+               draw(st.integers(2, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 20)),
+               draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1)))
+
+
+def check_against_spec(run: Run) -> list[str]:
+    """``reconcile`` and :func:`spec_reconcile` on the same pair: the same
+    lines, outcome and keys left.  Returns the lines."""
+    pair = make_key_pair(run.n, ErrorPattern(run.n, run.errors), run.key_seed)
+    alice, bob = pair.alice.tolist(), pair.bob.tolist()
+    config = CascadeConfig(initial_block_size=run.block_size, num_passes=run.passes,
+                           block_growth=run.growth, termination_successes=run.termination,
+                           variant=run.variant, seed=run.seed)
+    t = Transcript()
+    out = reconcile(pair, config, t)
+    lines, expected = spec_reconcile(alice, bob, config)
+    assert t.to_lines() == lines
+    assert out == expected
+    assert pair.alice.tolist() == alice and pair.bob.tolist() == bob
+    return lines
+
+
+class TestProtocolSpec:
+    @settings(max_examples=400, deadline=None)
+    @given(runs())
+    # one pass of one block, then subset rounds on (almost) the key as drawn:
+    # BBBSS shrinking across 64 and through odd lengths, and with errors;
+    # Cascade with errors, at n = 2 (two empty masks redrawn), and at n = 3
+    @example(Run(130, (), BBBSS, 2, passes=1, seed=57, key_seed=130))
+    @example(Run(203, (0, 9, 77, 150, 202), BBBSS, 203, passes=1, seed=57, key_seed=203))
+    @example(Run(100, (1, 2, 40, 63, 64, 99), CASCADE, 100, passes=1, seed=57, key_seed=100))
+    @example(Run(2, (), CASCADE, 2, passes=1, seed=57, key_seed=2))
+    @example(Run(3, (1,), CASCADE, 3, passes=1, seed=57, key_seed=3))
+    # back-correction queues more than one block: the order they run in shows
+    @example(Run(76, (0, 1, 2, 3), CASCADE, 2, passes=2, termination=1))
+    def test_reconcile_follows_the_spec(self, run):
+        check_against_spec(run)
 
 
 class TestPackedSubsetRound:
-    """A round on packed keys against a numpy replay of the same stream."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(packed_round_cases(), st.sampled_from([BBBSS, CASCADE]), st.integers(0, 2**32 - 1))
-    def test_matches_the_numpy_replay(self, case, variant, seed):
-        alice, bob = case
-        check_packed_round(alice, bob, variant, seed)
+    """The smallest key subset rounds run on."""
 
     @pytest.mark.parametrize("variant", [BBBSS, CASCADE])
     def test_empty_mask_is_redrawn_at_n_2(self, variant):
-        # default_rng(9)'s first two raw words each start with two zero bits
-        assert check_packed_round(bits_from_string("01"), bits_from_string("11"),
-                                  variant, 9) == 2
+        # the first two raw words of seed 57's subset stream give n = 2 an
+        # empty mask each; the third gives both positions.  BBBSS's pass of
+        # one 3-bit block leaves 2 bits, Cascade's of one 2-bit block all 2
+        words = np.random.PCG64(np.random.SeedSequence([57, 2])).random_raw(3)
+        assert [int(w) >> 6 & 3 for w in words] == [0, 0, 3]
+        n = 3 if variant == BBBSS else 2
+        lines = check_against_spec(Run(n, (1,), variant, n, passes=1, seed=57, key_seed=n))
+        first = next(line for line in lines if line.startswith(COMPARE_SUBSET + " "))
+        assert first.startswith("compare-subset round=0 bits=0,1 ")
 
 
 class TestReconcile:
@@ -955,6 +831,21 @@ class TestReconcile:
         assert out.subset_rounds == 20
         assert t.corrections_made == 0
         assert out.residual_error_count == 0
+
+    def test_a_used_transcript_is_refused(self):
+        # a second run into this transcript once reported leak 326 and 158
+        # deleted bits, the first run's 163 and 79 counted twice
+        pattern = sample_error_pattern(256, TimeUnitLayout(64), GammaIntensity(10, 2), seed=1)
+        config = CascadeConfig(initial_block_size=8, seed=3)
+        t = Transcript()
+        out = reconcile(make_key_pair(256, pattern, seed=2), config, t)
+        assert (out.leaked_parities, out.deleted_bits) == (163, 79)
+        lines = t.to_lines()
+        pair = make_key_pair(256, pattern, seed=2)
+        with pytest.raises(ValueError, match="transcript already holds rows"):
+            reconcile(pair, config, t)
+        assert t.to_lines() == lines
+        assert pair.residual_errors() == len(pattern)
 
     def test_custom_termination_threshold(self):
         pair = make_key_pair(128, ErrorPattern(128, ()), seed=3)
