@@ -621,6 +621,33 @@ class TestRandomSubsetRound:
 class TestSubsetStream:
     """The subset rounds of a run draw from one PCG64 stream seeded (seed, 2)."""
 
+    @pytest.mark.parametrize("n, errors, variant, rounds", [
+        (130, (), BBBSS, 80),                # shrinks across 128, 64 and odd n
+        (203, (0, 9, 77, 150, 202), BBBSS, 60),
+        (100, (1, 2, 40, 63, 64, 99), CASCADE, 60),
+        (2, (), CASCADE, 40),                # a quarter of its masks are empty
+        (3, (1,), CASCADE, 40),
+    ])
+    def test_rounds_match_the_raw_stream_oracle(self, n, errors, variant, rounds):
+        # round by round on the key as drawn, against the spec's subset phase
+        pair = make_key_pair(n, ErrorPattern(n, errors), seed=n)
+        alice, bob = pair.alice.tolist(), pair.bob.tolist()
+        config = CascadeConfig(initial_block_size=4, variant=variant, seed=57)
+        expected, _ = spec_reconcile(alice, bob, config, rounds=rounds)
+        keys = _PackedKeys(pair)
+        rng = subset_stream(57)
+        t = Transcript()
+        for r in range(rounds):
+            _random_subset_round(keys, config, r, t, [], rng)
+        assert t.to_lines() == expected
+        assert [k.tolist() for k in keys.unpack()] == [alice, bob]
+        if n <= 3:
+            # an empty mask among the first words: the spec redrew it
+            words = np.random.PCG64(np.random.SeedSequence([57, 2])).random_raw(rounds)
+            assert any(int(w) >> (8 - n) & ((1 << n) - 1) == 0 for w in words)
+        if errors:
+            assert any(line.startswith("bisect ") for line in expected)
+
     def test_reconcile_draws_from_the_oracle_stream(self):
         # an error-free run: 20 agreeing rounds, each the stream's next words
         lines = check_against_spec(Run(150, (), CASCADE, 10, seed=8, key_seed=4))
@@ -640,12 +667,14 @@ class TestSubsetStream:
         assert abs(sizes.mean() - n / 2) < 3.0 * math.sqrt(n / 4 / rounds)
 
 
-def spec_reconcile(alice: list, bob: list, config: CascadeConfig):
+def spec_reconcile(alice: list, bob: list, config: CascadeConfig, rounds: int | None = None):
     """The whole protocol as the README's output contracts state it, on
     plain lists of bits, which it corrects and (BBBSS) shortens in place as
     ``reconcile`` does the pair.  Returns the transcript lines and the
     outcome.  Written from the stated rules alone, not from the simulator;
-    every correction must land on a true difference.
+    every correction must land on a true difference.  Given ``rounds``, it
+    runs no block pass and exactly that many subset rounds, whatever they
+    find.
     """
     lines = []
     records = []  # Cascade: (round, order, block size, Alice's and Bob's parities)
@@ -685,7 +714,7 @@ def spec_reconcile(alice: list, bob: list, config: CascadeConfig):
                 toggle(bisect(round_index, order, j * k, min(j * k + k, len(order))))
 
     passes = 0
-    for p in range(config.num_passes):
+    for p in range(config.num_passes if rounds is None else 0):
         n = len(alice)
         if n == 0:
             break
@@ -711,8 +740,9 @@ def spec_reconcile(alice: list, bob: list, config: CascadeConfig):
         passes += 1
 
     stream = np.random.PCG64(np.random.SeedSequence([config.seed, 2]))
-    rounds = successes = 0
-    while successes < config.termination_successes and len(alice) >= 2:
+    limit, rounds, successes = rounds, 0, 0
+    while (successes < config.termination_successes if limit is None else rounds < limit) \
+            and len(alice) >= 2:
         n = len(alice)
         subset = []
         while not subset:
