@@ -24,14 +24,17 @@ bisected in turn, which can expose errors their passes missed
 Both parties live in one process.  Every publicly exchanged parity,
 deletion, and correction is appended to a :class:`Transcript`, so the
 information leaked to an eavesdropper is exactly the transcript ledger.
-A block pass hands all its blocks with their parities to one disclosure
-routine, which records each stretch of agreeing ones in one step and
-bisects each mismatch.  Back-correction bisects with the same halving
-step but writes no comparison, since both parities of the block are
-already known.  A subset round records its one comparison itself and
-bisects a mismatch with the same halving step.  The ledger holds plain
-integer rows, from which each read of ``Transcript.events`` builds the
-events afresh.
+A block pass first builds its record (:class:`_PassRecord`: order, block
+size, both parties' block parities and pass-order packed keys) and hands
+it to one disclosure routine, which records each stretch of agreeing
+blocks in one step and bisects each mismatching block from the record.
+Back-correction bisects blocks of the same records with the same step
+but writes no comparison, since both parities of the block are already
+known.  A subset round records its one comparison itself and bisects a
+mismatch with the same halving step.  The ledger holds plain integer
+rows, from which each read of ``Transcript.events`` builds the events
+afresh.  The leak is read off the rows: each one that is not a
+correction or a deletion discloses one parity.
 The simulator is omniscient (it can compare the two strings directly) but
 only uses that power for outcome metrics and internal sanity checks,
 never to steer the protocol.
@@ -265,7 +268,7 @@ class Event(NamedTuple):
 
 
 class Transcript:
-    """Ordered public-channel ledger with running leak counters.
+    """Ordered public-channel ledger; the leak is read off its rows.
 
     The ledger is a list of plain integer rows ``(kind, round_index, lo,
     hi, parity_a, parity_b, index)``, ``kind`` indexing :data:`_KINDS` and
@@ -276,17 +279,24 @@ class Transcript:
     rows with their masks; :func:`_bisect` writes every bisection row, of
     block passes, back-correction and subset rounds alike,
     :func:`_correct` every correction row, and :func:`_record_deletions`
-    the deletions.  Each bumps the counters in bulk.  :attr:`events`
-    builds its :class:`Event` list afresh on every read, so changing the
-    list it returns leaves the transcript as it was.
+    the deletions; only these two keep counts, ``corrections_made`` and
+    ``bits_deleted``.  Every other row discloses one parity, so
+    :attr:`parities_revealed` is the rows less those two counts, and no
+    writer of a parity row keeps the leak.  :attr:`events` builds its
+    :class:`Event` list afresh on every read, so changing the list it
+    returns leaves the transcript as it was.
     """
 
     def __init__(self) -> None:
         self._rows: list[tuple[int, int, int, int, int, int, int]] = []
         self._masks: list[bytes] = []
-        self.parities_revealed = 0
         self.bits_deleted = 0
         self.corrections_made = 0
+
+    @property
+    def parities_revealed(self) -> int:
+        """The leak: every row that is not a correction or a deletion."""
+        return len(self._rows) - self.corrections_made - self.bits_deleted
 
     @property
     def events(self) -> list[Event]:
@@ -312,28 +322,34 @@ class ReconcileOutcome:
 
 @dataclass
 class _PassRecord:
-    """One Cascade pass's partition, block parity ledger and packed keys.
+    """One block pass's partition, block parity ledger and packed keys.
 
-    Block ``j`` is permutation[j * block_size:(j + 1) * block_size], and
-    ``inverse`` maps a key position to its slot in that order (a
-    memoryview of the inverse permutation, so a lookup is a Python int).
-    ``parity_a[j]`` is Alice's parity of block ``j``: public once the pass
-    compared it, and fixed for the run.  ``parity_b[j]`` is Bob's, which
-    :func:`_cascade_back_correction` toggles on every flip inside the block.
-    ``alice`` and ``bob`` are the two keys gathered in the pass's order and
-    packed eight bits to a byte, slot s at bit s % 8 of byte s // 8:
-    Alice's is fixed, and Bob's bit is toggled with ``parity_b``, so a
-    recorded block is bisected from these bytes with no gather.
+    :func:`_run_pass` builds it, for both variants, before the pass
+    discloses anything; :func:`_disclose` compares its blocks and every
+    block is bisected from it, in the pass and in back-correction alike.
+    Block ``j`` is permutation[j * block_size:(j + 1) * block_size] (the
+    last may be short).  ``parity_a[j]`` is Alice's parity of block ``j``:
+    public once the pass compared it, and fixed for the run.
+    ``parity_b[j]`` is Bob's as the pass took it, which
+    :func:`_cascade_back_correction` toggles on every later flip inside the
+    block.  ``alice`` and ``bob`` are the two keys gathered in the pass's
+    order and packed eight bits to a byte, slot s at bit s % 8 of byte
+    s // 8: Alice's is fixed, and Bob's bit is toggled with ``parity_b``,
+    so a block is bisected from these bytes with no gather.  A BBBSS pass
+    drops its record after its deletions.  A Cascade pass sets ``inverse``,
+    which maps a key position to its slot in the pass's order (a
+    memoryview of the inverse permutation, so a lookup is a Python int),
+    and keeps the record for the run.
     """
 
     pass_index: int
     permutation: np.ndarray
-    inverse: memoryview
     block_size: int
     parity_a: list[int]
     parity_b: list[int]
     alice: bytes
     bob: bytearray
+    inverse: memoryview | None = None
 
 
 def make_key_pair(n: int, pattern: ErrorPattern, seed: int) -> KeyPair:
@@ -351,18 +367,8 @@ def make_key_pair(n: int, pattern: ErrorPattern, seed: int) -> KeyPair:
 
 def _shared_permutation(n: int, round_index: int, seed: int) -> np.ndarray:
     """Deterministic unbiased shuffle of [0, n) shared by both parties."""
-    if n < 1:
-        raise ValueError(f"permutation length must be >= 1, got {n!r}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _PERM_STREAM, round_index]))
     return rng.permutation(n)
-
-
-def _partition(n: int, k: int) -> list[tuple[int, int]]:
-    """Consecutive ranges of size ``k`` covering [0, n); the last may be short."""
-    if k < 1 or k > n:
-        raise ValueError(f"block size must satisfy 1 <= k <= {n}, got {k!r}")
-    starts = range(0, n, k)
-    return list(zip(starts, [*starts[1:], n]))
 
 
 def _bisect(
@@ -382,7 +388,6 @@ def _bisect(
     position returned (:func:`_correct`).
     """
     rows = transcript._rows
-    first = len(rows)
     base = pos[left]
     while right - left > 1:
         mid = left + (right - left + 1) // 2
@@ -402,7 +407,6 @@ def _bisect(
             vb >>= top - base
             left = mid
             base = top
-    transcript.parities_revealed += len(rows) - first
     return base
 
 
@@ -421,58 +425,49 @@ def _correct(keys: _PackedKeys, transcript: Transcript, round_index: int, index:
     transcript.corrections_made += 1
 
 
-def _bisect_block(
-    keys: _PackedKeys, transcript: Transcript, round_index: int, order: np.ndarray,
-    packed_a: bytes, packed_b: bytes, lo: int, hi: int,
-) -> int:
-    """Bisect block order[lo:hi] and correct the bit found; return its position.
+def _bisect_block(keys: _PackedKeys, transcript: Transcript, rec: _PassRecord, j: int) -> int:
+    """Bisect block ``j`` of ``rec`` and correct the bit found; return its position.
 
-    ``packed_a`` and ``packed_b`` are Alice's and Bob's keys gathered by
-    ``order`` and packed eight bits to a byte (:func:`_packed`); only the
-    bytes holding the block are read.
+    The halving reads the record's packed keys, only the bytes holding the
+    block, and writes its rows under the record's pass.
     """
+    lo = j * rec.block_size
+    hi = min(lo + rec.block_size, len(rec.permutation))
     first, last, shift = lo >> 3, (hi + 7) >> 3, lo & 7
-    slot = _bisect(transcript, round_index, range(hi), lo, hi,
-                   int.from_bytes(packed_a[first:last], "little") >> shift,
-                   int.from_bytes(packed_b[first:last], "little") >> shift)
-    index = order.item(slot)
-    _correct(keys, transcript, round_index, index)
+    slot = _bisect(transcript, rec.pass_index, range(hi), lo, hi,
+                   int.from_bytes(rec.alice[first:last], "little") >> shift,
+                   int.from_bytes(rec.bob[first:last], "little") >> shift)
+    index = rec.permutation.item(slot)
+    _correct(keys, transcript, rec.pass_index, index)
     return index
 
 
-def _disclose(
-    transcript: Transcript, round_index: int, lo: Sequence[int], hi: Sequence[int],
-    parity_a: Sequence[int], parity_b: Sequence[int],
-    keys: _PackedKeys, order: np.ndarray, packed_a: bytes, packed_b: bytes,
-) -> list[int]:
-    """Disclose a batch of block comparisons; correct one bit per mismatch.
+def _disclose(keys: _PackedKeys, transcript: Transcript, rec: _PassRecord) -> list[int]:
+    """Disclose every block comparison of a pass; correct one bit per mismatch.
 
-    Only it writes ``compare-block`` rows.  Comparison ``j`` of the batch
-    covers order[lo[j]:hi[j]] and carries Alice's and Bob's parities
-    ``parity_a[j]`` and ``parity_b[j]``; every one is recorded as given, in
-    batch order, a stretch of agreeing ones in one step.  The ranges are
-    disjoint.  ``packed_a`` and ``packed_b`` are Alice's and Bob's keys
-    gathered by ``order`` and packed (:func:`_packed`) when the parities
-    were taken.  Each mismatch is bisected and corrected on ``keys`` by
-    :func:`_bisect_block` before the next comparison's row; a correction
-    changes no other range's bits, so the bytes serve the whole batch.
-    Returns the flipped key positions, one per mismatch in batch order.
+    Only it writes ``compare-block`` rows.  Block ``j`` of ``rec`` is
+    compared with Alice's and Bob's parities ``rec.parity_a[j]`` and
+    ``rec.parity_b[j]``, recorded as given, in block order, a stretch of
+    agreeing blocks in one step.  Each mismatch is bisected and corrected
+    on ``keys`` by :func:`_bisect_block` before the next comparison's row; a
+    correction changes no other block's bits, so the record's packed keys,
+    gathered when the parities were taken, serve the whole pass.  Returns
+    the flipped key positions, one per mismatch in block order.
     """
     rows = transcript._rows
+    round_index, pa, pb = rec.pass_index, rec.parity_a, rec.parity_b
+    lo = range(0, len(rec.permutation), rec.block_size)
+    hi = [*lo[1:], len(rec.permutation)]
     flipped: list[int] = []
     start = 0
-    for j in compress(range(len(lo)), map(ne, parity_a, parity_b)):
+    for j in compress(range(len(lo)), map(ne, pa, pb)):
         stop = j + 1
         rows.extend(zip(repeat(_BLOCK_ROW), repeat(round_index), lo[start:stop],
-                        hi[start:stop], parity_a[start:stop], parity_b[start:stop],
-                        repeat(-1)))
-        transcript.parities_revealed += stop - start
-        flipped.append(_bisect_block(keys, transcript, round_index, order,
-                                     packed_a, packed_b, lo[j], hi[j]))
+                        hi[start:stop], pa[start:stop], pb[start:stop], repeat(-1)))
+        flipped.append(_bisect_block(keys, transcript, rec, j))
         start = stop
     rows.extend(zip(repeat(_BLOCK_ROW), repeat(round_index), lo[start:], hi[start:],
-                    parity_a[start:], parity_b[start:], repeat(-1)))
-    transcript.parities_revealed += len(lo) - start
+                    pa[start:], pb[start:], repeat(-1)))
     return flipped
 
 
@@ -521,10 +516,7 @@ def _cascade_back_correction(
         rec, j = queue.popleft()
         if rec.parity_a[j] == rec.parity_b[j]:
             continue
-        lo = j * rec.block_size
-        hi = min(lo + rec.block_size, len(rec.permutation))
-        toggle(_bisect_block(keys, transcript, rec.pass_index, rec.permutation,
-                             rec.alice, rec.bob, lo, hi))
+        toggle(_bisect_block(keys, transcript, rec, j))
         corrections += 1
     return corrections
 
@@ -543,29 +535,27 @@ def _run_pass(
     size grown by ``block_growth ** pass_index`` (capped at the current
     key length).  The keys are unpacked and gathered in the pass's order
     once; one ``bitwise_xor.reduceat`` per party gives every block parity,
-    the gathered bits are packed into bytes for the bisections, and the
-    blocks go to :func:`_disclose` as one batch.  In BBBSS mode the last
-    bit of every compared block is then deleted from both keys with one
-    keep mask.  In Cascade mode the pass joins ``history`` with its block
-    parities as compared and its packed keys, and its corrections go to
-    :func:`_cascade_back_correction`, which also bisects any block of this
-    pass that a later flip leaves odd.
+    and the gathered bits are packed into bytes.  These make the pass's
+    :class:`_PassRecord`, which goes to :func:`_disclose`.  In BBBSS mode
+    the last bit of every compared block is then deleted from both keys
+    with one keep mask, and the record is dropped.  In Cascade mode the
+    record joins ``history`` with its block parities as compared, and the
+    pass's corrections go to :func:`_cascade_back_correction`, which
+    updates every record, this one included, and bisects any recorded
+    block they leave odd.
     """
     n = keys.n
-    if n == 0:
-        return
-    k = min(_concrete_block_size(config) * config.block_growth**pass_index, n)
+    k = min(config.initial_block_size * config.block_growth**pass_index, n)
     perm = np.arange(n) if pass_index == 0 else _shared_permutation(n, pass_index, config.seed)
     alice, bob = keys.unpack()
     ga, gb = alice[perm], bob[perm]
-    lo, hi = zip(*_partition(n, k))
-    starts = np.array(lo)
-    pa = np.bitwise_xor.reduceat(ga, starts).tolist()
-    pb = np.bitwise_xor.reduceat(gb, starts).tolist()
-    packed_a, packed_b = _packed(ga), _packed(gb)
-    flipped = _disclose(transcript, pass_index, lo, hi, pa, pb, keys, perm, packed_a, packed_b)
+    starts = np.arange(0, n, k)
+    rec = _PassRecord(pass_index, perm, k, np.bitwise_xor.reduceat(ga, starts).tolist(),
+                      np.bitwise_xor.reduceat(gb, starts).tolist(), _packed(ga),
+                      bytearray(_packed(gb)))
+    flipped = _disclose(keys, transcript, rec)
     if config.variant == BBBSS:
-        deleted = perm[np.array(hi) - 1]
+        deleted = perm[np.minimum(starts + k, n) - 1]
         _record_deletions(transcript, pass_index, deleted.tolist())
         keep = np.ones(n, dtype=bool)
         keep[deleted] = False
@@ -574,8 +564,8 @@ def _run_pass(
         return
     inverse = np.empty_like(perm)
     inverse[perm] = np.arange(n)
-    history.append(_PassRecord(pass_index, perm, memoryview(inverse), k, pa, pb, packed_a,
-                               bytearray(packed_b)))
+    rec.inverse = memoryview(inverse)
+    history.append(rec)
     _cascade_back_correction(keys, history, flipped, transcript)
 
 
@@ -626,7 +616,6 @@ def _random_subset_round(
     pa, pb = am.bit_count() & 1, bm.bit_count() & 1
     transcript._rows.append((_SUBSET_ROW, round_index, 0, mask.bit_count(), pa, pb, -1))
     transcript._masks.append(packed)
-    transcript.parities_revealed += 1
     if pa != pb:
         subset = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n).view(bool)
         # Python ints from the positions' buffer: no NumPy scalar per halving
@@ -640,16 +629,6 @@ def _random_subset_round(
         _record_deletions(transcript, round_index, [highest])
         keys.delete(highest)
     return pa != pb
-
-
-def _concrete_block_size(config: CascadeConfig) -> int:
-    k = config.initial_block_size
-    if isinstance(k, str):
-        raise ValueError(
-            "initial_block_size is 'auto'; resolve the config against a model "
-            "(CascadeConfig.resolve) before reconciling"
-        )
-    return k
 
 
 def reconcile(
@@ -666,7 +645,11 @@ def reconcile(
     refused, since the outcome's leak and deletion counts are the
     transcript's.  Deterministic given the pair and the config.
     """
-    _concrete_block_size(config)
+    if isinstance(config.initial_block_size, str):
+        raise ValueError(
+            "initial_block_size is 'auto'; resolve the config against a model "
+            "(CascadeConfig.resolve) before reconciling"
+        )
     t = transcript if transcript is not None else Transcript()
     if t._rows:
         raise ValueError("transcript already holds rows; pass an empty Transcript")

@@ -18,10 +18,11 @@ The other tests pin what a run's lines cannot show:
   gathers after every pass and after the subset phase (``check_records``
   in ``TestRunPass`` and ``TestCascadeBackCorrection``), and the fixed
   31-bit worked example's pass (``TestRunPass``);
-- the step functions' own contracts: BBBSS deletions replayed, an empty
-  history, the minimum subset-round length, an event's packed subset
-  mask (``TestRunPass``, ``TestCascadeBackCorrection``,
-  ``TestRandomSubsetRound``, ``TestTranscriptSerialization``);
+- the step functions' own contracts: a pass's block shapes, BBBSS
+  deletions replayed, an empty history, the minimum subset-round length,
+  an event's packed subset mask (``TestPartition``, ``TestRunPass``,
+  ``TestCascadeBackCorrection``, ``TestRandomSubsetRound``,
+  ``TestTranscriptSerialization``);
 - statistics: the shuffle's uniformity, a subset's mean size and the
   chance that a lone error joins a subset;
 - refusals of bad keys, configs and a used transcript; the ledger's
@@ -75,7 +76,7 @@ from coxcascade.reconciliation import (
     _correct,
     _disclose,
     _PackedKeys,
-    _partition,
+    _PassRecord,
     _random_subset_round,
     _run_pass,
     _shared_permutation,
@@ -177,22 +178,28 @@ class TestSharedPermutation:
 
 
 class TestPartition:
+    """The blocks a pass compares: consecutive ranges of its order, each of
+    the block size but the last, which may be short."""
+
+    @staticmethod
+    def spans(n, k):
+        keys = _PackedKeys(make_key_pair(n, ErrorPattern(n, ()), seed=n))
+        t = Transcript()
+        _run_pass(keys, 0, CascadeConfig(initial_block_size=k, variant=CASCADE), t, [])
+        return [(e.lo, e.hi) for e in t.events]
+
     def test_worked_example_shape(self):
-        spans = _partition(31, 5)
+        spans = self.spans(31, 5)
         assert len(spans) == 7
         assert spans[-1] == (30, 31)
         assert all(hi - lo == 5 for lo, hi in spans[:-1])
 
     def test_single_block(self):
-        assert _partition(10, 10) == [(0, 10)]
+        assert self.spans(10, 10) == [(0, 10)]
+        assert self.spans(10, 11) == [(0, 10)]  # capped at the key length
 
     def test_remainder_sizes(self):
-        assert [hi - lo for lo, hi in _partition(10, 3)] == [3, 3, 3, 1]
-
-    @pytest.mark.parametrize("k", [0, -1, 11])
-    def test_domain(self, k):
-        with pytest.raises(ValueError):
-            _partition(10, k)
+        assert [hi - lo for lo, hi in self.spans(10, 3)] == [3, 3, 3, 1]
 
 
 def packed(bits) -> bytes:
@@ -209,15 +216,16 @@ def residual(keys: _PackedKeys) -> int:
 
 
 def locate(alice, bob, order, lo, hi, transcript, round_index=0):
-    """Run ``_disclose`` on a batch of one, order[lo:hi], its parities and
-    packed bits gathered over the order from copies of the keys; the range
-    must hold an odd number of differences.  Check that it flipped Bob's
-    bit at the returned position, and nothing else, and recorded that flip
-    last."""
+    """Run ``_disclose`` on a record of one block, order[lo:hi], with its
+    parities and packed bits gathered over that order from copies of the
+    keys; the block must hold an odd number of differences.  Check that it
+    flipped Bob's bit at the returned position, and nothing else, and
+    recorded that flip last."""
     keys = _PackedKeys(KeyPair(alice.copy(), bob.copy()))
-    ga, gb = alice[order], bob[order]
-    flipped = _disclose(transcript, round_index, [lo], [hi], [parity(ga[lo:hi])],
-                        [parity(gb[lo:hi])], keys, order, packed(ga), packed(gb))
+    ga, gb = alice[order[lo:hi]], bob[order[lo:hi]]
+    flipped = _disclose(keys, transcript, _PassRecord(
+        round_index, order[lo:hi], hi - lo, [parity(ga)], [parity(gb)], packed(ga),
+        bytearray(packed(gb))))
     assert len(flipped) == 1
     found = flipped[0]
     a, b = keys.unpack()
@@ -265,7 +273,8 @@ class TestBisectError:
         keys.bob ^= 1 << 3
         t = Transcript()
         with pytest.raises(ProtocolError):
-            _disclose(t, 0, [0], [6], [0], [1], keys, np.arange(6), stale_a, stale_b)
+            _disclose(keys, t, _PassRecord(0, np.arange(6), 6, [0], [1], stale_a,
+                                           bytearray(stale_b)))
         assert t.corrections_made == 0
         assert residual(keys) == 0
         assert t.events[0] == Event(COMPARE_BLOCK, 0, 0, 6, parity_a=0, parity_b=1)
@@ -277,8 +286,8 @@ class TestBisectError:
         keys = _PackedKeys(KeyPair(alice, bob))
         before = keys.bob
         t = Transcript()
-        flipped = _disclose(t, 2, [0], [6], [0], [0], keys, np.arange(6),
-                            packed(alice), packed(bob))
+        flipped = _disclose(keys, t, _PassRecord(2, np.arange(6), 6, [0], [0], packed(alice),
+                                                 bytearray(packed(bob))))
         assert flipped == []
         assert keys.bob == before
         assert t.events == [Event(COMPARE_BLOCK, 2, 0, 6, parity_a=0, parity_b=0)]
@@ -315,8 +324,8 @@ class TestDiscloseBatch:
         keys.bob ^= 1 << 6
         t = Transcript()
         with pytest.raises(ProtocolError):
-            _disclose(t, 1, [0, 4, 8], [4, 8, 12], [0, 0, 0], [1, 1, 0],
-                      keys, np.arange(12), packed(alice), packed(bob))
+            _disclose(keys, t, _PassRecord(1, np.arange(12), 4, [0, 0, 0], [1, 1, 0],
+                                           packed(alice), bytearray(packed(bob))))
         assert t.to_lines() == [
             "compare-block round=1 range=0:4 a=0 b=1",
             "bisect round=1 range=0:2 a=0 b=1",
@@ -336,9 +345,9 @@ def check_records(keys: _PackedKeys, history) -> None:
     order."""
     alice, bob = keys.unpack()
     for rec in history:
-        spans = _partition(keys.n, rec.block_size)
-        fresh = [[parity(bits[rec.permutation[lo:hi]]) for lo, hi in spans]
-                 for bits in (alice, bob)]
+        blocks = [rec.permutation[lo:lo + rec.block_size]
+                  for lo in range(0, keys.n, rec.block_size)]
+        fresh = [[parity(bits[block]) for block in blocks] for bits in (alice, bob)]
         assert rec.parity_a == fresh[0]
         assert rec.parity_b == fresh[1] == fresh[0]
         assert rec.alice == packed(alice[rec.permutation])
@@ -937,19 +946,6 @@ class TestReconcile:
         out = reconcile(pair, CascadeConfig(initial_block_size=13, seed=22), t)
         parity_events = sum(1 for e in t.events if e.kind in PARITY_EVENT_KINDS)
         assert out.leaked_parities == parity_events == t.parities_revealed
-
-    def test_leakage_monotone(self):
-        # the running counter never decreases and ends at the ledger total
-        pattern = sample_error_pattern(128, TimeUnitLayout(64),
-                                       GammaIntensity(10, 2), seed=1)
-        pair = make_key_pair(128, pattern, seed=2)
-        t = Transcript()
-        reconcile(pair, CascadeConfig(initial_block_size=8, seed=3), t)
-        running = 0
-        for e in t.events:
-            if e.kind in PARITY_EVENT_KINDS:
-                running += 1
-        assert running == t.parities_revealed
 
     def test_deletions_follow_comparisons(self):
         pattern = sample_error_pattern(128, TimeUnitLayout(64),

@@ -62,6 +62,9 @@ class TestParityChecks:
         by_name = {r.name: r for r in records if not r.name.startswith("p_odd_finite")}
         margin = by_name["p_odd_rejected_variant_margin"]
         assert margin.passed  # the rejected variant sits well off the oracle
+        # the record holds the threshold it is judged by: ten times 1e-8
+        assert margin.tolerance == pytest.approx(1e-7, rel=1e-12)
+        assert margin.abs_dev > margin.tolerance
         assert margin.abs_dev == pytest.approx(1.0 / 12.0, abs=1e-6)
         assert by_name["p_odd_vs_oracle"].passed
         assert by_name["p_odd_vs_oracle"].analytic == pytest.approx(1 / 3, rel=1e-12)
