@@ -15,6 +15,14 @@ evaluator returns a finite float or raises: ``ValueError`` for input
 outside its domain or a value lost to float arithmetic (``nan``/``inf``),
 ``SeriesNonConvergence`` from the series kernel, ``OverflowError`` from
 ``math``.
+
+Inputs follow two rules, each checked once where the value enters and
+stored as a Python number, so NumPy scalars never reach the arithmetic.
+A count or size (``k``, ``m``, ``n``, ``f``, a position) is an integer,
+Python or NumPy, and is kept as an ``int`` (:func:`_count`); a model
+parameter (``a``, ``b``, ``dt``) is a finite real number > 0 and is kept
+as a ``float`` (:func:`_positive`).  Both refuse bools, and a value that
+breaks its rule raises ``ValueError`` naming the parameter.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from operator import lt
 
 import numpy as np
 
@@ -44,6 +53,33 @@ __all__ = [
 ]
 
 
+def _count(value: object, name: str, least: int = 0) -> int:
+    """A count or size as a Python int: an integer (Python or NumPy, not a
+    bool) no smaller than ``least``; anything else raises ``ValueError``."""
+    # a Python int skips the slower abstract-class check: ErrorPattern
+    # makes this call once per position
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
+
+
+def _positive(value: object, name: str) -> float:
+    """A model parameter as a Python float: a real number (not a bool) that
+    is finite and > 0; anything else raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class GammaIntensity:
     """Gamma law of the error intensity: shape ``a``, rate ``b`` (both finite, > 0)."""
@@ -52,10 +88,8 @@ class GammaIntensity:
     b: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.a < math.inf:
-            raise ValueError(f"gamma shape a must be finite and > 0, got {self.a!r}")
-        if not 0.0 < self.b < math.inf:
-            raise ValueError(f"gamma rate b must be finite and > 0, got {self.b!r}")
+        object.__setattr__(self, "a", _positive(self.a, "gamma shape a"))
+        object.__setattr__(self, "b", _positive(self.b, "gamma rate b"))
 
 
 @dataclass(frozen=True)
@@ -65,36 +99,28 @@ class TimeUnitLayout:
     f: int
 
     def __post_init__(self) -> None:
-        _require_int(self.f, "bits per time unit f")
-        if self.f < 1:
-            raise ValueError(f"bits per time unit f must be >= 1, got {self.f!r}")
+        object.__setattr__(self, "f", _count(self.f, "bits per time unit f", 1))
 
 
 @dataclass(frozen=True)
 class ErrorPattern:
     """Sorted distinct error positions in an ``n``-bit raw key.
 
-    Positions are integers (Python or NumPy, not bools) in ``[0, n)``.
+    Positions are integers in ``[0, n)``, stored as a tuple of Python ints.
     """
 
     n: int
     positions: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _require_int(self.n, "key length n")
-        if self.n < 0:
-            raise ValueError(f"key length must be >= 0, got {self.n!r}")
-        prev = -1
-        for p in self.positions:
-            if isinstance(p, bool) or not isinstance(p, numbers.Integral):
-                raise ValueError(f"positions must be integers, got {p!r}")
-            if p < 0:
-                raise ValueError(f"positions must be >= 0, got {p!r}")
-            if p <= prev:
-                raise ValueError("positions must be strictly increasing")
-            prev = p
-        if self.positions and self.positions[-1] >= self.n:
+        n = _count(self.n, "key length n")
+        positions = tuple([_count(p, "positions") for p in self.positions])
+        if not all(map(lt, positions, positions[1:])):
+            raise ValueError("positions must be strictly increasing")
+        if positions and positions[-1] >= n:
             raise ValueError("positions must all be < n")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "positions", positions)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -113,18 +139,6 @@ class ScatterSample:
     unit_counts: np.ndarray
 
 
-def _require_int(value: object, name: str) -> None:
-    """Refuse a count or size that is not an integer (Python or NumPy)."""
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _validate_count(k: int, name: str = "k") -> None:
-    _require_int(k, name)
-    if k < 0:
-        raise ValueError(f"{name} must be >= 0, got {k!r}")
-
-
 def pmf(k: int, g: GammaIntensity, dt: float = 1.0) -> float:
     """Probability of exactly ``k`` errors within a span of ``dt`` time units.
 
@@ -136,9 +150,8 @@ def pmf(k: int, g: GammaIntensity, dt: float = 1.0) -> float:
 
     a negative binomial law; ``dt = 1`` is the per-time-unit case.
     """
-    _validate_count(k)
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    k = _count(k, "k")
+    dt = _positive(dt, "dt")
     a, b = g.a, g.b
     log_p = (
         ln_pochhammer(a, k)
@@ -155,7 +168,7 @@ def tail(m: int, g: GammaIntensity) -> float:
     Closed form: b**a (a)_{m+1} / ((m+1)! (b+1)**(a+m+1))
     times 2F1(1, m+a+1; m+2; 1/(b+1)).
     """
-    _validate_count(m, "m")
+    m = _count(m, "m")
     a, b = g.a, g.b
     log_pref = (
         a * math.log(b)
@@ -181,13 +194,6 @@ def mean(g: GammaIntensity) -> float:
     return g.a / g.b
 
 
-# Above this rate p_odd takes log(b/(b+2)) as -log1p(2/b): against mpmath
-# (a in [1e-3, 1e4]) log(b) - log(b+2) is within 4.5e-16 for b <= 4 but
-# cancels beyond (1.8e-15 by b = 8, 6.6% at 1e14, -0.0 from 1e15), while
-# the log1p form stays within 3.7e-16.  Golden outputs (b <= 4) pin the rest.
-_P_ODD_LOG1P_RATE = 4.0
-
-
 def p_odd(g: GammaIntensity) -> float:
     """Probability of an odd error count per time unit.
 
@@ -201,10 +207,8 @@ def p_odd(g: GammaIntensity) -> float:
     positive counts, and the odd-term sum of the pmf refutes it; the
     validation suite records that margin.
     """
-    a, b = g.a, g.b
-    if b > _P_ODD_LOG1P_RATE:
-        return -0.5 * math.expm1(-a * math.log1p(2.0 / b))
-    return -0.5 * math.expm1(a * (math.log(b) - math.log(b + 2.0)))
+    # log(b/(b+2)) as -log1p(2/b), which does not cancel at large b
+    return -0.5 * math.expm1(-g.a * math.log1p(2.0 / g.b))
 
 
 def p_odd_finite(m: int, g: GammaIntensity) -> float:
@@ -218,7 +222,7 @@ def p_odd_finite(m: int, g: GammaIntensity) -> float:
     The correction vanishes as ``m`` grows (the 1/(b+1)**(2m+3) factor
     dominates since b > 0), so this increases to ``p_odd``.
     """
-    _validate_count(m, "m")
+    m = _count(m, "m")
     a, b = g.a, g.b
     log_corr = (
         a * math.log(b)
@@ -240,9 +244,15 @@ def recommend_block_size(layout: TimeUnitLayout, g: GammaIntensity) -> int:
     """Block length (in bits) whose expected error count is closest to 1.
 
     Errors arrive at rate a/b per f bits, so n = f * b / a, rounded to the
-    nearest integer and clamped to at least 1.
+    nearest integer and clamped to at least 1.  A non-finite f * b / a
+    raises ``ValueError``.
     """
-    return max(1, int(math.floor(layout.f * g.b / g.a + 0.5)))
+    size = layout.f * g.b / g.a
+    if not math.isfinite(size):
+        raise ValueError(
+            f"f*b/a = {size} is not finite (f={layout.f}, a={g.a!r}, b={g.b!r})"
+        )
+    return max(1, int(math.floor(size + 0.5)))
 
 
 def sample_process(
@@ -257,9 +267,7 @@ def sample_process(
     length, and place that many distinct positions uniformly inside the
     unit.  Deterministic for a fixed ``(n, layout, g, seed)``.
     """
-    _require_int(n, "key length n")
-    if n < 1:
-        raise ValueError(f"key length must be >= 1, got {n!r}")
+    n = _count(n, "key length n", 1)
     rng = np.random.default_rng(seed)
     f = layout.f
     n_units = (n + f - 1) // f
@@ -277,10 +285,7 @@ def sample_process(
             offsets = rng.choice(size, size=k, replace=False)
             offsets.sort()
             chunks.append(start + offsets)
-    if chunks:
-        positions = tuple(int(p) for p in np.concatenate(chunks))
-    else:
-        positions = ()
+    positions = np.concatenate(chunks).tolist() if chunks else ()
     return ScatterSample(ErrorPattern(n, positions), intensities, counts)
 
 

@@ -31,10 +31,11 @@ blocks in one step and bisects each mismatching block from the record.
 Back-correction bisects blocks of the same records with the same step
 but writes no comparison, since both parities of the block are already
 known.  A subset round records its one comparison itself and bisects a
-mismatch with the same halving step.  The ledger holds plain integer
-rows, from which each read of ``Transcript.events`` builds the events
-afresh.  The leak is read off the rows: each one that is not a
-correction or a deletion discloses one parity.
+mismatch with the same halving step.  The ledger holds plain rows in
+:class:`Event` field order, from which each read of
+``Transcript.events`` builds the events afresh.  The leak is read off
+the rows: each one that is not a correction or a deletion discloses one
+parity.
 The simulator is omniscient (it can compare the two strings directly) but
 only uses that power for outcome metrics and internal sanity checks,
 never to steer the protocol.
@@ -60,7 +61,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .error_model import (
-    ErrorPattern, GammaIntensity, TimeUnitLayout, _require_int, recommend_block_size,
+    ErrorPattern, GammaIntensity, TimeUnitLayout, _count, recommend_block_size,
 )
 
 __all__ = [
@@ -89,9 +90,6 @@ BISECT = "bisect"
 CORRECT = "correct"
 DELETE = "delete"
 PARITY_EVENT_KINDS = frozenset({COMPARE_BLOCK, COMPARE_SUBSET, BISECT})
-# A ledger row's kind is its index here.
-_KINDS = (COMPARE_BLOCK, COMPARE_SUBSET, BISECT, CORRECT, DELETE)
-_BLOCK_ROW, _SUBSET_ROW, _BISECT_ROW, _CORRECT_ROW, _DELETE_ROW = range(len(_KINDS))
 
 # Independent deterministic substreams derived from the session seed.
 _PERM_STREAM = 1
@@ -185,10 +183,11 @@ class _PackedKeys:
 class CascadeConfig:
     """Protocol parameters.
 
-    Every field but ``variant`` is an integer (Python or NumPy), except
-    that ``initial_block_size`` may be the string ``"auto"``, to be
-    resolved against a model via :meth:`resolve`; ``reconcile`` requires a
-    concrete integer.  ``block_growth`` multiplies the block size every pass.
+    Every field but ``variant`` takes an integer (Python or NumPy, not a
+    bool) and is stored as a Python int, except that
+    ``initial_block_size`` may be the string ``"auto"``, to be resolved
+    against a model via :meth:`resolve`; ``reconcile`` requires a concrete
+    integer.  ``block_growth`` multiplies the block size every pass.
     ``termination_successes`` is the number of consecutive agreeing subset
     comparisons, counted since the last correction, that ends the run.
     """
@@ -206,10 +205,7 @@ class CascadeConfig:
         if self.initial_block_size == AUTO_BLOCK_SIZE:
             del least["initial_block_size"]
         for name, bound in least.items():
-            value = getattr(self, name)
-            _require_int(value, name)
-            if value < bound:
-                raise ValueError(f"{name} must be >= {bound}, got {value!r}")
+            object.__setattr__(self, name, _count(getattr(self, name), name, bound))
         if self.variant not in (BBBSS, CASCADE):
             raise ValueError(f"variant must be {BBBSS!r} or {CASCADE!r}, got {self.variant!r}")
 
@@ -270,26 +266,24 @@ class Event(NamedTuple):
 class Transcript:
     """Ordered public-channel ledger; the leak is read off its rows.
 
-    The ledger is a list of plain integer rows ``(kind, round_index, lo,
-    hi, parity_a, parity_b, index)``, ``kind`` indexing :data:`_KINDS` and
-    unused fields -1, with each subset comparison's packed mask kept on the
-    side in row order: the round's stream bytes, stored as drawn once the
-    padding bits are cleared.  :func:`_disclose` writes the block
-    comparison rows and :func:`_random_subset_round` the subset comparison
-    rows with their masks; :func:`_bisect` writes every bisection row, of
-    block passes, back-correction and subset rounds alike,
-    :func:`_correct` every correction row, and :func:`_record_deletions`
-    the deletions; only these two keep counts, ``corrections_made`` and
-    ``bits_deleted``.  Every other row discloses one parity, so
-    :attr:`parities_revealed` is the rows less those two counts, and no
-    writer of a parity row keeps the leak.  :attr:`events` builds its
-    :class:`Event` list afresh on every read, so changing the list it
-    returns leaves the transcript as it was.
+    The ledger is a list of plain rows in :class:`Event` field order,
+    unused fields -1 and ``b""``; a subset comparison's row ends with its
+    packed mask, the round's stream bytes as drawn once the padding bits
+    are cleared.  :func:`_disclose` writes the block comparison rows and
+    :func:`_random_subset_round` the subset comparison rows with their
+    masks; :func:`_bisect` writes every bisection row, of block passes,
+    back-correction and subset rounds alike, :func:`_correct` every
+    correction row, and :func:`_record_deletions` the deletions; only
+    these two keep counts, ``corrections_made`` and ``bits_deleted``.
+    Every other row discloses one parity, so :attr:`parities_revealed` is
+    the rows less those two counts, and no writer of a parity row keeps
+    the leak.  :attr:`events` builds its :class:`Event` list afresh on
+    every read, so changing the list it returns leaves the transcript as
+    it was.
     """
 
     def __init__(self) -> None:
-        self._rows: list[tuple[int, int, int, int, int, int, int]] = []
-        self._masks: list[bytes] = []
+        self._rows: list[tuple[str, int, int, int, int, int, int, bytes]] = []
         self.bits_deleted = 0
         self.corrections_made = 0
 
@@ -300,10 +294,7 @@ class Transcript:
 
     @property
     def events(self) -> list[Event]:
-        masks = iter(self._masks)
-        return [Event(_KINDS[k], r, lo, hi, a, b, i,
-                      next(masks) if k == _SUBSET_ROW else b"")
-                for k, r, lo, hi, a, b, i in self._rows]
+        return list(map(Event._make, self._rows))
 
     def to_lines(self) -> list[str]:
         return [e.to_line() for e in self.events]
@@ -354,7 +345,7 @@ class _PassRecord:
 
 def make_key_pair(n: int, pattern: ErrorPattern, seed: int) -> KeyPair:
     """Uniform random bits for Alice; Bob differs exactly at the pattern."""
-    _require_int(n, "key length n")
+    n = _count(n, "key length n")
     if pattern.n != n:
         raise ValueError(f"pattern is for a {pattern.n}-bit key, expected {n}")
     rng = np.random.default_rng(seed)
@@ -397,7 +388,7 @@ def _bisect(
         b = vb & low
         pa = a.bit_count() & 1
         pb = b.bit_count() & 1
-        rows.append((_BISECT_ROW, round_index, left, mid, pa, pb, -1))
+        rows.append((BISECT, round_index, left, mid, pa, pb, -1, b""))
         if pa != pb:
             right = mid
             va = a
@@ -421,7 +412,7 @@ def _correct(keys: _PackedKeys, transcript: Transcript, round_index: int, index:
         raise ProtocolError("bisection landed on an agreeing bit; the searched range "
                             "had an even number of differences")
     keys.bob ^= bit
-    transcript._rows.append((_CORRECT_ROW, round_index, -1, -1, -1, -1, index))
+    transcript._rows.append((CORRECT, round_index, -1, -1, -1, -1, index, b""))
     transcript.corrections_made += 1
 
 
@@ -462,12 +453,13 @@ def _disclose(keys: _PackedKeys, transcript: Transcript, rec: _PassRecord) -> li
     start = 0
     for j in compress(range(len(lo)), map(ne, pa, pb)):
         stop = j + 1
-        rows.extend(zip(repeat(_BLOCK_ROW), repeat(round_index), lo[start:stop],
-                        hi[start:stop], pa[start:stop], pb[start:stop], repeat(-1)))
+        rows.extend(zip(repeat(COMPARE_BLOCK), repeat(round_index), lo[start:stop],
+                        hi[start:stop], pa[start:stop], pb[start:stop], repeat(-1),
+                        repeat(b"")))
         flipped.append(_bisect_block(keys, transcript, rec, j))
         start = stop
-    rows.extend(zip(repeat(_BLOCK_ROW), repeat(round_index), lo[start:], hi[start:],
-                    pa[start:], pb[start:], repeat(-1)))
+    rows.extend(zip(repeat(COMPARE_BLOCK), repeat(round_index), lo[start:], hi[start:],
+                    pa[start:], pb[start:], repeat(-1), repeat(b"")))
     return flipped
 
 
@@ -475,8 +467,8 @@ def _record_deletions(
     transcript: Transcript, round_index: int, indices: Sequence[int]
 ) -> None:
     """Record deletions; indices are pre-deletion coordinates."""
-    transcript._rows.extend(zip(repeat(_DELETE_ROW), repeat(round_index), repeat(-1),
-                                repeat(-1), repeat(-1), repeat(-1), indices))
+    transcript._rows.extend(zip(repeat(DELETE), repeat(round_index), repeat(-1),
+                                repeat(-1), repeat(-1), repeat(-1), indices, repeat(b"")))
     transcript.bits_deleted += len(indices)
 
 
@@ -584,7 +576,8 @@ def _random_subset_round(
 ) -> bool:
     """One random-subset comparison; returns True if a bit was corrected.
 
-    ``keys`` is the run's packed pair, which the round corrects and, in
+    ``keys`` is the run's packed pair of at least two bits (:func:`reconcile`
+    runs no round on a shorter key), which the round corrects and, in
     BBBSS mode, shortens in place.  ``rng`` is the run's one shared subset
     stream, which :func:`reconcile` seeds once from ``(config.seed, 2)``;
     ``round_index`` only labels the events.  The subset includes each
@@ -602,8 +595,6 @@ def _random_subset_round(
     on the same packed keys.
     """
     n = keys.n
-    if n < 2:
-        raise ValueError(f"subset rounds need a key of length >= 2, got {n}")
     words, size_bytes = -(-n // 64), -(-n // 8)
     last_byte = 0xFF << (8 * size_bytes - n) & 0xFF  # the last byte's positions below n
     while True:
@@ -614,8 +605,8 @@ def _random_subset_round(
             break
     am, bm = keys.alice & mask, keys.bob & mask
     pa, pb = am.bit_count() & 1, bm.bit_count() & 1
-    transcript._rows.append((_SUBSET_ROW, round_index, 0, mask.bit_count(), pa, pb, -1))
-    transcript._masks.append(packed)
+    transcript._rows.append((COMPARE_SUBSET, round_index, 0, mask.bit_count(), pa, pb, -1,
+                             packed))
     if pa != pb:
         subset = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n).view(bool)
         # Python ints from the positions' buffer: no NumPy scalar per halving

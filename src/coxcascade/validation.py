@@ -25,6 +25,7 @@ from .error_model import (
     ErrorPattern,
     GammaIntensity,
     TimeUnitLayout,
+    _count,
     cdf,
     mean,
     p_odd,
@@ -302,6 +303,7 @@ def check_assumption_one(
     probability is confirmed by sampling whole units and counting the
     aligned blocks (blocks fully inside one unit) that hold 0 or 1 errors.
     """
+    units = _count(units, "units")
     n = recommend_block_size(layout, g)
     f = layout.f
     dt = n / f
@@ -346,8 +348,7 @@ def check_simulator_statistics(
     layout = TimeUnitLayout(100)
     g = GammaIntensity(10.0, 2.0)
     batches = 100
-    if trials < 1_000:
-        raise ValueError(f"trials must be >= 1000, got {trials!r}")
+    trials = _count(trials, "trials", 1_000)
     sample = sample_process(trials * layout.f, layout, g, seed)
     counts = sample.unit_counts.astype(np.float64)
     params = f"f={layout.f};a={g.a:g};b={g.b:g};units={trials}"
@@ -414,8 +415,7 @@ def check_reconciliation(runs: int = 500, seed: int = _MC_SEED) -> list[CheckRec
     comparison and bisection events) and the BBBSS length accounting (one
     deleted bit per block or subset comparison).
     """
-    if runs < 100:
-        raise ValueError(f"runs must be >= 100, got {runs!r}")
+    runs = _count(runs, "runs", 100)
     records = _worked_example_records()
 
     g = GammaIntensity(10.0, 2.0)

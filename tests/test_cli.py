@@ -138,6 +138,14 @@ class TestBlocksizeCommand:
                             "--f", "1000", "--format", "json")
         assert json.loads(out)["block_size"] == 200
 
+    def test_non_finite_size_exit_2(self, capsys):
+        # f*b/a overflows to inf, which is no block size
+        code, out, err = run_cli(capsys, "blocksize", "--a", "1e-300", "--b", "1e300",
+                                 "--f", "1000")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("coxcascade blocksize: error: f*b/a = inf is not finite")
+
 
 class TestSampleCommand:
     def test_trace_columns(self, capsys):
@@ -594,7 +602,7 @@ class TestSeedDefaulting:
 # records CSV are rendered by the CLI alone; a change to the library
 # behind them must not alter a byte, and a contract change that does moves
 # this pin.
-GOLDEN_OUTPUT_DIGEST = "f45c38d49954b02177ff6661a064c404fd3eca4454b7983d4a33316558f833bb"
+GOLDEN_OUTPUT_DIGEST = "96a912680dff72b57c1b80601fdf548f3476755cdf9a64b4bb169bf632ffa221"
 
 
 class TestGoldenOutputs:

@@ -6,6 +6,7 @@ summation for the distribution function / tail / mean / parity splits,
 and seeded Monte Carlo for the sampler.
 """
 
+import functools
 import math
 import re
 
@@ -30,7 +31,9 @@ from coxcascade.error_model import (
     sample_process,
     tail,
 )
+from coxcascade.reconciliation import make_key_pair
 from coxcascade.special_functions import SeriesNonConvergence
+from coxcascade.validation import check_reconciliation, check_simulator_statistics
 
 G_MAIN = GammaIntensity(10.0, 2.0)
 G_UNIT = GammaIntensity(1.0, 1.0)
@@ -84,9 +87,9 @@ class TestTypes:
             ErrorPattern(2.5, ())
 
     @pytest.mark.parametrize("position, message", [
-        (1.5, "positions must be integers, got 1.5"),
-        (True, "positions must be integers, got True"),
-        (np.float64(2.0), "positions must be integers"),
+        pytest.param(1.5, "positions must be an integer, got 1.5", id="float"),
+        pytest.param(True, "positions must be an integer, got True", id="bool"),
+        pytest.param(np.float64(2.0), "positions must be an integer", id="numpy-float"),
         (-1, "positions must be >= 0, got -1"),
     ])
     def test_pattern_positions_refused(self, position, message):
@@ -98,6 +101,25 @@ class TestTypes:
     def test_pattern_numpy_positions_accepted(self):
         pattern = ErrorPattern(5, (np.int64(1), np.int32(3), np.uint8(4)))
         assert pattern.positions == (1, 3, 4)
+
+    @pytest.mark.parametrize("value", [True, "1", np.array([1.0]), None],
+                             ids=["bool", "str", "array", "None"])
+    def test_model_parameters_refuse_non_numbers(self, value):
+        # refused with a message naming the parameter, not accepted or left
+        # to a TypeError in later arithmetic
+        with pytest.raises(ValueError, match="gamma shape a must be a real number"):
+            GammaIntensity(value, 2)
+        with pytest.raises(ValueError, match="gamma rate b must be a real number"):
+            GammaIntensity(1, value)
+        with pytest.raises(ValueError, match="dt must be a real number"):
+            pmf(3, G_MAIN, dt=value)
+
+    def test_model_parameters_stored_as_floats(self):
+        g = GammaIntensity(np.int64(10), np.float32(2.0))
+        assert type(g.a) is float and type(g.b) is float
+        assert g == G_MAIN
+        with pytest.raises(ValueError, match="gamma shape a must be finite"):
+            GammaIntensity(10**400, 1)
 
 
 class TestPmf:
@@ -140,7 +162,7 @@ class TestPmf:
                 pmf(k, G_MAIN)
         assert pmf(np.int64(3), G_MAIN) == pmf(3, G_MAIN)
 
-    @pytest.mark.parametrize("g", GRID, ids=lambda g: f"a{g.a}b{g.b}")
+    @pytest.mark.parametrize("g", GRID, ids=lambda g: f"a{g.a:g}b{g.b:g}")
     def test_normalization(self, g):
         total = 0.0
         k = 0
@@ -187,7 +209,7 @@ class TestCdfTail:
         for m in range(51):
             assert tail(m, G_MAIN) + cdf(m, G_MAIN) == 1.0
 
-    @pytest.mark.parametrize("g", GRID, ids=lambda g: f"a{g.a}b{g.b}")
+    @pytest.mark.parametrize("g", GRID, ids=lambda g: f"a{g.a:g}b{g.b:g}")
     def test_tail_against_brute_force(self, g):
         for m in range(0, 51, 5):
             assert tail(m, g) == pytest.approx(1.0 - partial_sum(m, g), abs=1e-10)
@@ -279,9 +301,10 @@ class TestParityProbabilities:
         # the correction prefactor would overflow a naive gamma evaluation
         assert p_odd_finite(500, G_MAIN) == pytest.approx(p_odd(G_MAIN), abs=1e-12)
 
-    @pytest.mark.parametrize("b", [1e3, 1e8, 1e14, 1e15, 1e200])
+    @pytest.mark.parametrize("b", [1e-3, 0.5, 1, 2, 4, 1e3, 1e8, 1e14, 1e15, 1e200])
     def test_large_rate_keeps_precision(self, b):
-        # at a = 1, p_odd = 1/(b+2); log(b) - log(b+2) cancels at large b
+        # at a = 1, p_odd = 1/(b+2); one expression serves small and large
+        # rates, where log(b) - log(b+2) would cancel
         assert math.isclose(p_odd(GammaIntensity(1, b)), 1.0 / (b + 2.0), rel_tol=1e-14)
 
     def test_finite_positive_at_large_rate(self):
@@ -386,3 +409,63 @@ class TestSampler:
         for sample in (sample_process, sample_error_pattern):
             with pytest.raises(ValueError, match="key length n must be an integer, got 10.5"):
                 sample(10.5, TimeUnitLayout(4), G_MAIN, seed=1)
+
+
+def stored_pattern(pattern):
+    return pattern, type(pattern.n), {type(p) for p in pattern.positions}
+
+
+def sampled(n):
+    s = sample_process(n, TimeUnitLayout(100), G_MAIN, 1)
+    return s.pattern, s.unit_intensities.tolist(), s.unit_counts.tolist()
+
+
+def key_bits(n):
+    pair = make_key_pair(n, ErrorPattern(200, (3, 199)), 5)
+    return pair.alice.tolist(), pair.bob.tolist()
+
+
+def block_size(f):
+    layout = TimeUnitLayout(f)
+    return type(layout.f), recommend_block_size(layout, GammaIntensity(1, 2))
+
+
+# entry point -> (a count it takes, the call); each value sits where NumPy
+# arithmetic in the narrowest dtypes that hold it would wrap: k + 1, m + 2,
+# 2m + 3, n + f - 1, f * b
+COUNT_ENTRY_POINTS = {
+    "pmf": (127, lambda k: pmf(k, G_MAIN)),
+    "tail": (126, lambda m: tail(m, G_MAIN)),
+    "cdf": (126, lambda m: cdf(m, G_MAIN)),
+    "p_odd_finite": (127, lambda m: p_odd_finite(m, G_MAIN)),
+    "sample_process": (250, sampled),
+    "make_key_pair": (200, key_bits),
+    "ErrorPattern.n": (200, lambda n: stored_pattern(ErrorPattern(n, (3, 199)))),
+    "ErrorPattern.positions": (200, lambda p: stored_pattern(ErrorPattern(256, (3, p)))),
+    "TimeUnitLayout": (250, block_size),
+    "trials": (1000, lambda t: [r.to_row() for r in check_simulator_statistics(t, seed=3)]),
+    "runs": (100, lambda r: [r.to_row() for r in check_reconciliation(r, seed=5)]),
+}
+
+
+def narrowest_and_64_bit(value):
+    """The narrowest signed and unsigned NumPy dtypes that hold ``value``,
+    where arithmetic wraps soonest, and the two 64-bit ones."""
+    fits = [t for t in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32)
+            if np.iinfo(t).max >= value]
+    return [fits[0], fits[1], np.int64, np.uint64]
+
+
+@functools.cache
+def python_int_result(entry):
+    value, call = COUNT_ENTRY_POINTS[entry]
+    return call(value)
+
+
+@pytest.mark.parametrize("entry, dtype", [
+    (entry, dtype) for entry, (value, _) in COUNT_ENTRY_POINTS.items()
+    for dtype in narrowest_and_64_bit(value)
+], ids=lambda x: x if isinstance(x, str) else x.__name__)
+def test_numpy_counts_give_the_python_int_result(entry, dtype):
+    value, call = COUNT_ENTRY_POINTS[entry]
+    assert call(dtype(value)) == python_int_result(entry)

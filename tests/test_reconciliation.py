@@ -19,8 +19,7 @@ The other tests pin what a run's lines cannot show:
   in ``TestRunPass`` and ``TestCascadeBackCorrection``), and the fixed
   31-bit worked example's pass (``TestRunPass``);
 - the step functions' own contracts: a pass's block shapes, BBBSS
-  deletions replayed, an empty history, the minimum subset-round length,
-  an event's packed subset mask (``TestPartition``, ``TestRunPass``,
+  deletions replayed, an empty history, an event's packed subset mask (``TestPartition``, ``TestRunPass``,
   ``TestCascadeBackCorrection``, ``TestRandomSubsetRound``,
   ``TestTranscriptSerialization``);
 - statistics: the shuffle's uniformity, a subset's mean size and the
@@ -587,11 +586,6 @@ class TestRandomSubsetRound:
                 break
         assert KeyPair(*keys.unpack()).residual_errors() == 0
 
-    def test_minimum_length(self):
-        keys = _PackedKeys(make_key_pair(1, ErrorPattern(1, ()), seed=0))
-        with pytest.raises(ValueError):
-            _random_subset_round(keys, self.config(), 0, Transcript(), [], subset_stream(0))
-
     @pytest.mark.parametrize("variant", [BBBSS, CASCADE])
     @pytest.mark.parametrize("n", [13, 24, 61])
     def test_event_keeps_packed_mask(self, n, variant):
@@ -839,6 +833,8 @@ class TestProtocolSpec:
     @example(Run(100, (1, 2, 40, 63, 64, 99), CASCADE, 100, passes=1, seed=57, key_seed=100))
     @example(Run(2, (), CASCADE, 2, passes=1, seed=57, key_seed=2))
     @example(Run(3, (1,), CASCADE, 3, passes=1, seed=57, key_seed=3))
+    # a 1-bit key: pass 0 corrects it and no subset round runs
+    @example(Run(1, (0,), CASCADE, 1, passes=1))
     # back-correction queues more than one block: the order they run in shows
     @example(Run(76, (0, 1, 2, 3), CASCADE, 2, passes=2, termination=1))
     def test_reconcile_follows_the_spec(self, run):
@@ -1230,9 +1226,20 @@ class TestConfigValidation:
             CascadeConfig(**kwargs)
 
     def test_numpy_integers_accepted(self):
-        config = CascadeConfig(initial_block_size=np.int64(4), num_passes=np.int32(2),
-                               block_growth=np.uint8(3), termination_successes=np.int16(5),
-                               seed=np.int64(7))
-        pair = make_key_pair(64, ErrorPattern(64, (3, 40)), seed=1)
-        assert reconcile(pair, config).subset_rounds >= 5
+        # stored as Python ints: in uint8 arithmetic pass 5's block size
+        # 4 * 3**5 = 972 wraps to 204
+        fields = dict(initial_block_size=np.int64(4), num_passes=np.int32(7),
+                      block_growth=np.uint8(3), termination_successes=np.int16(5),
+                      seed=np.int64(7))
+        config = CascadeConfig(variant=CASCADE, **fields)
+        assert all(type(getattr(config, name)) is int for name in fields)
+        plain = CascadeConfig(variant=CASCADE, **{name: int(v) for name, v in fields.items()})
+        pattern = sample_error_pattern(5000, TimeUnitLayout(250), GammaIntensity(10, 2), seed=3)
+        lines = []
+        for c in (config, plain):
+            t = Transcript()
+            reconcile(make_key_pair(5000, pattern, seed=1), c, t)
+            lines.append(t.to_lines())
+        assert lines[0] == lines[1]
+        assert any(line.startswith("compare-block round=5 range=0:972 ") for line in lines[0])
         assert CascadeConfig(initial_block_size="auto").initial_block_size == "auto"
