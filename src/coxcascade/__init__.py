@@ -47,7 +47,6 @@ from .special_functions import (
 )
 from .validation import (
     CheckRecord,
-    ValidationReport,
     run_suites,
 )
 

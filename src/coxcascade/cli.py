@@ -3,7 +3,11 @@
 Subcommands expose the probability evaluators (``pmf``, ``cdf``, ``tail``,
 ``parity``), the block-size rule (``blocksize``), the error-pattern
 sampler (``sample``), the protocol simulator (``reconcile``) and the
-validation suites (``validate``).  Identical invocations, seed included,
+validation suites (``validate``).  Each command renders one plain result
+here: ``reconcile`` its header fields and the :class:`ReconcileOutcome`'s
+fields, in order, as JSON; ``validate`` the sorted :class:`CheckRecord`
+list of :func:`run_suites` as the text report and the records CSV, and
+exits 1 iff a record failed.  Identical invocations, seed included,
 produce byte-identical output.
 
 Numeric rendering is fixed: 17 significant digits in JSON output, 12 in
@@ -11,12 +15,12 @@ CSV.  Exit codes: 0 success, 1 validation failure, 2 usage or parameter
 error.  A bad flag is reported by argparse: a usage block, then one
 ``coxcascade <command>: error: …`` line.  Every other refusal is that one
 stderr line alone: an evaluator that refuses its input, whose series does
-not converge or overflows or whose value overflows, a bad
-``COXCASCADE_SEED``, an output path that cannot be written and two
-outputs that name one destination (one file, or ``-`` for stdout twice).
-Outputs are checked and opened before a command computes anything, so
-those two refusals come at once.  The default seed is 24301 and can be
-overridden with the ``COXCASCADE_SEED`` environment variable.
+not converge, overflows or turns ``nan``, or whose value overflows or is
+no probability, a bad ``COXCASCADE_SEED``, an output path that cannot be
+written and two outputs that name one destination (one file, or ``-`` for
+stdout twice).  Outputs are checked and opened before a command computes
+anything, so those two refusals come at once.  The default seed is 24301
+and can be overridden with the ``COXCASCADE_SEED`` environment variable.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import os
 import stat
 import sys
 from contextlib import ExitStack, contextmanager
+from dataclasses import asdict, astuple
 from typing import Iterable, Sequence
 
 from .error_model import (
@@ -166,6 +171,19 @@ def _table_text(header: Sequence[str], rows: Iterable[Sequence], fmt: str) -> st
         return render_json(payload) + "\n"
     lines = [",".join(header)]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _report_text(records: Sequence[CheckRecord]) -> str:
+    """The validation report: one line per record, then the tally."""
+    lines = [
+        f"{'PASS' if r.passed else 'FAIL'}  {r.name} [{r.params}]  "
+        f"analytic={r.analytic:.12g} oracle={r.oracle:.12g} |dev|={r.abs_dev:.3g} "
+        f"rel={r.rel_dev:.3g} tol={r.tolerance:.3g}"
+        for r in records
+    ]
+    failed = sum(not r.passed for r in records)
+    lines.append(f"{len(records)} checks, {failed} failed")
     return "\n".join(lines) + "\n"
 
 
@@ -379,14 +397,7 @@ def _cmd_reconcile(args) -> int:
             "block_size": config.initial_block_size,
             "variant": config.variant,
             "seed": seed,
-            "final_length": outcome.final_length,
-            "residual_error_count": outcome.residual_error_count,
-            "leaked_parities": outcome.leaked_parities,
-            "deleted_bits": outcome.deleted_bits,
-            "corrections_made": transcript.corrections_made,
-            "passes_executed": outcome.passes_executed,
-            "subset_rounds": outcome.subset_rounds,
-            "success": outcome.success,
+            **asdict(outcome),
         }
         texts = [render_json(payload) + "\n"]
         if args.transcript_out is not None:
@@ -399,18 +410,14 @@ def _cmd_validate(args) -> int:
     # --output - appends the records to the report: one stdout output
     records_path = None if args.output == "-" else args.output
     with _outputs("-", records_path) as emit:
-        report = run_suites(args.suite if args.suite else ["all"])
-        text = report.to_text() + "\n"
-        texts = []
+        records = run_suites(args.suite if args.suite else ["all"])
+        texts = [_report_text(records)]
         if args.output is not None:
-            rows = [r.to_row() for r in report.sorted_records()]
-            records = _table_text(CheckRecord.FIELDS, rows, "csv")
-            if records_path is None:
-                text += records
-            else:
-                texts.append(records)
-        emit(text, *texts)
-    return 0 if report.all_passed else 1
+            texts.append(_table_text(CheckRecord.FIELDS, map(astuple, records), "csv"))
+        if records_path is None:  # no records, or records after the report on stdout
+            texts = ["".join(texts)]
+        emit(*texts)
+    return 0 if all(r.passed for r in records) else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -12,16 +12,17 @@ detect), each in closed form.
 All probabilities are assembled from log-gamma terms and exponentiated
 once, so large shape parameters and long strings stay in range.  An
 evaluator returns a finite float or raises: ``ValueError`` for input
-outside its domain or a value lost to float arithmetic (``nan``/``inf``),
+outside its domain or a value lost to float arithmetic (``nan``, ``inf``,
+or a ``tail`` or ``p_odd_finite`` more than 1e-9 outside [0, 1]),
 ``SeriesNonConvergence`` from the series kernel, ``OverflowError`` from
 ``math``.
 
 Inputs follow two rules, each checked once where the value enters and
 stored as a Python number, so NumPy scalars never reach the arithmetic.
-A count or size (``k``, ``m``, ``n``, ``f``, a position) is an integer,
-Python or NumPy, and is kept as an ``int`` (:func:`_count`); a model
-parameter (``a``, ``b``, ``dt``) is a finite real number > 0 and is kept
-as a ``float`` (:func:`_positive`).  Both refuse bools, and a value that
+A count or size (``k``, ``m``, ``n``, ``f``, a position, a seed) is an
+integer, Python or NumPy, and is kept as an ``int`` (:func:`_count`); a
+model parameter (``a``, ``b``, ``dt``) is a finite real number > 0 and is
+kept as a ``float`` (:func:`_positive`).  Both refuse bools, and a value that
 breaks its rule raises ``ValueError`` naming the parameter.
 """
 
@@ -78,6 +79,20 @@ def _positive(value: object, name: str) -> float:
     if not 0.0 < x < math.inf:
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     return x
+
+
+# How far outside [0, 1] a computed probability may land and still be
+# returned: the rounding of the closed forms at stiff parameters (a few
+# 1e-12 below 0 or above 1), never a value no probability is near.
+_PROBABILITY_SLACK = 1e-9
+
+
+def _probability(p: float, what: str, g: GammaIntensity) -> float:
+    """``p`` if it is within ``_PROBABILITY_SLACK`` of [0, 1]; ``nan``,
+    ``inf`` and anything farther off raise ``ValueError``."""
+    if not -_PROBABILITY_SLACK <= p <= 1.0 + _PROBABILITY_SLACK:  # nan fails too
+        raise ValueError(f"{what} = {p} at a={g.a!r}, b={g.b!r} is not a finite probability")
+    return p
 
 
 @dataclass(frozen=True)
@@ -176,12 +191,10 @@ def tail(m: int, g: GammaIntensity) -> float:
         - math.lgamma(m + 2)
         - (a + m + 1) * math.log(b + 1)
     )
+    # a*log(b) overflows before lgamma(a) does, so the log prefactor can be
+    # inf - inf (a ~ 2.5e305); at huge a and b its terms cancel to garbage
     p = math.exp(log_pref) * hyp2f1_one_sum(m + a + 1, m + 2, 1.0 / (b + 1)).value
-    if not math.isfinite(p):
-        # a*log(b) overflows before lgamma(a) does, so the log prefactor
-        # can be inf - inf (a ~ 2.5e305)
-        raise ValueError(f"tail(m={m}) = {p} at a={a!r}, b={b!r} is not a finite probability")
-    return p
+    return _probability(p, f"tail(m={m})", g)
 
 
 def cdf(m: int, g: GammaIntensity) -> float:
@@ -237,7 +250,7 @@ def p_odd_finite(m: int, g: GammaIntensity) -> float:
     correction = math.exp(log_corr) * hyp3f2_sum(
         m + 2 + a / 2.0, m + 1.5 + a / 2.0, m + 2.0, m + 2.5, z
     ).value
-    return p_odd(g) - correction
+    return _probability(p_odd(g) - correction, f"p_odd_finite(m={m})", g)
 
 
 def recommend_block_size(layout: TimeUnitLayout, g: GammaIntensity) -> int:
@@ -268,7 +281,7 @@ def sample_process(
     unit.  Deterministic for a fixed ``(n, layout, g, seed)``.
     """
     n = _count(n, "key length n", 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed"))
     f = layout.f
     n_units = (n + f - 1) // f
     intensities = np.empty(n_units, dtype=np.float64)

@@ -306,6 +306,7 @@ class ReconcileOutcome:
     residual_error_count: int
     leaked_parities: int
     deleted_bits: int
+    corrections_made: int
     passes_executed: int
     subset_rounds: int
     success: bool
@@ -348,7 +349,7 @@ def make_key_pair(n: int, pattern: ErrorPattern, seed: int) -> KeyPair:
     n = _count(n, "key length n")
     if pattern.n != n:
         raise ValueError(f"pattern is for a {pattern.n}-bit key, expected {n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed"))
     alice = rng.integers(0, 2, size=n, dtype=np.uint8)
     bob = alice.copy()
     if pattern.positions:
@@ -666,6 +667,7 @@ def reconcile(
         residual_error_count=residual,
         leaked_parities=t.parities_revealed,
         deleted_bits=t.bits_deleted,
+        corrections_made=t.corrections_made,
         passes_executed=passes_executed,
         subset_rounds=rounds,
         success=residual == 0,

@@ -5,7 +5,8 @@ caches or mutable globals, so concurrent callers are safe.  The series
 evaluators only accept arguments in [0, 1), where the term ratio settles
 below 1 and the partial sums converge at a geometric rate.  They share
 one fixed stopping rule and refuse, with :class:`SeriesNonConvergence`,
-a sum that does not settle within the term cap or that overflows.
+a sum that does not settle within the term cap, that overflows or that
+turns ``nan``.
 
 The series are summed in chunks of terms with numpy rather than one
 Python iteration per term, which matters near z = 1, where a sum runs to
@@ -50,10 +51,12 @@ _MAX_CHUNK = 4096
 
 class SeriesNonConvergence(ArithmeticError):
     """The term cap was reached before the tolerance was met, or the sum
-    overflowed."""
+    overflowed or turned ``nan``."""
 
     def __init__(self, name: str, terms_used: int, partial_sum: float):
-        outcome = "overflowed after" if math.isinf(partial_sum) else "did not converge within"
+        outcome = ("turned nan after" if math.isnan(partial_sum)
+                   else "overflowed after" if math.isinf(partial_sum)
+                   else "did not converge within")
         super().__init__(f"{name} {outcome} {terms_used} terms (partial sum {partial_sum!r})")
         self.terms_used = terms_used
         self.partial_sum = partial_sum
@@ -102,6 +105,8 @@ def _sum_series(name: str, ratio: Callable[[np.ndarray], np.ndarray], z: float) 
     than lower ones); the two-in-a-row rule keeps the growth phase from
     being confused with convergence.  A sum that overflowed meets that
     rule too (inf <= tol * inf), so a non-finite total is refused there.
+    A ``nan`` total never meets it and stays ``nan``, so a chunk that ends
+    on one is refused at once, at the term that made the total ``nan``.
 
     ``ratio`` maps an array of k (as floats) to the term ratios.  Each
     chunk computes its steps ``ratio(k) * z`` at once, then its terms as a
@@ -141,6 +146,9 @@ def _sum_series(name: str, ratio: Callable[[np.ndarray], np.ndarray], z: float) 
                     raise SeriesNonConvergence(name, terms_used, value)
                 return SeriesSum(value, terms_used, float(abs(steps[j])))
             total = float(totals[-1])
+            if math.isnan(total):
+                first = int(np.isnan(totals).argmax())  # totals[i] sums start + i + 1 terms
+                raise SeriesNonConvergence(name, start + first + 1, total)
             below = bool(small[-1])
             start = stop
             size = min(2 * size, _MAX_CHUNK)

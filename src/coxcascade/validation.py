@@ -8,6 +8,9 @@ for the sampler and the reconciliation protocol.  Statistical checks use
 three-standard-error gates with sample sizes large enough to notice a few
 percent of relative deviation.
 
+Each check returns a list of :class:`CheckRecord`, and :func:`run_suites`
+returns the records of the named suites sorted by (check, params); the
+command line renders them as the text report and the records CSV.
 Checks are deterministic given their seeds; re-running a suite produces
 identical records.
 """
@@ -53,7 +56,6 @@ __all__ = [
     "EXAMPLE_ERROR_POSITIONS",
     "EXAMPLE_KEY_BITS",
     "SUITES",
-    "ValidationReport",
     "adaptive_pmf_sum",
     "check_assumption_one",
     "check_parity_formulas",
@@ -90,10 +92,6 @@ class CheckRecord:
     FIELDS = ("check", "params", "analytic", "oracle", "abs_dev", "rel_dev",
               "tolerance", "passed")
 
-    def to_row(self) -> tuple:
-        return (self.name, self.params, self.analytic, self.oracle,
-                self.abs_dev, self.rel_dev, self.tolerance, self.passed)
-
 
 def _record(name: str, params: str, analytic: float, oracle: float,
             tolerance: float) -> CheckRecord:
@@ -102,36 +100,6 @@ def _record(name: str, params: str, analytic: float, oracle: float,
     rel_dev = abs_dev / scale if scale > 0 else 0.0
     return CheckRecord(name, params, float(analytic), float(oracle),
                        abs_dev, rel_dev, tolerance, abs_dev <= tolerance)
-
-
-class ValidationReport:
-    """Collection of check records with a text rendering."""
-
-    def __init__(self, records: Iterable[CheckRecord] = ()):
-        self.records: list[CheckRecord] = list(records)
-
-    def extend(self, records: Iterable[CheckRecord]) -> None:
-        self.records.extend(records)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.records)
-
-    def sorted_records(self) -> list[CheckRecord]:
-        return sorted(self.records, key=lambda r: (r.name, r.params))
-
-    def to_text(self) -> str:
-        lines = []
-        for r in self.sorted_records():
-            status = "PASS" if r.passed else "FAIL"
-            lines.append(
-                f"{status}  {r.name} [{r.params}]  analytic={r.analytic:.12g} "
-                f"oracle={r.oracle:.12g} |dev|={r.abs_dev:.3g} "
-                f"rel={r.rel_dev:.3g} tol={r.tolerance:.3g}"
-            )
-        n_fail = sum(not r.passed for r in self.records)
-        lines.append(f"{len(self.records)} checks, {n_fail} failed")
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +394,9 @@ def check_reconciliation(runs: int = 500, seed: int = _MC_SEED) -> list[CheckRec
     # an error-free pair must terminate in exactly the configured number of
     # agreeing subset rounds with no corrections
     clean = make_key_pair(256, ErrorPattern(256, ()), seed)
-    t_clean = Transcript()
     out_clean = reconcile(clean, CascadeConfig(
-        initial_block_size=config.initial_block_size, seed=seed), t_clean)
-    ok_clean = (out_clean.success and t_clean.corrections_made == 0 and
+        initial_block_size=config.initial_block_size, seed=seed))
+    ok_clean = (out_clean.success and out_clean.corrections_made == 0 and
                 out_clean.subset_rounds == config.termination_successes)
     records.append(
         _record("reconcile_zero_error", f"n=256;seed={seed}", 1.0, float(ok_clean), 0.0)
@@ -485,36 +452,22 @@ def check_reconciliation(runs: int = 500, seed: int = _MC_SEED) -> list[CheckRec
 _GRID = ((10.0, 2.0), (1.0, 1.0), (0.5, 4.0), (25.0, 0.5))
 
 
-def _suite_normalization() -> list[CheckRecord]:
-    records = []
-    for a, b in _GRID:
-        records.extend(check_pmf_normalization(GammaIntensity(a, b)))
-    return records
-
-
-def _suite_parity() -> list[CheckRecord]:
-    records = []
-    for a, b in ((10.0, 2.0), (1.0, 1.0), (0.5, 4.0)):
-        records.extend(check_parity_formulas(GammaIntensity(a, b)))
-    return records
-
-
-def _suite_assumption1() -> list[CheckRecord]:
-    return check_assumption_one(TimeUnitLayout(1000), GammaIntensity(10.0, 2.0))
-
-
 SUITES: dict[str, Callable[[], list[CheckRecord]]] = {
-    "normalization": _suite_normalization,
-    "parity": _suite_parity,
+    "normalization": lambda: [
+        r for a, b in _GRID for r in check_pmf_normalization(GammaIntensity(a, b))],
+    "parity": lambda: [
+        r for a, b in _GRID[:3] for r in check_parity_formulas(GammaIntensity(a, b))],
     "identities": check_partial_sum_identities,
-    "assumption1": _suite_assumption1,
+    "assumption1": lambda: check_assumption_one(TimeUnitLayout(1000),
+                                                GammaIntensity(10.0, 2.0)),
     "sampler": check_simulator_statistics,
     "reconciliation": check_reconciliation,
 }
 
 
-def run_suites(names: Iterable[str] = ("all",)) -> ValidationReport:
-    """Run the named suites (or all of them) and collect the report."""
+def run_suites(names: Iterable[str] = ("all",)) -> list[CheckRecord]:
+    """Run the named suites (or all of them), each once in the order first
+    named, and return their records sorted by (check, params)."""
     chosen: list[str] = []
     for name in names:
         if name == "all":
@@ -523,7 +476,5 @@ def run_suites(names: Iterable[str] = ("all",)) -> ValidationReport:
             chosen.append(name)
         else:
             raise KeyError(f"unknown validation suite {name!r}")
-    report = ValidationReport()
-    for name in dict.fromkeys(chosen):
-        report.extend(SUITES[name]())
-    return report
+    records = [r for name in dict.fromkeys(chosen) for r in SUITES[name]()]
+    return sorted(records, key=lambda r: (r.name, r.params))

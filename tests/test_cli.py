@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,9 @@ import coxcascade
 from coxcascade import error_model
 from coxcascade.cli import DEFAULT_SEED, main, render_json
 from coxcascade.error_model import GammaIntensity, p_odd, pmf, tail
+from coxcascade.reconciliation import ReconcileOutcome
 from coxcascade.special_functions import SeriesNonConvergence
-from coxcascade.validation import check_reconciliation
+from coxcascade.validation import CheckRecord, check_reconciliation, run_suites
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +219,15 @@ class TestReconcileCommand:
         assert payload["residual_error_count"] == 0
         assert payload["final_length"] == 1024 - payload["deleted_bits"]
 
+    def test_payload_is_the_header_and_the_outcome(self, capsys, tmp_path):
+        path = tmp_path / "transcript.log"
+        _, out, _ = run_cli(capsys, *self.BASE, "--transcript-out", str(path))
+        payload = json.loads(out)
+        assert list(payload) == ["n", "planted_errors", "block_size", "variant", "seed",
+                                 *(f.name for f in fields(ReconcileOutcome))]
+        corrections = [l for l in path.read_text().splitlines() if l.startswith("correct ")]
+        assert payload["corrections_made"] == len(corrections) > 0
+
     def test_transcript_file(self, capsys, tmp_path):
         path = tmp_path / "transcript.log"
         code, out, _ = run_cli(capsys, *self.BASE, "--transcript-out", str(path))
@@ -330,6 +341,21 @@ class TestEvaluatorErrors:
         assert out == ""
         assert err == ("coxcascade tail: error: tail(m=0) = nan at a=2.535e+305, "
                        "b=1e+308 is not a finite probability\n")
+
+    def test_nan_series_exit_2(self, capsys):
+        # at a = b = 1e300 the 3F2 steps are inf * 0: refused at the first term
+        code, out, err = run_cli(capsys, "parity", "--a", "1e300", "--b", "1e300", "--m", "0")
+        assert (code, out) == (2, "")
+        assert err == ("coxcascade parity: error: hyp3f2 turned nan after 2 terms "
+                       "(partial sum nan)\n")
+
+    @pytest.mark.parametrize("cmd", ["tail", "cdf"])
+    def test_not_a_probability_exit_2(self, capsys, cmd):
+        # the log prefactor cancels terms of size ~7e302 and leaves e - 1
+        code, out, err = run_cli(capsys, cmd, "--a", "1e300", "--b", "1e300", "--m", "0")
+        assert (code, out) == (2, "")
+        assert err == ("coxcascade %s: error: tail(m=0) = 1.7182818284590455 at a=1e+300, "
+                       "b=1e+300 is not a finite probability\n" % cmd)
 
     def test_math_overflow_exit_2(self, capsys):
         # lgamma(a) overflows in pmf's log prefactor
@@ -542,19 +568,32 @@ class TestValidateCommand:
         assert "worked_example_mismatch_blocks" in out
         assert "reconcile_success_rate" in out
 
-    def test_failure_exit_code(self, capsys, monkeypatch):
-        import coxcascade.validation as validation
-        from coxcascade.validation import CheckRecord, ValidationReport
+    def test_text_and_csv_renderings(self, capsys, tmp_path):
+        records = run_suites(["identities"])
+        path = tmp_path / "records.csv"
+        code, out, _ = run_cli(capsys, "validate", "--suite", "identities",
+                               "--output", str(path))
+        assert code == 0
+        report = out.splitlines()
+        assert [line.split()[:2] for line in report[:-1]] == [["PASS", r.name] for r in records]
+        assert report[-1] == f"{len(records)} checks, 0 failed"
+        assert CheckRecord.FIELDS == ("check", "params", "analytic", "oracle",
+                                      "abs_dev", "rel_dev", "tolerance", "passed")
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert rows[0] == list(CheckRecord.FIELDS)
+        assert [row[:2] for row in rows[1:]] == [[r.name, r.params] for r in records]
+        assert all(len(row) == len(astuple(records[0])) for row in rows)
 
+    def test_failure_exit_code(self, capsys, monkeypatch):
         def fake(names):
-            return ValidationReport(
-                [CheckRecord("forced", "", 1.0, 0.0, 1.0, 1.0, 0.1, False)]
-            )
+            return [CheckRecord("forced", "", 1.0, 0.0, 1.0, 1.0, 0.1, False),
+                    CheckRecord("kept", "", 1.0, 1.0, 0.0, 0.0, 0.1, True)]
 
         monkeypatch.setattr("coxcascade.cli.run_suites", fake)
         code, out, _ = run_cli(capsys, "validate", "--suite", "identities")
         assert code == 1
-        assert "FAIL" in out
+        assert [line.split()[0] for line in out.splitlines()] == ["FAIL", "PASS", "2"]
+        assert out.endswith("\n2 checks, 1 failed\n")
 
 
 class TestSeedDefaulting:
@@ -635,6 +674,6 @@ class TestGoldenOutputs:
         records = tmp_path / "records.csv"
         feed("validate", "validate", "--suite", "normalization", "--suite", "parity",
              "--suite", "identities", "--output", str(records), files=[records])
-        rows = [r.to_row() for r in check_reconciliation(runs=100)]
+        rows = [astuple(r) for r in check_reconciliation(runs=100)]
         h.update(repr(rows).encode())
         assert h.hexdigest() == GOLDEN_OUTPUT_DIGEST

@@ -9,6 +9,7 @@ and seeded Monte Carlo for the sampler.
 import functools
 import math
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -339,6 +340,24 @@ def test_lost_prefactor_refused(fn):
         fn(0, GammaIntensity(2.535e305, 1e308))
 
 
+@pytest.mark.parametrize("fn, m, a, b, message", [
+    # the log prefactors cancel terms of size ~7e302 and ~2e102
+    (tail, 0, 1e300, 1e300, "tail(m=0) = 1.7182818284590455 at a=1e+300, b=1e+300"),
+    (cdf, 0, 1e300, 1e300, "tail(m=0) = 1.7182818284590455 at a=1e+300, b=1e+300"),
+    (tail, 0, 1e100, 1e100, "tail(m=0) = 1.7182818284590455 at a=1e+100, b=1e+100"),
+    (p_odd_finite, 0, 1e100, 1e154, "p_odd_finite(m=0) = -1.0 at a=1e+100, b=1e+154"),
+], ids=["tail-1e300", "cdf-1e300", "tail-1e100", "p_odd_finite-1e100-1e154"])
+def test_not_a_probability_refused(fn, m, a, b, message):
+    with pytest.raises(ValueError, match=re.escape(f"{message} is not a finite probability")):
+        fn(m, GammaIntensity(a, b))
+
+
+def test_probability_slack_passes_rounding():
+    # closed forms a few 1e-12 outside [0, 1] are returned, not refused
+    assert -1e-11 < p_odd_finite(0, GammaIntensity(100, 1e-3)) < 0.0
+    assert 1.0 < tail(30, GammaIntensity(100, 0.5)) < 1.0 + 1e-12
+
+
 class TestBlockSize:
     def test_main(self):
         assert recommend_block_size(TimeUnitLayout(1000), G_MAIN) == 200
@@ -443,8 +462,8 @@ COUNT_ENTRY_POINTS = {
     "ErrorPattern.n": (200, lambda n: stored_pattern(ErrorPattern(n, (3, 199)))),
     "ErrorPattern.positions": (200, lambda p: stored_pattern(ErrorPattern(256, (3, p)))),
     "TimeUnitLayout": (250, block_size),
-    "trials": (1000, lambda t: [r.to_row() for r in check_simulator_statistics(t, seed=3)]),
-    "runs": (100, lambda r: [r.to_row() for r in check_reconciliation(r, seed=5)]),
+    "trials": (1000, lambda t: list(map(astuple, check_simulator_statistics(t, seed=3)))),
+    "runs": (100, lambda r: list(map(astuple, check_reconciliation(r, seed=5)))),
 }
 
 
@@ -469,3 +488,31 @@ def python_int_result(entry):
 def test_numpy_counts_give_the_python_int_result(entry, dtype):
     value, call = COUNT_ENTRY_POINTS[entry]
     assert call(dtype(value)) == python_int_result(entry)
+
+
+# entry point -> the call on a seed, as comparable values of its stream
+SEED_ENTRY_POINTS = {
+    "sample_process": lambda s: sample_process(500, TimeUnitLayout(100), G_MAIN,
+                                               s).unit_intensities.tolist(),
+    "sample_error_pattern": lambda s: sample_error_pattern(500, TimeUnitLayout(100), G_MAIN, s),
+    "make_key_pair": lambda s: make_key_pair(200, ErrorPattern(200, (3, 199)), s).alice.tolist(),
+}
+
+
+@pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+@pytest.mark.parametrize("seed, message", [
+    (True, "seed must be an integer, got True"),
+    (1.5, "seed must be an integer, got 1.5"),
+    ("3", "seed must be an integer, got '3'"),
+    (-1, "seed must be >= 0, got -1"),
+], ids=["bool", "float", "str", "negative"])
+def test_seeds_follow_the_count_rule(entry, seed, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SEED_ENTRY_POINTS[entry](seed)
+
+
+@pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64, np.uint64])
+def test_numpy_seeds_give_the_python_int_stream(entry, dtype):
+    call = SEED_ENTRY_POINTS[entry]
+    assert call(dtype(200)) == call(200)

@@ -773,6 +773,7 @@ def spec_reconcile(alice: list, bob: list, config: CascadeConfig, rounds: int | 
         residual_error_count=residual,
         leaked_parities=kinds["compare-block"] + kinds["compare-subset"] + kinds["bisect"],
         deleted_bits=kinds["delete"],
+        corrections_made=kinds["correct"],
         passes_executed=passes,
         subset_rounds=rounds,
         success=residual == 0,
@@ -970,7 +971,7 @@ class TestReconcile:
             assert sum(kinds[k] for k in PARITY_EVENT_KINDS) == t.parities_revealed
             assert out.leaked_parities == t.parities_revealed
             assert kinds[DELETE] == t.bits_deleted == out.deleted_bits
-            assert kinds[CORRECT] == t.corrections_made
+            assert kinds[CORRECT] == t.corrections_made == out.corrections_made
             corrections += t.corrections_made
         assert corrections > 0
 
@@ -1035,10 +1036,11 @@ class TestLongKeyMemory:
 # grid below, with subset bisections in ascending key order.  The Cascade
 # digest is that of back-correction from the per-pass parity ledger, which
 # compares no block twice.  Block size 3 makes Cascade back-corrections
-# flip bits in blocks of the pass just run.
+# flip bits in blocks of the pass just run.  The repr holds
+# ``corrections_made``; without it the digests were 71c476e4… and 6a962311….
 GOLDEN_DIGESTS = {
-    BBBSS: "71c476e491d54d2e8aa97e932f05ae1642de52d3df98c3ebe70a05af9eb01050",
-    CASCADE: "6a9623110ea0f403d226a6671c1f276cd0ab06057ef723746e737631faefea9b",
+    BBBSS: "2a92ed7012ff6f3c1073b778339fb5fd83ad82542b72e3f2cb9ac8e8813c80fd",
+    CASCADE: "3511dc70fee9d2e1cba4c6b9e8ab1752bc15a0420e322ac12b8686449355edfb",
 }
 
 # SHA-256 per variant over the lines of the same grid that come before each
@@ -1066,8 +1068,9 @@ CASCADE_PASS_ZERO_DIGEST = "606840005b321958ee79b50554f9a8e16b2320b9644cd14ac568
 
 # SHA-256 over the lines and outcome repr of one Cascade run at n = 4099,
 # seed 17, its sub-seeds derived as the CLI derives them; computed before
-# the subset phase ran on packed keys.
-CASCADE_ODD_LENGTH_DIGEST = "4ea9ad1dd606945366a9e130b52a0e42f9a70afaac321b6ceae7f082ac1577c0"
+# the subset phase ran on packed keys (4ea9ad1d… while the repr had no
+# ``corrections_made``).
+CASCADE_ODD_LENGTH_DIGEST = "faa5964ae093971ff47a50f041a08444530d29b73301fd9c3909216f43548609"
 
 
 @pytest.fixture(scope="module")

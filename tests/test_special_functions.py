@@ -11,6 +11,7 @@ ratios (``loop_sum``).
 import math
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -277,6 +278,8 @@ def loop_sum(name, ratio, z):
         step = ratio(k - 1) * z
         term *= step
         total += term
+        if math.isnan(total):  # a nan total stays nan: refused at once
+            raise SeriesNonConvergence(name, k + 1, total)
         last_ratio = abs(step)
         if abs(term) <= special_functions._REL_TOL * abs(total):
             below += 1
@@ -369,6 +372,30 @@ class TestChunkedKernelMatchesLoop:
         assert_matches_loop(args)
         assert outcome(hyp2f1_one_sum, *args)[1:3] == (
             "hyp2f1_one overflowed after 50530 terms (partial sum inf)", 50530)
+
+    def test_nan_refused_at_once(self):
+        # p_odd_finite(0) at a = b = 1e300: (a2 + k) * (a3 + k) overflows
+        # and z is 0, so the first step is inf * 0
+        args = (5e299 + 2, 5e299 + 1.5, 2.0, 2.5, 0.0)
+        assert_matches_loop(args3=args)
+        assert outcome(hyp3f2_sum, *args)[1:3] == (
+            "hyp3f2 turned nan after 2 terms (partial sum nan)", 2)
+
+    @pytest.mark.parametrize("edge", chunk_edges()[:2])
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_nan_at_and_past_a_chunk_edge(self, edge, past):
+        # term edge + past (term 0 is 1) is nan: the last term of a chunk,
+        # then the first of the next
+        bad = edge + past - 1  # the k of the step that makes it
+
+        def ratio(k):
+            if isinstance(k, np.ndarray):
+                return np.where(k == bad, math.nan, 0.9)
+            return math.nan if k == bad else 0.9
+
+        got = outcome(special_functions._sum_series, "t", ratio, 1.0)
+        assert got == outcome(loop_sum, "t", ratio, 1.0)
+        assert got[2] == edge + past + 1
 
     def test_denominator_underflow(self):
         # (c1 + 0) * (c2 + 0) is 0.0: the loop's first division raises
