@@ -87,11 +87,13 @@ def _positive(value: object, name: str) -> float:
 _PROBABILITY_SLACK = 1e-9
 
 
-def _probability(p: float, what: str, g: GammaIntensity) -> float:
+def _probability(p: float, what: str, g: GammaIntensity, shown: float | None = None) -> float:
     """``p`` if it is within ``_PROBABILITY_SLACK`` of [0, 1]; ``nan``,
-    ``inf`` and anything farther off raise ``ValueError``."""
+    ``inf`` and anything farther off raise ``ValueError``, which reports
+    ``what = shown`` (``p`` itself by default)."""
     if not -_PROBABILITY_SLACK <= p <= 1.0 + _PROBABILITY_SLACK:  # nan fails too
-        raise ValueError(f"{what} = {p} at a={g.a!r}, b={g.b!r} is not a finite probability")
+        shown = p if shown is None else shown
+        raise ValueError(f"{what} = {shown} at a={g.a!r}, b={g.b!r} is not a probability")
     return p
 
 
@@ -184,6 +186,21 @@ def tail(m: int, g: GammaIntensity) -> float:
     times 2F1(1, m+a+1; m+2; 1/(b+1)).
     """
     m = _count(m, "m")
+    return _probability(_tail_sum(m, g), f"tail(m={m})", g)
+
+
+def cdf(m: int, g: GammaIntensity) -> float:
+    """Probability of at most ``m`` errors in one time unit (1 - tail).
+
+    Refused where ``tail`` is; the refusal names ``cdf`` and its value.
+    """
+    m = _count(m, "m")
+    p = _tail_sum(m, g)
+    return 1.0 - _probability(p, f"cdf(m={m})", g, shown=1.0 - p)
+
+
+def _tail_sum(m: int, g: GammaIntensity) -> float:
+    """``tail``'s closed form for a checked ``m``, not yet checked itself."""
     a, b = g.a, g.b
     log_pref = (
         a * math.log(b)
@@ -193,13 +210,7 @@ def tail(m: int, g: GammaIntensity) -> float:
     )
     # a*log(b) overflows before lgamma(a) does, so the log prefactor can be
     # inf - inf (a ~ 2.5e305); at huge a and b its terms cancel to garbage
-    p = math.exp(log_pref) * hyp2f1_one_sum(m + a + 1, m + 2, 1.0 / (b + 1)).value
-    return _probability(p, f"tail(m={m})", g)
-
-
-def cdf(m: int, g: GammaIntensity) -> float:
-    """Probability of at most ``m`` errors in one time unit (1 - tail)."""
-    return 1.0 - tail(m, g)
+    return math.exp(log_pref) * hyp2f1_one_sum(m + a + 1, m + 2, 1.0 / (b + 1)).value
 
 
 def mean(g: GammaIntensity) -> float:

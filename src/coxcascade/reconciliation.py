@@ -26,16 +26,18 @@ deletion, and correction is appended to a :class:`Transcript`, so the
 information leaked to an eavesdropper is exactly the transcript ledger.
 A block pass first builds its record (:class:`_PassRecord`: order, block
 size, both parties' block parities and pass-order packed keys) and hands
-it to one disclosure routine, which records each stretch of agreeing
-blocks in one step and bisects each mismatching block from the record.
+it to one disclosure routine, which builds the pass's comparison rows
+once and splices them into the ledger one slice per mismatching block,
+bisecting each such block from the record before the next slice.
 Back-correction bisects blocks of the same records with the same step
 but writes no comparison, since both parities of the block are already
-known.  A subset round records its one comparison itself and bisects a
-mismatch with the same halving step.  The ledger holds plain rows in
-:class:`Event` field order, from which each read of
-``Transcript.events`` builds the events afresh.  The leak is read off
-the rows: each one that is not a correction or a deletion discloses one
-parity.
+known.  A BBBSS pass records its deletions in one step once it is done.
+A subset round records its one comparison, and in BBBSS mode its one
+deletion, itself and bisects a mismatch with the same halving step.
+The ledger holds plain rows in :class:`Event` field order, from which
+each read of ``Transcript.events`` builds the events afresh.  The leak
+is read off the rows: each one that is not a correction or a deletion
+discloses one parity.
 The simulator is omniscient (it can compare the two strings directly) but
 only uses that power for outcome metrics and internal sanity checks,
 never to steer the protocol.
@@ -272,9 +274,11 @@ class Transcript:
     are cleared.  :func:`_disclose` writes the block comparison rows and
     :func:`_random_subset_round` the subset comparison rows with their
     masks; :func:`_bisect` writes every bisection row, of block passes,
-    back-correction and subset rounds alike, :func:`_correct` every
-    correction row, and :func:`_record_deletions` the deletions; only
-    these two keep counts, ``corrections_made`` and ``bits_deleted``.
+    back-correction and subset rounds alike, and :func:`_correct` every
+    correction row.  :func:`_run_pass` writes a BBBSS pass's deletion
+    rows and :func:`_random_subset_round` a BBBSS round's one.  Only the
+    writers of corrections and deletions keep counts, ``corrections_made``
+    and ``bits_deleted``.
     Every other row discloses one parity, so :attr:`parities_revealed` is
     the rows less those two counts, and no writer of a parity row keeps
     the leak.  :attr:`events` builds its :class:`Event` list afresh on
@@ -439,38 +443,28 @@ def _disclose(keys: _PackedKeys, transcript: Transcript, rec: _PassRecord) -> li
 
     Only it writes ``compare-block`` rows.  Block ``j`` of ``rec`` is
     compared with Alice's and Bob's parities ``rec.parity_a[j]`` and
-    ``rec.parity_b[j]``, recorded as given, in block order, a stretch of
-    agreeing blocks in one step.  Each mismatch is bisected and corrected
-    on ``keys`` by :func:`_bisect_block` before the next comparison's row; a
+    ``rec.parity_b[j]``, recorded as given, in block order.  The pass's
+    comparison rows are built once, as one list, and enter the ledger one
+    slice per mismatching block: the rows up to and including that block's,
+    then the rows after the last mismatch.  Each mismatch is bisected and
+    corrected on ``keys`` by :func:`_bisect_block` before the next slice; a
     correction changes no other block's bits, so the record's packed keys,
     gathered when the parities were taken, serve the whole pass.  Returns
     the flipped key positions, one per mismatch in block order.
     """
     rows = transcript._rows
-    round_index, pa, pb = rec.pass_index, rec.parity_a, rec.parity_b
+    pa, pb = rec.parity_a, rec.parity_b
     lo = range(0, len(rec.permutation), rec.block_size)
-    hi = [*lo[1:], len(rec.permutation)]
+    compares = list(zip(repeat(COMPARE_BLOCK), repeat(rec.pass_index), lo,
+                        [*lo[1:], len(rec.permutation)], pa, pb, repeat(-1), repeat(b"")))
     flipped: list[int] = []
     start = 0
     for j in compress(range(len(lo)), map(ne, pa, pb)):
-        stop = j + 1
-        rows.extend(zip(repeat(COMPARE_BLOCK), repeat(round_index), lo[start:stop],
-                        hi[start:stop], pa[start:stop], pb[start:stop], repeat(-1),
-                        repeat(b"")))
+        rows += compares[start:j + 1]
         flipped.append(_bisect_block(keys, transcript, rec, j))
-        start = stop
-    rows.extend(zip(repeat(COMPARE_BLOCK), repeat(round_index), lo[start:], hi[start:],
-                    pa[start:], pb[start:], repeat(-1), repeat(b"")))
+        start = j + 1
+    rows += compares[start:]
     return flipped
-
-
-def _record_deletions(
-    transcript: Transcript, round_index: int, indices: Sequence[int]
-) -> None:
-    """Record deletions; indices are pre-deletion coordinates."""
-    transcript._rows.extend(zip(repeat(DELETE), repeat(round_index), repeat(-1),
-                                repeat(-1), repeat(-1), repeat(-1), indices, repeat(b"")))
-    transcript.bits_deleted += len(indices)
 
 
 def _cascade_back_correction(
@@ -530,8 +524,9 @@ def _run_pass(
     once; one ``bitwise_xor.reduceat`` per party gives every block parity,
     and the gathered bits are packed into bytes.  These make the pass's
     :class:`_PassRecord`, which goes to :func:`_disclose`.  In BBBSS mode
-    the last bit of every compared block is then deleted from both keys
-    with one keep mask, and the record is dropped.  In Cascade mode the
+    the last bit of every compared block is then recorded as deleted, in
+    one step, and deleted from both keys with one keep mask, and the
+    record is dropped.  In Cascade mode the
     record joins ``history`` with its block parities as compared, and the
     pass's corrections go to :func:`_cascade_back_correction`, which
     updates every record, this one included, and bisects any recorded
@@ -549,7 +544,9 @@ def _run_pass(
     flipped = _disclose(keys, transcript, rec)
     if config.variant == BBBSS:
         deleted = perm[np.minimum(starts + k, n) - 1]
-        _record_deletions(transcript, pass_index, deleted.tolist())
+        transcript._rows += zip(repeat(DELETE), repeat(pass_index), repeat(-1), repeat(-1),
+                                repeat(-1), repeat(-1), deleted.tolist(), repeat(b""))
+        transcript.bits_deleted += len(deleted)
         keep = np.ones(n, dtype=bool)
         keep[deleted] = False
         bob[flipped] ^= 1  # Bob's bits as the pass corrected them
@@ -591,7 +588,8 @@ def _random_subset_round(
     that party's parity.  On a parity mismatch the subset's positions are
     listed in ascending key order and bisected by :func:`_bisect` from the
     masked keys; the stream supplies nothing but masks.  In BBBSS mode the
-    subset's last bit (its highest position) is deleted after the round.
+    subset's last bit (its highest position) is recorded and deleted after
+    the round.
     In Cascade mode a correction goes to :func:`_cascade_back_correction`
     on the same packed keys.
     """
@@ -618,7 +616,8 @@ def _random_subset_round(
             _cascade_back_correction(keys, history, [found], transcript)
     if config.variant == BBBSS:
         highest = mask.bit_length() - 1
-        _record_deletions(transcript, round_index, [highest])
+        transcript._rows.append((DELETE, round_index, -1, -1, -1, -1, highest, b""))
+        transcript.bits_deleted += 1
         keys.delete(highest)
     return pa != pb
 

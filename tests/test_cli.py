@@ -340,7 +340,7 @@ class TestEvaluatorErrors:
         assert code == 2
         assert out == ""
         assert err == ("coxcascade tail: error: tail(m=0) = nan at a=2.535e+305, "
-                       "b=1e+308 is not a finite probability\n")
+                       "b=1e+308 is not a probability\n")
 
     def test_nan_series_exit_2(self, capsys):
         # at a = b = 1e300 the 3F2 steps are inf * 0: refused at the first term
@@ -349,13 +349,16 @@ class TestEvaluatorErrors:
         assert err == ("coxcascade parity: error: hyp3f2 turned nan after 2 terms "
                        "(partial sum nan)\n")
 
-    @pytest.mark.parametrize("cmd", ["tail", "cdf"])
-    def test_not_a_probability_exit_2(self, capsys, cmd):
-        # the log prefactor cancels terms of size ~7e302 and leaves e - 1
+    @pytest.mark.parametrize("cmd, value", [("tail", "1.7182818284590455"),
+                                            ("cdf", "-0.7182818284590455")],
+                             ids=["tail", "cdf"])
+    def test_not_a_probability_exit_2(self, capsys, cmd, value):
+        # the log prefactor cancels terms of size ~7e302 and leaves e - 1;
+        # cdf is refused with it and reports its own value, 1 - (e - 1)
         code, out, err = run_cli(capsys, cmd, "--a", "1e300", "--b", "1e300", "--m", "0")
         assert (code, out) == (2, "")
-        assert err == ("coxcascade %s: error: tail(m=0) = 1.7182818284590455 at a=1e+300, "
-                       "b=1e+300 is not a finite probability\n" % cmd)
+        assert err == (f"coxcascade {cmd}: error: {cmd}(m=0) = {value} at a=1e+300, "
+                       "b=1e+300 is not a probability\n")
 
     def test_math_overflow_exit_2(self, capsys):
         # lgamma(a) overflows in pmf's log prefactor

@@ -838,6 +838,11 @@ class TestProtocolSpec:
     @example(Run(1, (0,), CASCADE, 1, passes=1))
     # back-correction queues more than one block: the order they run in shows
     @example(Run(76, (0, 1, 2, 3), CASCADE, 2, passes=2, termination=1))
+    # the splice points of a pass's comparison rows: mismatching blocks 0
+    # and 1 side by side, two agreeing blocks, then a mismatching short last
+    # block; BBBSS's subset rounds then delete a bit each
+    @example(Run(23, (0, 5, 21), BBBSS, 5, passes=1))
+    @example(Run(23, (0, 5, 21), CASCADE, 5, passes=1))
     def test_reconcile_follows_the_spec(self, run):
         check_against_spec(run)
 
