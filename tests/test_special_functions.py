@@ -328,14 +328,42 @@ def model_arguments(a, b, m):
             (m + 2 + a / 2, m + 1.5 + a / 2, m + 2, m + 2.5, 1.0 / c**2))
 
 
-def chunk_edges():
-    """Term counts at which the kernel's chunks end."""
-    edges, stop, size = [], 0, special_functions._FIRST_CHUNK
+def chunk_edges(first, cap):
+    """Term counts at which chunks of ``first`` terms, doubling up to
+    ``cap``, end."""
+    edges, stop, size = [], 0, first
     while stop < special_functions._MAX_TERMS:
         stop = min(stop + size, special_functions._MAX_TERMS)
         edges.append(stop)
-        size = min(2 * size, special_functions._MAX_CHUNK)
+        size = min(2 * size, cap)
     return edges
+
+
+# Chunk sizes whose edges the edge tests cross: short chunks of 32 terms,
+# whose edges fall inside sums of a few dozen terms, and the shipped sizes.
+EDGE_SIZES = ((32, 4096), (special_functions._FIRST_CHUNK, special_functions._MAX_CHUNK))
+
+
+def edge_params(pick):
+    """(edge, first, cap) for the edges ``pick`` takes of each size pair."""
+    return [pytest.param(edge, first, cap, id=str(edge))
+            for first, cap in EDGE_SIZES for edge in pick(chunk_edges(first, cap))]
+
+
+def set_chunks(monkeypatch, first, cap):
+    monkeypatch.setattr(special_functions, "_FIRST_CHUNK", first)
+    monkeypatch.setattr(special_functions, "_MAX_CHUNK", cap)
+
+
+# (2F1 args, 3F2 args): the term cap, the overflow at 50530 terms, a nan at
+# once, and the model arguments at the `tables` grid's corners
+FIXED_CASES = [
+    model_arguments(10.0, 1e-4, 3),
+    ((101, 2, 1 / (1 + 1e-4)), None),
+    (None, (5e299 + 2, 5e299 + 1.5, 2.0, 2.5, 0.0)),
+    *(model_arguments(a, b, m)
+      for a in (0.5, 100.0) for b in (1e-4, 4.0) for m in (0, 100)),
+]
 
 
 def geometric_z_stopping_at(terms_used):
@@ -381,31 +409,41 @@ class TestChunkedKernelMatchesLoop:
         assert outcome(hyp3f2_sum, *args)[1:3] == (
             "hyp3f2 turned nan after 2 terms (partial sum nan)", 2)
 
-    @pytest.mark.parametrize("edge", chunk_edges()[:2])
+    @pytest.mark.parametrize("edge, first, cap", edge_params(lambda e: e[:2]))
     @pytest.mark.parametrize("past", [0, 1])
-    def test_nan_at_and_past_a_chunk_edge(self, edge, past):
+    def test_nan_at_and_past_a_chunk_edge(self, monkeypatch, edge, first, cap, past):
         # term edge + past (term 0 is 1) is nan: the last term of a chunk,
-        # then the first of the next
+        # then the first of the next; every other term is 1, so the sum
+        # never settles before it
+        set_chunks(monkeypatch, first, cap)
         bad = edge + past - 1  # the k of the step that makes it
 
         def ratio(k):
             if isinstance(k, np.ndarray):
-                return np.where(k == bad, math.nan, 0.9)
-            return math.nan if k == bad else 0.9
+                return np.where(k == bad, math.nan, 1.0)
+            return math.nan if k == bad else 1.0
 
         got = outcome(special_functions._sum_series, "t", ratio, 1.0)
         assert got == outcome(loop_sum, "t", ratio, 1.0)
         assert got[2] == edge + past + 1
 
+    @pytest.mark.parametrize("first, cap", [(32, 4096), (1024, 4096), (7, 50)])
+    def test_chunk_sizes_never_show(self, monkeypatch, first, cap):
+        # earlier, shipped and odd chunk sizes all give the loop's bits
+        set_chunks(monkeypatch, first, cap)
+        for args2, args3 in FIXED_CASES:
+            assert_matches_loop(args2, args3)
+
     def test_denominator_underflow(self):
         # (c1 + 0) * (c2 + 0) is 0.0: the loop's first division raises
         assert_matches_loop(args3=(2.0, 3.0, 1e-170, 1e-170, 0.5))
 
-    @pytest.mark.parametrize("edge", chunk_edges()[:3] + chunk_edges()[6:8])
+    @pytest.mark.parametrize("edge, first, cap", edge_params(lambda e: e[:3] + e[6:8]))
     @pytest.mark.parametrize("past", [0, 1])
-    def test_stop_at_and_past_a_chunk_edge(self, edge, past):
+    def test_stop_at_and_past_a_chunk_edge(self, monkeypatch, edge, first, cap, past):
         # terms_used = edge + 1 stops on a chunk's last term; edge + 2 stops
         # on the next chunk's first term, after the carried small term
+        set_chunks(monkeypatch, first, cap)
         z = geometric_z_stopping_at(edge + 1 + past)
         assert_matches_loop((1.0, 1.0, z), (2.0, 1.0, 2.0, 1.0, z))
         assert hyp2f1_one_sum(1.0, 1.0, z).terms_used == edge + 1 + past
