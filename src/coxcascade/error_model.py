@@ -166,6 +166,7 @@ def pmf(k: int, g: GammaIntensity, dt: float = 1.0) -> float:
                    * (b / (b+dt))**a * (dt / (b+dt))**k,
 
     a negative binomial law; ``dt = 1`` is the per-time-unit case.
+    Refused, as ``tail`` is, when the value is not a probability.
     """
     k = _count(k, "k")
     dt = _positive(dt, "dt")
@@ -176,7 +177,7 @@ def pmf(k: int, g: GammaIntensity, dt: float = 1.0) -> float:
         + a * (math.log(b) - math.log(b + dt))
         + k * (math.log(dt) - math.log(b + dt))
     )
-    return math.exp(log_p)
+    return _probability(math.exp(log_p), f"pmf(k={k})", g)
 
 
 def tail(m: int, g: GammaIntensity) -> float:

@@ -131,9 +131,6 @@ class KeyPair:
     def __len__(self) -> int:
         return int(self.alice.shape[0])
 
-    def residual_errors(self) -> int:
-        return int(np.count_nonzero(self.alice != self.bob))
-
 
 def bits_from_string(s: str) -> np.ndarray:
     """'0011...' -> uint8 array."""
@@ -660,7 +657,7 @@ def reconcile(
         rounds += 1
         successes = 0 if corrected else successes + 1
     pair.alice, pair.bob = keys.unpack()
-    residual = pair.residual_errors()
+    residual = (keys.alice ^ keys.bob).bit_count()
     return ReconcileOutcome(
         final_length=len(pair),
         residual_error_count=residual,

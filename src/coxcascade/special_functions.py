@@ -17,7 +17,12 @@ double that a term-by-term loop produces, and so is the result.  A
 chunk's numpy calls cost far more than one more term in it (see
 ``_FIRST_CHUNK``), so chunks are long: 1024 terms at first, doubling up
 to 4096.  A sum that stops after a few terms pays for the rest of its
-first chunk.
+first chunk.  A chunk after the first skips the element-wise test of the
+stopping rule when its smallest term exceeds the tolerance times both its
+first and its last partial sum: its terms are then all positive, so its
+partial sums rise from the one to the other, and no term can meet the
+rule.  Long sums, which spend nearly all their chunks far from the stop,
+pay a minimum and two comparisons a chunk instead.
 
 Gamma-ratio prefactors elsewhere in the package are assembled from
 ``ln_pochhammer`` and ``math.lgamma`` and exponentiated once, because
@@ -49,8 +54,11 @@ _MAX_TERMS = 100_000
 # Chunk sizes of the summation.  A chunk costs ~25 us of numpy calls plus
 # ~14 ns a term (x86-64, numpy 2.4.6), so a 1024-term chunk costs about
 # what two 32-term chunks do: the first chunk is long enough that most sums
-# stop within it.  Each next chunk doubles, up to a cap that keeps the
-# chunk's arrays small; a 16384-term cap was slower in the benchmark.
+# stop within it.  The first chunk always gets the full element-wise scan
+# of the stopping rule, since most sums stop there; only later chunks are
+# screened for a term that could stop.  Each next chunk doubles, up to a
+# cap that keeps the chunk's arrays small; a 16384-term cap was slower in
+# the benchmark.
 _FIRST_CHUNK = 1024
 _MAX_CHUNK = 4096
 
@@ -125,6 +133,16 @@ def _sum_series(name: str, ratio: Callable[[np.ndarray], np.ndarray], z: float) 
     Chunks grow from ``_FIRST_CHUNK`` to ``_MAX_CHUNK`` terms; the cap
     bounds the memory of a long sum.  Overflow is silent, as it is for
     Python floats, and is refused through the non-finite total.
+
+    A chunk after the first whose smallest term t exceeds the tolerance
+    times |T_1| and times |T_n|, its first and last partial sums, skips
+    the element-wise test of the rule.  That is exact: every term is then
+    positive, so each partial sum T_i = fl(T_{i-1} + t_i) is at least the
+    one before and lies in [T_1, T_n], where |T_i| <= max(|T_1|, |T_n|);
+    correctly rounded multiplication is monotone, so each term is above
+    ``_REL_TOL * |T_i|`` and the flag of the chunk's last term is false.
+    A term that is not positive, a ``nan`` or an infinite sum fails the
+    comparison and gets the full test.
     """
     term = 1.0
     total = 1.0
@@ -134,28 +152,32 @@ def _sum_series(name: str, ratio: Callable[[np.ndarray], np.ndarray], z: float) 
     with np.errstate(over="ignore", invalid="ignore"):
         while start < _MAX_TERMS:
             stop = min(start + size, _MAX_TERMS)
-            steps = ratio(np.arange(start, stop, dtype=float)) * z
+            ratios = ratio(np.arange(start, stop, dtype=float))
             terms = np.empty(stop - start + 1)
             terms[0] = term
-            terms[1:] = steps
+            np.multiply(ratios, z, out=terms[1:])
             np.cumprod(terms, out=terms)
             term = float(terms[-1])
             terms[0] = total
             totals = np.cumsum(terms)
-            small = np.abs(terms[1:]) <= _REL_TOL * np.abs(totals[1:])
-            # the first two small terms in a row, the carried flag in front
-            j = (bytes([below]) + small.tobytes()).find(b"\x01\x01")
-            if j >= 0:
-                value = float(totals[j + 1])
-                terms_used = start + j + 2
-                if not math.isfinite(value):
-                    raise SeriesNonConvergence(name, terms_used, value)
-                return SeriesSum(value, terms_used, float(abs(steps[j])))
+            if (start and (least := terms[1:].min()) > _REL_TOL * abs(totals[1])
+                    and least > _REL_TOL * abs(totals[-1])):
+                below = False  # no term of this chunk can meet the rule
+            else:
+                small = np.abs(terms[1:]) <= _REL_TOL * np.abs(totals[1:])
+                # the first two small terms in a row, the carried flag in front
+                j = (bytes([below]) + small.tobytes()).find(b"\x01\x01")
+                if j >= 0:
+                    value = float(totals[j + 1])
+                    terms_used = start + j + 2
+                    if not math.isfinite(value):
+                        raise SeriesNonConvergence(name, terms_used, value)
+                    return SeriesSum(value, terms_used, abs(float(ratios[j]) * z))
+                below = bool(small[-1])
             total = float(totals[-1])
             if math.isnan(total):
                 first = int(np.isnan(totals).argmax())  # totals[i] sums start + i + 1 terms
                 raise SeriesNonConvergence(name, start + first + 1, total)
-            below = bool(small[-1])
             start = stop
             size = min(2 * size, _MAX_CHUNK)
     raise SeriesNonConvergence(name, _MAX_TERMS, total)

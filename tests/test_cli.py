@@ -342,6 +342,13 @@ class TestEvaluatorErrors:
         assert err == ("coxcascade tail: error: tail(m=0) = nan at a=2.535e+305, "
                        "b=1e+308 is not a probability\n")
 
+    def test_pmf_not_a_probability_exit_2(self, capsys):
+        # at a = b = 1e16 the log prefactor is lost: pmf(3) comes out ~6.5e6
+        code, out, err = run_cli(capsys, "pmf", "--a", "1e16", "--b", "1e16", "--k", "0..3")
+        assert (code, out) == (2, "")
+        assert err == ("coxcascade pmf: error: pmf(k=3) = 6479514.009990928 at a=1e+16, "
+                       "b=1e+16 is not a probability\n")
+
     def test_nan_series_exit_2(self, capsys):
         # at a = b = 1e300 the 3F2 steps are inf * 0: refused at the first term
         code, out, err = run_cli(capsys, "parity", "--a", "1e300", "--b", "1e300", "--m", "0")

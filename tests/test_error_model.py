@@ -348,7 +348,9 @@ def test_lost_prefactor_refused(fn):
     (cdf, 0, 1e300, 1e300, "cdf(m=0) = -0.7182818284590455 at a=1e+300, b=1e+300"),
     (tail, 0, 1e100, 1e100, "tail(m=0) = 1.7182818284590455 at a=1e+100, b=1e+100"),
     (p_odd_finite, 0, 1e100, 1e154, "p_odd_finite(m=0) = -1.0 at a=1e+100, b=1e+154"),
-], ids=["tail-1e300", "cdf-1e300", "tail-1e100", "p_odd_finite-1e100-1e154"])
+    # a*(log b - log(b+1)) and the lgamma difference lose the log prefactor
+    (pmf, 3, 1e16, 1e16, "pmf(k=3) = 6479514.009990928 at a=1e+16, b=1e+16"),
+], ids=["tail-1e300", "cdf-1e300", "tail-1e100", "p_odd_finite-1e100-1e154", "pmf-1e16"])
 def test_not_a_probability_refused(fn, m, a, b, message):
     with pytest.raises(ValueError, match=re.escape(f"{message} is not a probability")):
         fn(m, GammaIntensity(a, b))

@@ -342,6 +342,9 @@ def chunk_edges(first, cap):
 # Chunk sizes whose edges the edge tests cross: short chunks of 32 terms,
 # whose edges fall inside sums of a few dozen terms, and the shipped sizes.
 EDGE_SIZES = ((32, 4096), (special_functions._FIRST_CHUNK, special_functions._MAX_CHUNK))
+# The edge sizes and odd ones, whose short chunks put sign changes and
+# stops of short sums in chunks after the first.
+CHUNK_SIZES = (*EDGE_SIZES, (7, 50))
 
 
 def edge_params(pick):
@@ -381,6 +384,35 @@ def geometric_z_stopping_at(terms_used):
 
 def log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# 2F1 and 3F2 arguments; a negative c1 makes the early terms change sign
+FREE_ARGUMENTS = dict(
+    a2=log_uniform(1e-2, 1e3), a3=log_uniform(1e-2, 1e3),
+    c1=st.one_of(log_uniform(1e-2, 1e3),
+                 st.floats(-30.0, -0.01).filter(lambda c: c != math.floor(c))),
+    c2=log_uniform(1e-2, 1e3), z=st.floats(0.0, 0.99))
+
+
+def stepwise(*pieces):
+    """A term ratio that is ``value`` from k = ``start`` on, for each
+    (start, value) of ``pieces`` (starts increasing from 0)."""
+    starts = [start for start, _ in pieces]
+    values = np.array([value for _, value in pieces])
+
+    def ratio(k):
+        got = values[np.searchsorted(starts, k, side="right") - 1]
+        return got if isinstance(k, np.ndarray) else float(got)
+
+    return ratio
+
+
+def assert_sum_matches_loop(ratio):
+    """The kernel's outcome for ``ratio`` at z = 1, checked against the
+    loop's and returned."""
+    got = outcome(special_functions._sum_series, "t", ratio, 1.0)
+    assert got == outcome(loop_sum, "t", ratio, 1.0)
+    return got
 
 
 class TestChunkedKernelMatchesLoop:
@@ -427,7 +459,7 @@ class TestChunkedKernelMatchesLoop:
         assert got == outcome(loop_sum, "t", ratio, 1.0)
         assert got[2] == edge + past + 1
 
-    @pytest.mark.parametrize("first, cap", [(32, 4096), (1024, 4096), (7, 50)])
+    @pytest.mark.parametrize("first, cap", CHUNK_SIZES)
     def test_chunk_sizes_never_show(self, monkeypatch, first, cap):
         # earlier, shipped and odd chunk sizes all give the loop's bits
         set_chunks(monkeypatch, first, cap)
@@ -453,13 +485,51 @@ class TestChunkedKernelMatchesLoop:
     def test_model_arguments(self, a, b, m):
         assert_matches_loop(*model_arguments(a, b, m))
 
-    @given(a2=log_uniform(1e-2, 1e3), a3=log_uniform(1e-2, 1e3),
-           c1=st.one_of(log_uniform(1e-2, 1e3),
-                        st.floats(-30.0, -0.01).filter(lambda c: c != math.floor(c))),
-           c2=log_uniform(1e-2, 1e3), z=st.floats(0.0, 0.99))
+    @given(**FREE_ARGUMENTS)
     @settings(max_examples=150, deadline=None)
     def test_free_arguments(self, a2, a3, c1, c2, z):
         assert_matches_loop((a2, c1, z), (a2, a3, c1, c2, z))
+
+    @given(**FREE_ARGUMENTS)
+    @settings(max_examples=150, deadline=None)
+    def test_free_arguments_in_short_chunks(self, a2, a3, c1, c2, z):
+        # chunks of 7 then 14 and 28 terms: the sign changes of a negative
+        # c1 and the stops of short sums fall in chunks after the first
+        with pytest.MonkeyPatch.context() as mp:
+            set_chunks(mp, 7, 50)
+            assert_matches_loop((a2, c1, z), (a2, a3, c1, c2, z))
+
+    @pytest.mark.parametrize("first, cap", CHUNK_SIZES)
+    def test_terms_turn_negative_in_a_later_chunk(self, monkeypatch, first, cap):
+        # the term of step `flip`, in the second chunk, and all after it
+        # are negative; the sum settles thousands of terms later
+        set_chunks(monkeypatch, first, cap)
+        flip = first + 3
+        got = assert_sum_matches_loop(stepwise((0, 0.99), (flip, -0.99), (flip + 1, 0.99)))
+        assert got[2] > flip + 2
+
+    @pytest.mark.parametrize("first, cap", CHUNK_SIZES)
+    def test_negative_total_crosses_zero_in_a_later_chunk(self, monkeypatch, first, cap):
+        # the total is about -1e10 when the second chunk opens with two
+        # terms of 1e-5, which stop the sum; a term of 1e10 then takes the
+        # chunk's partial sums across zero to about 1, against which no
+        # term of the chunk is small
+        set_chunks(monkeypatch, first, cap)
+        got = assert_sum_matches_loop(stepwise(
+            (0, -1e10), (1, -1e-12), (2, 1.0), (first, 1e-3), (first + 1, 1.0),
+            (first + 2, 1e15), (first + 3, 1e-15), (first + 4, 1.0)))
+        assert got[2] == first + 3
+
+    @pytest.mark.parametrize("first, cap", CHUNK_SIZES)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_step_inside_a_later_chunk(self, monkeypatch, first, cap, bad):
+        # every term is 1 up to the step `at`, in the middle of the second
+        # chunk: a nan total is refused at that term, an infinite one at
+        # the next, when two terms in a row are small against it
+        set_chunks(monkeypatch, first, cap)
+        at = first + first // 2 + 1
+        got = assert_sum_matches_loop(stepwise((0, 1.0), (at, bad), (at + 1, 1.0)))
+        assert got[2] == at + (2 if math.isnan(bad) else 3)
 
     @given(a2=log_uniform(1e-2, 1e3), c1=log_uniform(1e-2, 1e3),
            gap=log_uniform(1e-15, 1e-6))
