@@ -10,22 +10,26 @@ list of :func:`run_suites` as the text report and the records CSV, and
 exits 1 iff a record failed.  Identical invocations, seed included,
 produce byte-identical output.
 
-Numeric rendering is fixed: 17 significant digits in JSON output, 12 in
-CSV.  Exit codes: 0 success, 1 validation failure, 2 usage or parameter
-error.  A bad flag is reported by argparse: a usage block, then one
-``coxcascade <command>: error: …`` line.  Every other refusal is that one
-stderr line alone: an evaluator that refuses its input, whose series does
-not converge, overflows or turns ``nan``, or whose value overflows or is
-no probability, a bad ``COXCASCADE_SEED``, an output path that cannot be
-written and two outputs that name one destination (one file, or ``-`` for
-stdout twice).  Outputs are checked and opened before a command computes
-anything, so those two refusals come at once.  The default seed is 24301
-and can be overridden with the ``COXCASCADE_SEED`` environment variable.
+Numeric rendering is fixed: JSON is written by :func:`json.dumps`, whose
+floats are the shortest text that reads back as the same double, and CSV
+floats have 12 significant digits.  Exit codes: 0 success, 1 validation
+failure, 2 usage or parameter error.  A bad flag is reported by argparse:
+a usage block, then one ``coxcascade <command>: error: …`` line.  Every
+other refusal is that one stderr line alone: an evaluator that refuses its
+input, whose series does not converge, overflows or turns ``nan``, or
+whose value overflows or is no probability, a non-finite float bound for
+JSON, a request too large to allocate, a bad ``COXCASCADE_SEED``, an
+output path that cannot be written and two outputs that name one
+destination (one file, or ``-`` for stdout twice).  Outputs are checked
+and opened before a command computes anything, so those last two refusals
+come at once.  The default seed is 24301 and can be overridden with the
+``COXCASCADE_SEED`` environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import stat
 import sys
@@ -56,7 +60,6 @@ from .validation import SUITES, CheckRecord, run_suites
 
 DEFAULT_SEED = 24301
 
-JSON_DIGITS = 17
 CSV_DIGITS = 12
 
 
@@ -72,27 +75,6 @@ def _default_seed() -> int:
     if seed < 0:
         raise ValueError(msg)
     return seed
-
-
-def render_json(obj) -> str:
-    """Serialize to JSON with floats at a fixed significant-digit count."""
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format(obj, f".{JSON_DIGITS}g")
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(obj, dict):
-        inner = ", ".join(f'{render_json(str(k))}: {render_json(v)}' for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(render_json(v) for v in obj) + "]"
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
 def _csv_cell(v) -> str:
@@ -168,7 +150,7 @@ def _outputs(*paths: str | None):
 def _table_text(header: Sequence[str], rows: Iterable[Sequence], fmt: str) -> str:
     if fmt == "json":
         payload = [dict(zip(header, row)) for row in rows]
-        return render_json(payload) + "\n"
+        return json.dumps(payload, allow_nan=False) + "\n"
     lines = [",".join(header)]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -349,7 +331,7 @@ def _cmd_blocksize(args) -> int:
             f"{format(expected, '.12g')} (target 1)"
         )
         if args.format == "json":
-            emit(render_json({"block_size": n, "rationale": rationale}) + "\n")
+            emit(json.dumps({"block_size": n, "rationale": rationale}, allow_nan=False) + "\n")
         else:
             emit(f"{n}\n{rationale}\n")
     return 0
@@ -399,7 +381,7 @@ def _cmd_reconcile(args) -> int:
             "seed": seed,
             **asdict(outcome),
         }
-        texts = [render_json(payload) + "\n"]
+        texts = [json.dumps(payload, allow_nan=False) + "\n"]
         if args.transcript_out is not None:
             texts.append("".join(line + "\n" for line in transcript.to_lines()))
         emit(*texts)
@@ -424,8 +406,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (SeriesNonConvergence, ValueError, OverflowError, OSError) as exc:
-        sys.stderr.write(f"coxcascade {args.command}: error: {exc}\n")
+    except (SeriesNonConvergence, ValueError, OverflowError, MemoryError, OSError) as exc:
+        # a MemoryError may carry no message
+        sys.stderr.write(f"coxcascade {args.command}: error: {str(exc) or type(exc).__name__}\n")
         return 2
 
 

@@ -202,16 +202,20 @@ def cdf(m: int, g: GammaIntensity) -> float:
 
 def _tail_sum(m: int, g: GammaIntensity) -> float:
     """``tail``'s closed form for a checked ``m``, not yet checked itself."""
+    return math.exp(_log_unit_pmf(m + 1, g)) * hyp2f1_one_sum(
+        m + g.a + 1, m + 2, 1.0 / (g.b + 1)).value
+
+
+def _log_unit_pmf(k: int, g: GammaIntensity) -> float:
+    """log P(X = k) for one time unit: b**a (a)_k / (k! (b+1)**(a+k)).
+
+    The series prefactor of ``tail`` (k = m+1) and of ``p_odd_finite``'s
+    correction (k = 2m+3).  ``pmf`` keeps its own form, which takes ``dt``.
+    """
     a, b = g.a, g.b
-    log_pref = (
-        a * math.log(b)
-        + ln_pochhammer(a, m + 1)
-        - math.lgamma(m + 2)
-        - (a + m + 1) * math.log(b + 1)
-    )
-    # a*log(b) overflows before lgamma(a) does, so the log prefactor can be
-    # inf - inf (a ~ 2.5e305); at huge a and b its terms cancel to garbage
-    return math.exp(log_pref) * hyp2f1_one_sum(m + a + 1, m + 2, 1.0 / (b + 1)).value
+    # a*log(b) overflows before lgamma(a) does, so this can be inf - inf
+    # (a ~ 2.5e305); at huge a and b its terms cancel to garbage
+    return a * math.log(b) + ln_pochhammer(a, k) - math.lgamma(k + 1) - (a + k) * math.log(b + 1)
 
 
 def mean(g: GammaIntensity) -> float:
@@ -249,17 +253,11 @@ def p_odd_finite(m: int, g: GammaIntensity) -> float:
     """
     m = _count(m, "m")
     a, b = g.a, g.b
-    log_corr = (
-        a * math.log(b)
-        + ln_pochhammer(a, 2 * m + 3)
-        - math.lgamma(2 * m + 4)
-        - (2 * m + 3 + a) * math.log(b + 1)
-    )
     try:
         z = 1.0 / (b + 1) ** 2
     except OverflowError:  # b above ~1.34e154: the argument underflows to 0
         z = 0.0
-    correction = math.exp(log_corr) * hyp3f2_sum(
+    correction = math.exp(_log_unit_pmf(2 * m + 3, g)) * hyp3f2_sum(
         m + 2 + a / 2.0, m + 1.5 + a / 2.0, m + 2.0, m + 2.5, z
     ).value
     return _probability(p_odd(g) - correction, f"p_odd_finite(m={m})", g)

@@ -14,8 +14,8 @@ import pytest
 
 import coxcascade
 from coxcascade import error_model
-from coxcascade.cli import DEFAULT_SEED, main, render_json
-from coxcascade.error_model import GammaIntensity, p_odd, pmf, tail
+from coxcascade.cli import DEFAULT_SEED, main
+from coxcascade.error_model import GammaIntensity, cdf, p_odd, p_odd_finite, pmf, tail
 from coxcascade.reconciliation import ReconcileOutcome
 from coxcascade.special_functions import SeriesNonConvergence
 from coxcascade.validation import CheckRecord, check_reconciliation, run_suites
@@ -31,17 +31,53 @@ def not_called(*args, **kwargs):
     raise AssertionError("the command computed before it opened its outputs")
 
 
-class TestRenderJson:
-    def test_seventeen_significant_digits(self):
-        assert render_json(1.0 / 3.0) == format(1.0 / 3.0, ".17g")
-        assert render_json({"x": 0.1}) == '{"x": 0.10000000000000001}'
+# (a, b) points whose tables print with no refusal over 0..40
+JSON_MODELS = [(10.0, 2.0), (0.5, 1e-3), (100.0, 0.05), (1.0, 1.0)]
+JSON_ROWS = {
+    "pmf": lambda k, g: {"k": k, "probability": pmf(k, g)},
+    "cdf": lambda m, g: {"m": m, "probability": cdf(m, g)},
+    "tail": lambda m, g: {"m": m, "probability": tail(m, g)},
+    "parity": lambda m, g: {"m": m, "p_odd_finite": p_odd_finite(m, g),
+                            "p_odd_limit": p_odd(g)},
+}
 
-    def test_basic_types(self):
-        assert render_json({"a": [1, True, None, "s"]}) == '{"a": [1, true, null, "s"]}'
 
-    def test_parses_back(self):
-        payload = {"value": math.pi, "flag": False, "items": [1.5, 2]}
-        assert json.loads(render_json(payload)) == pytest.approx(payload)
+def hex_floats(rows):
+    return [{key: v.hex() if isinstance(v, float) else v for key, v in row.items()}
+            for row in rows]
+
+
+class TestJsonTables:
+    @pytest.mark.parametrize("a,b", JSON_MODELS)
+    @pytest.mark.parametrize("cmd", sorted(JSON_ROWS))
+    def test_values_read_back_bit_for_bit(self, capsys, cmd, a, b):
+        span = "--k" if cmd == "pmf" else "--m"
+        code, out, err = run_cli(capsys, cmd, "--a", repr(a), "--b", repr(b), span, "0..40",
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        g = GammaIntensity(a, b)
+        expected = [JSON_ROWS[cmd](x, g) for x in range(41)]
+        assert hex_floats(json.loads(out)) == hex_floats(expected)
+
+    def test_shortest_round_trip_text(self, capsys):
+        # 17 significant digits would spell the first float 0.057805099719441921
+        _, out, _ = run_cli(capsys, "parity", "--a", "10", "--b", "2", "--m", "0",
+                            "--format", "json")
+        assert out == ('[{"m": 0, "p_odd_finite": 0.05780509971944192, '
+                       '"p_odd_limit": 0.49951171875}]\n')
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_non_finite_value_refused(self, capsys, tmp_path, monkeypatch, to_file):
+        # JSON has no nan: the value is refused, not written as a bare token
+        monkeypatch.setattr("coxcascade.cli.p_odd", lambda g: math.nan)
+        output = str(tmp_path / "p.json") if to_file else "-"
+        code, out, err = run_cli(capsys, "parity", "--a", "10", "--b", "2", "--m", "0..2",
+                                 "--format", "json", "--output", output)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("coxcascade parity: error: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPmfCommand:
@@ -456,6 +492,23 @@ class TestEvaluatorErrors:
         assert earlier.read_text() == "earlier run\n"
         assert [p.name for p in tmp_path.iterdir()] == ["o.json"]
 
+    @pytest.mark.parametrize("cmd,target", [
+        ("sample", "coxcascade.cli.sample_process"),
+        ("reconcile", "coxcascade.error_model.sample_process"),
+    ])
+    def test_failed_allocation_exit_2(self, capsys, tmp_path, monkeypatch, cmd, target):
+        # a key too long to allocate: one line, no traceback, no file left
+        def exhaust(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(target, exhaust)
+        flag = "--trace-out" if cmd == "sample" else "--output"
+        code, out, err = run_cli(capsys, cmd, "--a", "10", "--b", "2", "--f", "1",
+                                 "--n", "100000000000000", "--seed", "1",
+                                 flag, str(tmp_path / "out.txt"))
+        assert (code, out, err) == (2, "", f"coxcascade {cmd}: error: MemoryError\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("alias", ["same", "relative", "symlink", "hardlink"])
     def test_two_outputs_naming_one_file_refused(self, capsys, tmp_path, monkeypatch, alias):
         monkeypatch.chdir(tmp_path)
@@ -651,7 +704,7 @@ class TestSeedDefaulting:
 # records CSV are rendered by the CLI alone; a change to the library
 # behind them must not alter a byte, and a contract change that does moves
 # this pin.
-GOLDEN_OUTPUT_DIGEST = "96a912680dff72b57c1b80601fdf548f3476755cdf9a64b4bb169bf632ffa221"
+GOLDEN_OUTPUT_DIGEST = "f9b44e615cdc8ca7ce4d98e4054db00808aa4bad63b92ff9f8a7c9d0cd34fa8c"
 
 
 class TestGoldenOutputs:
