@@ -3,11 +3,13 @@
 Errors arrive as a Poisson process whose intensity is itself random: at
 the start of every time unit a fresh intensity is drawn from a gamma law
 with shape ``a`` and rate ``b``, held constant for that unit.  ``f`` raw
-key bits arrive per time unit, so an ``n``-bit block spans ``n / f`` of a
-unit.  Marginally the error count per unit follows a negative binomial
-law; the evaluators below give its pmf, distribution function, tail, and
-the probability of an odd count (the event a single parity check can
-detect), each in closed form.
+key bits arrive per time unit.  Marginally the error count per unit
+follows a negative binomial law; the evaluators below give its pmf,
+distribution function, tail, and the probability of an odd count (the
+event a single parity check can detect), each in closed form.  Each
+evaluator describes one time unit.  An ``n``-bit block spans ``n / f`` of
+a unit, and its error count follows the same law at rate ``b * f / n``:
+evaluate it with ``GammaIntensity(a, b * f / n)``.
 
 All probabilities are assembled from log-gamma terms and exponentiated
 once, so large shape parameters and long strings stay in range.  An
@@ -21,8 +23,8 @@ Inputs follow two rules, each checked once where the value enters and
 stored as a Python number, so NumPy scalars never reach the arithmetic.
 A count or size (``k``, ``m``, ``n``, ``f``, a position, a seed) is an
 integer, Python or NumPy, and is kept as an ``int`` (:func:`_count`); a
-model parameter (``a``, ``b``, ``dt``) is a finite real number > 0 and is
-kept as a ``float`` (:func:`_positive`).  Both refuse bools, and a value that
+model parameter (``a`` or ``b``) is a finite real number > 0 and is kept
+as a ``float`` (:func:`_positive`).  Both refuse bools, and a value that
 breaks its rule raises ``ValueError`` naming the parameter.
 """
 
@@ -68,8 +70,9 @@ def _count(value: object, name: str, least: int = 0) -> int:
 
 
 def _positive(value: object, name: str) -> float:
-    """A model parameter as a Python float: a real number (not a bool) that
-    is finite and > 0; anything else raises ``ValueError``."""
+    """A model parameter, the gamma shape ``a`` or rate ``b``, as a Python
+    float: a real number (not a bool) that is finite and > 0; anything else
+    raises ``ValueError``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
@@ -156,26 +159,26 @@ class ScatterSample:
     unit_counts: np.ndarray
 
 
-def pmf(k: int, g: GammaIntensity, dt: float = 1.0) -> float:
-    """Probability of exactly ``k`` errors within a span of ``dt`` time units.
+def pmf(k: int, g: GammaIntensity) -> float:
+    """Probability of exactly ``k`` errors in one time unit.
 
-    Mixing a Poisson count of mean ``lambda * dt`` over the gamma law of
-    ``lambda`` gives
+    Mixing a Poisson count of mean ``lambda`` over the gamma law of
+    ``lambda`` gives the negative binomial law
 
         P(X = k) = Gamma(k+a) / (k! Gamma(a))
-                   * (b / (b+dt))**a * (dt / (b+dt))**k,
+                   * (b / (b+1))**a * (1 / (b+1))**k.
 
-    a negative binomial law; ``dt = 1`` is the per-time-unit case.
+    A span of ``dt`` time units (an ``n``-bit block spans ``n / f``) is the
+    same law at rate ``b / dt``: ``pmf(k, GammaIntensity(a, b * f / n))``.
     Refused, as ``tail`` is, when the value is not a probability.
     """
     k = _count(k, "k")
-    dt = _positive(dt, "dt")
     a, b = g.a, g.b
     log_p = (
         ln_pochhammer(a, k)
         - math.lgamma(k + 1)
-        + a * (math.log(b) - math.log(b + dt))
-        + k * (math.log(dt) - math.log(b + dt))
+        + a * (math.log(b) - math.log(b + 1))
+        - k * math.log(b + 1)
     )
     return _probability(math.exp(log_p), f"pmf(k={k})", g)
 
@@ -210,7 +213,11 @@ def _log_unit_pmf(k: int, g: GammaIntensity) -> float:
     """log P(X = k) for one time unit: b**a (a)_k / (k! (b+1)**(a+k)).
 
     The series prefactor of ``tail`` (k = m+1) and of ``p_odd_finite``'s
-    correction (k = 2m+3).  ``pmf`` keeps its own form, which takes ``dt``.
+    correction (k = 2m+3).  ``pmf`` keeps its own arrangement of these
+    terms, which rounds differently: routing either through the other moves
+    pinned bits (``pmf`` would accept a = b = 1e16, and ``p_odd_finite(0)``
+    at a = 10, b = 2 would lose accuracy), so the two stay apart until an
+    accurate prefactor replaces both.
     """
     a, b = g.a, g.b
     # a*log(b) overflows before lgamma(a) does, so this can be inf - inf

@@ -466,7 +466,7 @@ def _disclose(keys: _PackedKeys, transcript: Transcript, rec: _PassRecord) -> li
 
 def _cascade_back_correction(
     keys: _PackedKeys, history: list[_PassRecord], flipped: Sequence[int], transcript: Transcript
-) -> int:
+) -> None:
     """Bisect the recorded blocks that corrections have left odd.
 
     ``flipped`` are key positions already corrected on ``keys`` that the
@@ -477,10 +477,9 @@ def _cascade_back_correction(
     order they turn odd, under their own pass's round, from the record's
     packed keys, and the bit found is corrected on ``keys``.  A block that
     a later flip has evened again is skipped.  Nothing is compared: Alice's
-    block parity is public since its pass, and Bob holds his.  Returns the
-    number of additional corrections.  Only meaningful for the Cascade
-    variant, where no bits are ever deleted and recorded partitions stay
-    valid.
+    block parity is public since its pass, and Bob holds his.  Only
+    meaningful for the Cascade variant, where no bits are ever deleted and
+    recorded partitions stay valid.
     """
     queue: deque[tuple[_PassRecord, int]] = deque()
 
@@ -495,14 +494,11 @@ def _cascade_back_correction(
 
     for index in flipped:
         toggle(index)
-    corrections = 0
     while queue:
         rec, j = queue.popleft()
         if rec.parity_a[j] == rec.parity_b[j]:
             continue
         toggle(_bisect_block(keys, transcript, rec, j))
-        corrections += 1
-    return corrections
 
 
 def _run_pass(

@@ -77,16 +77,14 @@ class SeriesNonConvergence(ArithmeticError):
 
 
 class SeriesSum(NamedTuple):
-    """Partial sum with stopping diagnostics.
+    """A converged sum and its term count.
 
-    ``terms_used`` counts the terms summed before the tolerance rule
-    stopped the summation.  ``last_ratio`` is |term_k / term_{k-1}| at the
-    stopping index; for arguments in [0, 1) it must be below 1 by then.
+    ``terms_used`` counts the terms summed, the leading 1 included, before
+    the tolerance rule stopped the summation.
     """
 
     value: float
     terms_used: int
-    last_ratio: float
 
 
 def ln_pochhammer(x: float, n: int) -> float:
@@ -172,7 +170,7 @@ def _sum_series(name: str, ratio: Callable[[np.ndarray], np.ndarray], z: float) 
                     terms_used = start + j + 2
                     if not math.isfinite(value):
                         raise SeriesNonConvergence(name, terms_used, value)
-                    return SeriesSum(value, terms_used, abs(float(ratios[j]) * z))
+                    return SeriesSum(value, terms_used)
                 below = bool(small[-1])
             total = float(totals[-1])
             if math.isnan(total):
@@ -184,7 +182,7 @@ def _sum_series(name: str, ratio: Callable[[np.ndarray], np.ndarray], z: float) 
 
 
 def hyp2f1_one_sum(a2: float, c1: float, z: float) -> SeriesSum:
-    """2F1(1, a2; c1; z) for z in [0, 1), with stopping diagnostics.
+    """2F1(1, a2; c1; z) for z in [0, 1), with its term count.
 
     The leading parameter 1 makes the (1)_k / k! factor cancel, so the
     term recurrence is term_{k+1} = term_k * (a2+k)/(c1+k) * z.
@@ -195,7 +193,7 @@ def hyp2f1_one_sum(a2: float, c1: float, z: float) -> SeriesSum:
 
 
 def hyp3f2_sum(a2: float, a3: float, c1: float, c2: float, z: float) -> SeriesSum:
-    """3F2(1, a2, a3; c1, c2; z) for z in [0, 1), with stopping diagnostics."""
+    """3F2(1, a2, a3; c1, c2; z) for z in [0, 1), with its term count."""
     _require_unit_interval(z)
     _require_valid_denominator(c1, "c1")
     _require_valid_denominator(c2, "c2")

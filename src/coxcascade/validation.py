@@ -266,22 +266,23 @@ def check_assumption_one(
 ) -> list[CheckRecord]:
     """Quantify the at-most-one-error-per-block working assumption.
 
-    For the recommended block of n bits, the span is dt = n / f of a time
-    unit and P(at most one error) = pmf(0) + pmf(1) at that dt.  The
-    probability is confirmed by sampling whole units and counting the
-    aligned blocks (blocks fully inside one unit) that hold 0 or 1 errors.
+    For the recommended block of n bits, a span of n / f time units, the
+    error count follows the unit law at rate b f / n, so P(at most one
+    error) = pmf(0) + pmf(1) of that law.  The probability is confirmed by
+    sampling whole units and counting the aligned blocks (blocks fully
+    inside one unit) that hold 0 or 1 errors.
     """
     units = _count(units, "units")
     n = recommend_block_size(layout, g)
     f = layout.f
-    dt = n / f
-    analytic = pmf(0, g, dt) + pmf(1, g, dt)
+    block = GammaIntensity(g.a, g.b * f / n)
+    analytic = pmf(0, block) + pmf(1, block)
     params = f"f={f};a={g.a:g};b={g.b:g}"
     records = [
         # the recommendation must sit within rounding distance of f b / a
         _record("assumption1_block_size", params, n,
                 max(1.0, f * g.b / g.a), 0.5 + 1e-12),
-        _record("assumption1_errors_per_block", params, n * mean(g) / f, 1.0,
+        _record("assumption1_errors_per_block", params, mean(block), 1.0,
                 0.5 * mean(g) / f + 1e-12),
     ]
     per_unit = f // n

@@ -212,8 +212,8 @@ def test_criterion_08_assumption_one_quantifier():
     g = GammaIntensity(10.0, 2.0)
     layout = TimeUnitLayout(1000)
     n = recommend_block_size(layout, g)
-    dt = n / layout.f
-    analytic = pmf(0, g, dt) + pmf(1, g, dt)
+    block = GammaIntensity(g.a, g.b * layout.f / n)  # the unit law at rate b f / n
+    analytic = pmf(0, block) + pmf(1, block)
 
     units = 20_000
     sample = sample_process(units * layout.f, layout, g, seed=0x5EED + 8)

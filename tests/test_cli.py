@@ -117,6 +117,20 @@ class TestPmfCommand:
             main(["pmf", "--a", "1", "--b", "1", "--k", "5..2"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["--a", "1", "--b", "1", "--k", "1..x"],
+                     "argument --k: expected N or LO..HI, got '1..x'", id="range-bound"),
+        pytest.param(["--a", "abc", "--b", "1", "--k", "1"],
+                     "argument --a: expected a number, got 'abc'", id="parameter"),
+    ])
+    def test_non_number_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main(["pmf", *argv])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"coxcascade pmf: error: {message}"
+
 
 class TestCdfTailCommands:
     def test_tail_at_zero(self, capsys):

@@ -120,6 +120,13 @@ class TestKeyPair:
         with pytest.raises(ValueError):
             KeyPair([0, 2], [0, 1])
 
+    @pytest.mark.parametrize("key", [np.uint8(1), [[0, 1], [1, 0]]], ids=["0-d", "2-d"])
+    def test_non_one_dimensional_keys_refused(self, key):
+        for alice, bob in ((key, [0, 1]), ([0, 1], key)):
+            with pytest.raises(ValueError) as err:
+                KeyPair(alice, bob)
+            assert str(err.value) == "keys must be one-dimensional bit arrays"
+
     @pytest.mark.parametrize("key", [[0.7, 1.2], [0.0, 1.0], np.array(["0", "1"])])
     def test_non_integer_keys_refused(self, key):
         # not rounded or cast to bits: [0.7, 1.2] once became [0, 1]
@@ -501,7 +508,9 @@ class TestCascadeBackCorrection:
     def test_direct_call_with_empty_history(self):
         pair = make_key_pair(16, ErrorPattern(16, (2,)), seed=0)
         pair.bob[2] ^= 1  # clear the difference so nothing can be flipped
-        assert _cascade_back_correction(_PackedKeys(pair), [], [2], Transcript()) == 0
+        transcript = Transcript()
+        _cascade_back_correction(_PackedKeys(pair), [], [2], transcript)
+        assert transcript.events == []
 
     def test_subset_phase_back_correction_keeps_the_records(self):
         # one Cascade pass of large blocks leaves errors for the subset

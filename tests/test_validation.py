@@ -2,10 +2,11 @@
 parameters, be deterministic under reruns, and serialize stably."""
 
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 
+from coxcascade import validation
 from coxcascade.error_model import GammaIntensity, TimeUnitLayout, pmf
 from coxcascade.validation import (
     CheckRecord,
@@ -105,7 +106,7 @@ class TestAssumptionOne:
         # nearly certain
         records = check_assumption_one(TimeUnitLayout(10), GammaIntensity(0.01, 1.0),
                                        units=0)
-        p_analytic = pmf(0, GammaIntensity(0.01, 1.0), dt=100.0)
+        p_analytic = pmf(0, GammaIntensity(0.01, 1.0 / 100.0))
         assert p_analytic < 1.0  # block spans many units' worth of errors
 
 
@@ -138,6 +139,23 @@ class TestReconciliationChecks:
     def test_minimum_runs(self):
         with pytest.raises(ValueError):
             check_reconciliation(runs=10)
+
+    @pytest.mark.parametrize("field, check", [
+        ("leaked_parities", "reconcile_leak_ledger_identity"),
+        ("deleted_bits", "reconcile_length_accounting"),
+    ])
+    def test_exact_gate_fails_on_a_miscount(self, monkeypatch, field, check):
+        # an outcome that overcounts by one fails its gate, and only that one
+        reconcile = validation.reconcile
+
+        def miscounted(*args):
+            out = reconcile(*args)
+            return replace(out, **{field: getattr(out, field) + 1})
+
+        monkeypatch.setattr(validation, "reconcile", miscounted)
+        records = check_reconciliation(runs=100)
+        assert [r.name for r in records if not r.passed] == [check]
+        assert {r.name: r for r in records}[check].oracle == 100
 
 
 class TestReportAndSuites:
