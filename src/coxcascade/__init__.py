@@ -1,7 +1,8 @@
 """Error scattering model and reconciliation simulator for QKD raw keys.
 
-The package has four layers: a numeric kernel for log-Pochhammer symbols
-and truncated hypergeometric series (:mod:`special_functions`);
+The package has four layers: a numeric kernel for log-Pochhammer symbols,
+truncated hypergeometric series and the incomplete-beta continued
+fraction (:mod:`special_functions`);
 the gamma-mixed Poisson error model with closed-form count and parity
 probabilities plus a seeded sampler (:mod:`error_model`); a deterministic
 two-party simulator of the BBBSS and Cascade interactive reconciliation
@@ -43,6 +44,7 @@ from .special_functions import (
     SeriesSum,
     hyp2f1_one_sum,
     hyp3f2_sum,
+    incomplete_beta_cf,
     ln_pochhammer,
 )
 from .validation import (

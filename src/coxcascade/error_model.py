@@ -7,16 +7,22 @@ key bits arrive per time unit.  Marginally the error count per unit
 follows a negative binomial law; the evaluators below give its pmf,
 distribution function, tail, and the probability of an odd count (the
 event a single parity check can detect), each in closed form.  Each
-evaluator describes one time unit.  An ``n``-bit block spans ``n / f`` of
-a unit, and its error count follows the same law at rate ``b * f / n``:
-evaluate it with ``GammaIntensity(a, b * f / n)``.
+evaluator describes one time unit.  An ``n``-bit block inside one unit
+spans ``n / f`` of it under one intensity, so its error count follows the
+same law at rate ``b * f / n``: evaluate it with
+``GammaIntensity(a, b * f / n)``.  That does not hold for a block over
+several units, which draw their intensities independently: a block of
+``u`` whole units holds the sum of ``u`` unit counts, the law
+``GammaIntensity(u * a, b)``.
 
 All probabilities are assembled from log-gamma terms and exponentiated
-once, so large shape parameters and long strings stay in range.  An
-evaluator returns a finite float or raises: ``ValueError`` for input
-outside its domain or a value lost to float arithmetic (``nan``, ``inf``,
-or a ``tail`` or ``p_odd_finite`` more than 1e-9 outside [0, 1]),
-``SeriesNonConvergence`` from the series kernel, ``OverflowError`` from
+once, so large shape parameters and long strings stay in range.  The
+distribution function and the tail are regularised incomplete beta
+functions, evaluated together by one continued fraction.  An evaluator
+returns a finite float or raises: ``ValueError`` for input outside its
+domain or a value lost to float arithmetic (``nan``, ``inf``, or a
+probability more than 1e-9 outside [0, 1]), ``SeriesNonConvergence``
+from the series kernel or the continued fraction, ``OverflowError`` from
 ``math``.
 
 Inputs follow two rules, each checked once where the value enters and
@@ -37,7 +43,7 @@ from operator import lt
 
 import numpy as np
 
-from .special_functions import hyp2f1_one_sum, hyp3f2_sum, ln_pochhammer
+from .special_functions import hyp3f2_sum, incomplete_beta_cf, ln_pochhammer
 
 __all__ = [
     "ErrorPattern",
@@ -90,13 +96,12 @@ def _positive(value: object, name: str) -> float:
 _PROBABILITY_SLACK = 1e-9
 
 
-def _probability(p: float, what: str, g: GammaIntensity, shown: float | None = None) -> float:
+def _probability(p: float, what: str, g: GammaIntensity) -> float:
     """``p`` if it is within ``_PROBABILITY_SLACK`` of [0, 1]; ``nan``,
     ``inf`` and anything farther off raise ``ValueError``, which reports
-    ``what = shown`` (``p`` itself by default)."""
+    ``what = p``."""
     if not -_PROBABILITY_SLACK <= p <= 1.0 + _PROBABILITY_SLACK:  # nan fails too
-        shown = p if shown is None else shown
-        raise ValueError(f"{what} = {shown} at a={g.a!r}, b={g.b!r} is not a probability")
+        raise ValueError(f"{what} = {p} at a={g.a!r}, b={g.b!r} is not a probability")
     return p
 
 
@@ -168,8 +173,10 @@ def pmf(k: int, g: GammaIntensity) -> float:
         P(X = k) = Gamma(k+a) / (k! Gamma(a))
                    * (b / (b+1))**a * (1 / (b+1))**k.
 
-    A span of ``dt`` time units (an ``n``-bit block spans ``n / f``) is the
-    same law at rate ``b / dt``: ``pmf(k, GammaIntensity(a, b * f / n))``.
+    A span of ``dt <= 1`` time units inside one unit (an ``n``-bit block
+    spans ``n / f``) is the same law at rate ``b / dt``:
+    ``pmf(k, GammaIntensity(a, b * f / n))``.  ``u`` whole units, with
+    their independent intensities, hold ``GammaIntensity(u * a, b)``.
     Refused, as ``tail`` is, when the value is not a probability.
     """
     k = _count(k, "k")
@@ -186,34 +193,65 @@ def pmf(k: int, g: GammaIntensity) -> float:
 def tail(m: int, g: GammaIntensity) -> float:
     """Probability of seeing more than ``m`` errors in one time unit.
 
-    Closed form: b**a (a)_{m+1} / ((m+1)! (b+1)**(a+m+1))
-    times 2F1(1, m+a+1; m+2; 1/(b+1)).
+    The regularised incomplete beta function I_q(m+1, a) at
+    q = 1/(b+1).  The paper's closed form,
+    b**a (a)_{m+1} / ((m+1)! (b+1)**(a+m+1)) times
+    2F1(1, m+a+1; m+2; 1/(b+1)), is the same function; validation checks
+    the two against each other.  One continued fraction gives ``tail``
+    where q < (m+2)/(m+a+3), and ``cdf`` elsewhere, usually the smaller of
+    the two; the other is 1 minus it (see ``_cdf_tail``).
     """
     m = _count(m, "m")
-    return _probability(_tail_sum(m, g), f"tail(m={m})", g)
+    return _probability(_cdf_tail(m, g)[1], f"tail(m={m})", g)
 
 
 def cdf(m: int, g: GammaIntensity) -> float:
-    """Probability of at most ``m`` errors in one time unit (1 - tail).
+    """Probability of at most ``m`` errors in one time unit.
 
-    Refused where ``tail`` is; the refusal names ``cdf`` and its value.
+    The regularised incomplete beta function I_p(a, m+1) at
+    p = b/(b+1), which is 1 - ``tail``.  One continued fraction gives
+    ``cdf`` where q = 1/(b+1) >= (m+2)/(m+a+3), and ``tail`` elsewhere,
+    usually the smaller of the two; the other is 1 minus it (see
+    ``_cdf_tail``).
     """
     m = _count(m, "m")
-    p = _tail_sum(m, g)
-    return 1.0 - _probability(p, f"cdf(m={m})", g, shown=1.0 - p)
+    return _probability(_cdf_tail(m, g)[0], f"cdf(m={m})", g)
 
 
-def _tail_sum(m: int, g: GammaIntensity) -> float:
-    """``tail``'s closed form for a checked ``m``, not yet checked itself."""
-    return math.exp(_log_unit_pmf(m + 1, g)) * hyp2f1_one_sum(
-        m + g.a + 1, m + 2, 1.0 / (g.b + 1)).value
+def _cdf_tail(m: int, g: GammaIntensity) -> tuple[float, float]:
+    """``(cdf(m), tail(m))`` for a checked ``m``, not yet checked themselves.
+
+    The continued fraction CF(s, t, x) = ``incomplete_beta_cf`` of
+    I_x(s, t) converges fast for x up to (s+1)/(s+t+2), about the mean of
+    the beta law, so on the side that usually holds the smaller
+    probability.  That side is computed directly and the other is 1 minus
+    it, so a small value does not come from a cancellation.  With
+    q = 1/(b+1) and p = b/(b+1) = 1 - q:
+
+    - for q < (m+2)/(m+a+3), tail = pmf(m+1) * CF(m+1, a, q);
+    - otherwise cdf = pmf(m+1) * (m+1)/a * CF(a, m+1, p).
+
+    pmf(m+1) is the fraction's prefactor x**s (1-x)**t / (s B(s, t)), up
+    to (m+1)/a.  For a well below 1 the computed side can be the larger
+    one (the cdf is 0.998 at a = 0.01, b = 1e-4, m = 1e4), and the tail
+    then carries its rounding.
+    """
+    a, b = g.a, g.b
+    unit_pmf = math.exp(_log_unit_pmf(m + 1, g))
+    q = 1.0 / (b + 1.0)
+    if q < (m + 2) / (m + a + 3):
+        tail_value = unit_pmf * incomplete_beta_cf(m + 1, a, q)
+        return 1.0 - tail_value, tail_value
+    cdf_value = unit_pmf * ((m + 1) / a) * incomplete_beta_cf(a, m + 1, b / (b + 1.0))
+    return cdf_value, 1.0 - cdf_value
 
 
 def _log_unit_pmf(k: int, g: GammaIntensity) -> float:
     """log P(X = k) for one time unit: b**a (a)_k / (k! (b+1)**(a+k)).
 
-    The series prefactor of ``tail`` (k = m+1) and of ``p_odd_finite``'s
-    correction (k = 2m+3).  ``pmf`` keeps its own arrangement of these
+    The prefactor of the continued fraction of ``tail`` and ``cdf``
+    (k = m+1) and of the series of ``p_odd_finite``'s correction
+    (k = 2m+3).  ``pmf`` keeps its own arrangement of these
     terms, which rounds differently: routing either through the other moves
     pinned bits (``pmf`` would accept a = b = 1e16, and ``p_odd_finite(0)``
     at a = 10, b = 2 would lose accuracy), so the two stay apart until an

@@ -1,4 +1,5 @@
-"""Log-Pochhammer symbols and truncated hypergeometric series.
+"""Log-Pochhammer symbols, truncated hypergeometric series and the
+continued fraction of the incomplete beta function.
 
 Everything in this module is a pure function of its arguments, with no
 caches or mutable globals, so concurrent callers are safe.  The series
@@ -24,6 +25,17 @@ partial sums rise from the one to the other, and no term can meet the
 rule.  Long sums, which spend nearly all their chunks far from the stop,
 pay a minimum and two comparisons a chunk instead.
 
+``incomplete_beta_cf`` evaluates the continued fraction of the
+regularised incomplete beta function I_x(p, q) by the modified Lentz
+method (Numerical Recipes, 3rd ed., section 6.4).  It converges fast for
+x below about (p+1)/(p+q+2), in O(sqrt(max(p, q))) steps at worst, where
+a series at x near 1 needs O(1/(1-x)) terms.  Above that bound the
+symmetry I_x(p, q) = 1 - I_{1-x}(q, p) moves the argument below it, so a
+caller evaluates the fraction on the side that usually holds the
+smaller probability and takes the other side as 1 minus it (``error_model``'s
+``cdf`` and ``tail``).  It stops on the same relative tolerance and term
+cap as the series and refuses in the same way.
+
 Gamma-ratio prefactors elsewhere in the package are assembled from
 ``ln_pochhammer`` and ``math.lgamma`` and exponentiated once, because
 the ratios overflow a naive gamma evaluation long before the quantities
@@ -42,13 +54,15 @@ __all__ = [
     "SeriesSum",
     "hyp2f1_one_sum",
     "hyp3f2_sum",
+    "incomplete_beta_cf",
     "ln_pochhammer",
 ]
 
 # Stopping rule: summation stops once two consecutive terms are at most
 # _REL_TOL times the running sum (two, so that a single accidentally small
-# term cannot truncate the series early); _MAX_TERMS terms without that
-# raise SeriesNonConvergence.
+# term cannot truncate the series early), and the continued fraction once
+# a step changes its value by at most _REL_TOL relative; _MAX_TERMS terms
+# or steps without that raise SeriesNonConvergence.
 _REL_TOL = 1e-14
 _MAX_TERMS = 100_000
 # Chunk sizes of the summation.  A chunk costs ~25 us of numpy calls plus
@@ -64,8 +78,8 @@ _MAX_CHUNK = 4096
 
 
 class SeriesNonConvergence(ArithmeticError):
-    """The term cap was reached before the tolerance was met, or the sum
-    overflowed or turned ``nan``."""
+    """The term cap was reached before the tolerance was met, or the sum or
+    continued fraction overflowed or turned ``nan``."""
 
     def __init__(self, name: str, terms_used: int, partial_sum: float):
         outcome = ("turned nan after" if math.isnan(partial_sum)
@@ -204,3 +218,63 @@ def hyp3f2_sum(a2: float, a3: float, c1: float, c2: float, z: float) -> SeriesSu
     return _sum_series(
         "hyp3f2", lambda k: (a2 + k) * (a3 + k) / ((c1 + k) * (c2 + k)), z
     )
+
+
+# Lentz's stand-in for a zero denominator of the continued fraction
+_TINY = 1e-300
+
+
+def incomplete_beta_cf(p: float, q: float, x: float) -> float:
+    """The continued fraction of I_x(p, q), for p, q > 0 and x in
+    [0, (p+1)/(p+q+2)].
+
+    I_x(p, q) = x**p (1-x)**q / (p B(p, q)) * incomplete_beta_cf(p, q, x),
+    where the fraction is 1/(1+ d_1/(1+ d_2/(1+ ...))) with
+
+        d_{2k}   =  k (q-k) x / ((p+2k-1) (p+2k)),
+        d_{2k+1} = -(p+k) (p+q+k) x / ((p+2k) (p+2k+1)).
+
+    It is evaluated by the modified Lentz method, each coefficient as a
+    product of ratios so that a huge p or q cannot overflow it, and stops
+    once an odd step changes the value by at most ``_REL_TOL`` relative.
+    Above (p+1)/(p+q+2) it loses accuracy fast (at p = 1, q = 200,
+    x = 0.5 it comes out negative), so an x above that bound, by more
+    than the rounding of a caller's own bound, raises ``ValueError``;
+    there I_x(p, q) = 1 - I_{1-x}(q, p).  ``SeriesNonConvergence`` is
+    raised after ``_MAX_TERMS`` pairs of steps, or at once if the value
+    turns ``nan`` or infinite; its ``terms_used`` counts pairs of steps.
+    """
+    p, q = float(p), float(q)
+    if not (p > 0.0 and q > 0.0):
+        raise ValueError(f"incomplete_beta_cf requires p, q > 0, got {p!r}, {q!r}")
+    bound = (p + 1.0) / (p + q + 2.0)
+    if not 0.0 <= x <= bound * (1.0 + 1e-12):  # nan fails too
+        raise ValueError(f"continued fraction argument must lie in [0, (p+1)/(p+q+2)] = "
+                         f"[0, {bound!r}], got {x!r}")
+    c = 1.0
+    d = 1.0 - (p + q) / (p + 1.0) * x  # 1 + d_1
+    if abs(d) < _TINY:
+        d = _TINY
+    d = 1.0 / d
+    h = d
+    for j in range(2, 2 * _MAX_TERMS + 2):
+        k = j >> 1
+        if j & 1:  # j = 2k + 1
+            coefficient = -((p + k) / (p + j - 1)) * ((p + q + k) / (p + j)) * x
+        else:  # j = 2k
+            coefficient = k / (p + j - 1) * ((q - k) / (p + j)) * x
+        d = 1.0 + coefficient * d
+        if abs(d) < _TINY:
+            d = _TINY
+        d = 1.0 / d
+        c = 1.0 + coefficient / c
+        if abs(c) < _TINY:
+            c = _TINY
+        step = d * c
+        h *= step
+        if j & 1:
+            if not math.isfinite(h):
+                raise SeriesNonConvergence("incomplete_beta_cf", k, h)
+            if abs(step - 1.0) <= _REL_TOL:
+                return h
+    raise SeriesNonConvergence("incomplete_beta_cf", _MAX_TERMS, h)

@@ -37,6 +37,7 @@ from .error_model import (
     recommend_block_size,
     sample_error_pattern,
     sample_process,
+    tail,
 )
 from .reconciliation import (
     COMPARE_BLOCK,
@@ -194,8 +195,11 @@ def check_partial_sum_identities() -> list[CheckRecord]:
         - Gamma(m+1+a) 2F1(1, m+a+1; m+2; 1/c) / ((m+1)! c**(m+1)),
 
     and the odd-index analogue sum_{k<=m} Gamma(2k+1+a) / ((2k+1)! c**(2k+1))
-    equals a two-sided-binomial first term minus a 3F2 correction.  Both
-    identities are checked for a in {0.5, 2, 10}, c in {1.5, 3, 11} at 1e-9
+    equals a two-sided-binomial first term minus a 3F2 correction.  The
+    2F1 term over the first term G(inf) is the paper's closed form of
+    ``tail`` at b = c - 1; ``tail`` itself is computed by a continued
+    fraction, so the third record checks the two against each other.  All
+    three are checked for a in {0.5, 2, 10}, c in {1.5, 3, 11} at 1e-9
     relative, worst case over m = 0..30 recorded.
     """
     m_max = 30
@@ -203,19 +207,23 @@ def check_partial_sum_identities() -> list[CheckRecord]:
     records = []
     for a in (0.5, 2.0, 10.0):
         for c in (1.5, 3.0, 11.0):
+            g = GammaIntensity(a, c - 1.0)
             worst_g = 0.0
             worst_odd = 0.0
+            worst_tail = 0.0
             for m in range(m_max + 1):
                 direct = math.fsum(
                     math.exp(math.lgamma(k + a) - math.lgamma(k + 1) - k * math.log(c))
                     for k in range(m + 1)
                 )
-                closed = math.exp(
-                    math.lgamma(a) - a * (math.log(c - 1) - math.log(c))
-                ) - math.exp(
+                first = math.exp(math.lgamma(a) - a * (math.log(c - 1) - math.log(c)))
+                rest = math.exp(
                     math.lgamma(m + 1 + a) - math.lgamma(m + 2) - (m + 1) * math.log(c)
                 ) * hyp2f1_one_sum(m + a + 1, m + 2, 1.0 / c).value
+                closed = first - rest
                 worst_g = max(worst_g, abs(direct - closed) / abs(direct))
+                exact_tail = tail(m, g)
+                worst_tail = max(worst_tail, abs(rest / first - exact_tail) / exact_tail)
 
                 direct_odd = math.fsum(
                     math.exp(
@@ -244,6 +252,10 @@ def check_partial_sum_identities() -> list[CheckRecord]:
             records.append(
                 CheckRecord("odd_partial_sum_identity", params, 0.0, worst_odd,
                             worst_odd, worst_odd, tolerance, worst_odd <= tolerance)
+            )
+            records.append(
+                CheckRecord("tail_closed_form", params, 0.0, worst_tail,
+                            worst_tail, worst_tail, tolerance, worst_tail <= tolerance)
             )
     return records
 

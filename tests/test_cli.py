@@ -10,6 +10,7 @@ import sys
 from dataclasses import astuple, fields
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import coxcascade
@@ -335,33 +336,43 @@ class TestEvaluatorErrors:
         env = dict(os.environ,
                    PYTHONPATH=str(Path(coxcascade.__file__).resolve().parents[1]))
         proc = subprocess.run(
-            [sys.executable, "-m", "coxcascade", "tail", "--a", "10", "--b", "1e-4",
+            [sys.executable, "-m", "coxcascade", "parity", "--a", "10", "--b", "1e-4",
              "--m", "3"],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1
-        assert proc.stderr.startswith("coxcascade tail: error: ")
-        assert "did not converge" in proc.stderr
+        assert proc.stderr.startswith("coxcascade parity: error: hyp3f2 did not converge "
+                                      "within 100000 terms (partial sum ")
 
-    @pytest.mark.parametrize("cmd,func", [("tail", "tail"), ("cdf", "cdf"),
-                                          ("parity", "p_odd_finite")])
-    def test_overflowing_series_exit_2(self, capsys, cmd, func):
+    def test_overflowing_series_exit_2(self, capsys):
         # at b = 1e-4 the a = 100 series overflows (its prefactor underflows,
         # so the product would be nan); the evaluator itself refuses it
         with pytest.raises(SeriesNonConvergence):
-            getattr(error_model, func)(0, GammaIntensity(100, 1e-4))
-        code, out, err = run_cli(capsys, cmd, "--a", "100", "--b", "1e-4",
+            p_odd_finite(0, GammaIntensity(100, 1e-4))
+        code, out, err = run_cli(capsys, "parity", "--a", "100", "--b", "1e-4",
                                  "--m", "0..1", "--format", "json")
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1
-        assert err.startswith(f"coxcascade {cmd}: error: ")
-        assert "overflowed after" in err
-        if cmd == "tail":
-            assert err == ("coxcascade tail: error: hyp2f1_one overflowed after "
-                           "50530 terms (partial sum inf)\n")
+        assert (code, out) == (2, "")
+        assert err == ("coxcascade parity: error: hyp3f2 overflowed after 27533 terms "
+                       "(partial sum inf)\n")
+
+    # cdf(m) = I_p(a, m+1) at p = b/(b+1), from mpmath at 50 digits; tail is
+    # 1 - cdf, which rounds to 1 at these points
+    @pytest.mark.parametrize("cmd", ["tail", "cdf"])
+    @pytest.mark.parametrize("a,m", [(10, 3), (100, 0), (100, 1)])
+    def test_stiff_point_exit_0(self, capsys, cmd, a, m):
+        # the 2F1 series of the closed form needed over 1e5 terms here, or
+        # overflowed; the continued fraction needs a few
+        with mpmath.workdps(50):
+            b = mpmath.mpf("1e-4")
+            exact = mpmath.betainc(a, m + 1, 0, b / (b + 1), regularized=True)
+            expected = float(exact if cmd == "cdf" else 1 - exact)
+        code, out, err = run_cli(capsys, cmd, "--a", str(a), "--b", "1e-4", "--m", str(m),
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        [row] = json.loads(out)
+        assert math.isclose(row["probability"], expected, rel_tol=1e-9, abs_tol=0.0)
 
     @pytest.mark.parametrize("cmd,func", [("tail", "tail"), ("cdf", "cdf"),
                                           ("parity", "p_odd_finite")])
@@ -406,12 +417,12 @@ class TestEvaluatorErrors:
         assert err == ("coxcascade parity: error: hyp3f2 turned nan after 2 terms "
                        "(partial sum nan)\n")
 
-    @pytest.mark.parametrize("cmd, value", [("tail", "1.7182818284590455"),
-                                            ("cdf", "-0.7182818284590455")],
+    @pytest.mark.parametrize("cmd, value", [("tail", "1.7182818284590446"),
+                                            ("cdf", "-0.7182818284590446")],
                              ids=["tail", "cdf"])
     def test_not_a_probability_exit_2(self, capsys, cmd, value):
-        # the log prefactor cancels terms of size ~7e302 and leaves e - 1;
-        # cdf is refused with it and reports its own value, 1 - (e - 1)
+        # the log prefactor cancels terms of size ~7e302 and leaves about
+        # e - 1; cdf is refused with it and reports its own value, 1 - tail
         code, out, err = run_cli(capsys, cmd, "--a", "1e300", "--b", "1e300", "--m", "0")
         assert (code, out) == (2, "")
         assert err == (f"coxcascade {cmd}: error: {cmd}(m=0) = {value} at a=1e+300, "
@@ -718,7 +729,7 @@ class TestSeedDefaulting:
 # records CSV are rendered by the CLI alone; a change to the library
 # behind them must not alter a byte, and a contract change that does moves
 # this pin.
-GOLDEN_OUTPUT_DIGEST = "f9b44e615cdc8ca7ce4d98e4054db00808aa4bad63b92ff9f8a7c9d0cd34fa8c"
+GOLDEN_OUTPUT_DIGEST = "93b93d74e325998f4243e0a3c06beb9f8b1759ab93871c3e9313751007ceaab7"
 
 
 class TestGoldenOutputs:

@@ -3,7 +3,9 @@
 Each closed-form evaluator is checked against an independent oracle:
 numerical quadrature of the mixing integral for the pmf, truncated direct
 summation for the distribution function / tail / mean / parity splits,
-and seeded Monte Carlo for the sampler.
+sums of the pmf in 256-bit fixed point with mpmath prefactors for
+``cdf`` and ``tail`` over a wide grid, and seeded Monte Carlo for the
+sampler.
 """
 
 import functools
@@ -11,6 +13,7 @@ import math
 import re
 from dataclasses import astuple
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -229,6 +232,134 @@ class TestCdfTail:
         assert tail(np.int64(3), G_MAIN) == tail(3, G_MAIN)
 
 
+# 256-bit fixed point for the oracle sums below: each step truncates by at
+# most 2**-256 of the first term, far below the 50 digits asked of a value
+_FIXED_ONE = 1 << 256
+
+
+def _fixed_point_sum(ratio, count=None):
+    """1 + r(0) + r(0) r(1) + ... with ``ratio(i)`` a (numerator,
+    denominator) pair of positive ints: over ``count`` ratios, or, with
+    ``count`` None, until a falling term drops below 2**-240 of the sum
+    (the remainder is then below 2**-220 of it while 1/(1 - r) < 2**20).
+    Returns an mpf, or None if 200000 terms do not settle."""
+    term = total = _FIXED_ONE
+    for i in range(200_000 if count is None else count):
+        n, d = ratio(i)
+        term = term * n // d
+        total += term
+        if count is None and n < d and term < total >> 240:
+            break
+    else:
+        if count is None:
+            return None
+    return mpmath.mpf(total) / _FIXED_ONE
+
+
+def negative_binomial_sides(m, a, b):
+    """``(cdf(m), tail(m))`` of the per-unit count to 50 digits, from sums of
+    pmf terms and nothing of the library.
+
+    a and b are exact binary fractions, so each term ratio
+    pmf(k+1)/pmf(k) = (a+k)/((k+1)(b+1)) is an exact fraction of ints; the
+    first pmf term comes from mpmath at 80 digits.  The side that does not
+    hold the mode is summed, so its terms fall: the cdf down from m (at
+    most m+1 terms), or the tail up from m+1.  Where the tail falls too
+    slowly the cdf is summed instead.  The other side is 1 minus the
+    summed one, unless that leaves it below 1e-25; then it is summed too.
+    """
+    na, da = a.as_integer_ratio()
+    nb, db = b.as_integer_ratio()
+    with mpmath.workdps(80):
+        A, B = mpmath.mpf(a), mpmath.mpf(b)
+
+        def pmf_at(k):
+            return mpmath.exp(mpmath.loggamma(k + A) - mpmath.loggamma(A)
+                              - mpmath.loggamma(k + 1) + A * mpmath.log(B / (B + 1))
+                              - k * mpmath.log(B + 1))
+
+        def cdf_down():  # pmf(m) + pmf(m-1) + ... + pmf(0)
+            return pmf_at(m) * _fixed_point_sum(
+                lambda j: ((m - j) * da * (nb + db), (na + (m - 1 - j) * da) * db), m)
+
+        def tail_up():  # pmf(m+1) + pmf(m+2) + ...
+            rest = _fixed_point_sum(
+                lambda i: ((na + (m + 1 + i) * da) * db, (m + 2 + i) * da * (nb + db)))
+            return None if rest is None else pmf_at(m + 1) * rest
+
+        rising = (na + m * da) * db >= (m + 1) * da * (nb + db)  # pmf(m+1) >= pmf(m)
+        # the tail's terms end up falling by 1/(b+1) a step: ~170/b steps
+        slow = 170 * (nb + db) >= (m + 1) * nb
+        t = None if rising or slow else tail_up()
+        if t is None:
+            c = cdf_down()
+            t = 1 - c
+            if t < mpmath.mpf("1e-25"):
+                t = tail_up()
+        else:
+            c = 1 - t
+            if c < mpmath.mpf("1e-25"):
+                c = cdf_down()
+        return float(c), float(t)
+
+
+ORACLE_A = tuple(10.0 ** e for e in range(-2, 7))
+ORACLE_B = tuple(10.0 ** e for e in range(-6, 7))
+ORACLE_M = (0, 1, 10, 100, 1000, 10_000)
+# Cells that miss 1e-9 relative, all through the log prefactor
+# exp(_log_unit_pmf(m+1)): its lgamma and a*log(b) terms reach ~1.4e7 at
+# a = 1e6, and lgamma(m+2) ~8e4 at m = 1e4, whose rounding (~2e-9 and
+# ~1e-11 absolute in the log) the prefactor keeps.  At a = 0.01, b = 1e-4,
+# m = 1e4 the cdf is computed and is 0.998, so its 2.5e-12 error is 1e-9 of
+# the tail.  With the prefactor from mpmath every cell is within 2e-11.
+PREFACTOR_MISSES = {
+    ("tail", 10_000, 0.01, 1e-4),
+    ("cdf", 1000, 1e6, 1e3), ("tail", 1000, 1e6, 1e3),
+    ("cdf", 1, 1e6, 1e4), ("cdf", 10, 1e6, 1e4),
+    ("cdf", 1, 1e6, 1e5),
+    ("cdf", 0, 1e6, 1e6), ("tail", 0, 1e6, 1e6),
+    ("cdf", 1, 1e6, 1e6), ("tail", 1, 1e6, 1e6),
+    ("tail", 100, 1e6, 1e6),
+}
+
+
+def test_oracle_agrees_with_scipy():
+    # the fixed-point oracle against scipy's negative binomial where scipy is
+    # good to far better than the 1e-9 asked of the library
+    for a, b in ((0.5, 1e-3), (10.0, 2.0), (100.0, 0.05), (1e3, 10.0)):
+        p = b / (b + 1.0)
+        for m in (0, 3, 40, 400):
+            c, t = negative_binomial_sides(m, a, b)
+            assert math.isclose(c, scipy.stats.nbinom.cdf(m, a, p), rel_tol=1e-11)
+            assert math.isclose(t, scipy.stats.nbinom.sf(m, a, p), rel_tol=1e-11)
+
+
+def test_cdf_tail_against_oracle_grid():
+    # 702 cells, a in 1e-2..1e6, b in 1e-6..1e6, m in 0..1e4, both sides at
+    # 1e-9 relative; a value that underflows matches only an oracle that does
+    misses = set()
+    for a in ORACLE_A:
+        for b in ORACLE_B:
+            g = GammaIntensity(a, b)
+            for m in ORACLE_M:
+                c, t = negative_binomial_sides(m, a, b)
+                for name, got, want in (("cdf", cdf(m, g), c), ("tail", tail(m, g), t)):
+                    if not math.isclose(got, want, rel_tol=1e-9, abs_tol=0.0):
+                        misses.add((name, m, a, b))
+    assert misses == PREFACTOR_MISSES
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_a=st.floats(-2.0, 6.0), log_b=st.floats(-6.0, 6.0),
+       m=st.integers(0, 10_000))
+def test_cdf_tail_properties(log_a, log_b, m):
+    g = GammaIntensity(10.0 ** log_a, 10.0 ** log_b)
+    c, t = cdf(m, g), tail(m, g)
+    assert 0.0 <= c <= 1.0 and 0.0 <= t <= 1.0  # no slack
+    assert c + t == 1.0  # one side is 1 minus the other
+    assert cdf(m + 1, g) >= c
+
+
 class TestMean:
     def test_values(self):
         assert mean(G_MAIN) == 5.0
@@ -312,7 +443,7 @@ def test_finite_or_refused_over_stiff_grid():
     # and tiny b the series overflows while its prefactor underflows, and
     # that product (0 * inf) must never come back as nan; above b ~ 1.34e154
     # p_odd_finite's series argument 1/(b+1)**2 underflows, which is no
-    # reason to refuse
+    # reason to refuse; tail and cdf, from a continued fraction, never refuse
     for a in (0.5, 100.0):
         for b in (1e-6, 1e-4, 1e-2, 1.0, 100.0, 1e160, 1e300):
             g = GammaIntensity(a, b)
@@ -321,7 +452,7 @@ def test_finite_or_refused_over_stiff_grid():
                     try:
                         value = fn(m, g)
                     except SeriesNonConvergence:
-                        assert b < 1e160, (fn.__name__, a, b, m)
+                        assert fn is p_odd_finite and b < 1e160, (fn.__name__, a, b, m)
                         continue
                     assert isinstance(value, float) and math.isfinite(value), (
                         fn.__name__, a, b, m, value)
@@ -338,10 +469,10 @@ def test_lost_prefactor_refused(fn):
 
 @pytest.mark.parametrize("fn, m, a, b, message", [
     # the log prefactors cancel terms of size ~7e302 and ~2e102
-    (tail, 0, 1e300, 1e300, "tail(m=0) = 1.7182818284590455 at a=1e+300, b=1e+300"),
+    (tail, 0, 1e300, 1e300, "tail(m=0) = 1.7182818284590446 at a=1e+300, b=1e+300"),
     # cdf is refused where tail is, and names itself and its own value
-    (cdf, 0, 1e300, 1e300, "cdf(m=0) = -0.7182818284590455 at a=1e+300, b=1e+300"),
-    (tail, 0, 1e100, 1e100, "tail(m=0) = 1.7182818284590455 at a=1e+100, b=1e+100"),
+    (cdf, 0, 1e300, 1e300, "cdf(m=0) = -0.7182818284590446 at a=1e+300, b=1e+300"),
+    (tail, 0, 1e100, 1e100, "tail(m=0) = 1.718281828459045 at a=1e+100, b=1e+100"),
     (p_odd_finite, 0, 1e100, 1e154, "p_odd_finite(m=0) = -1.0 at a=1e+100, b=1e+154"),
     # a*(log b - log(b+1)) and the lgamma difference lose the log prefactor
     (pmf, 3, 1e16, 1e16, "pmf(k=3) = 6479514.009990928 at a=1e+16, b=1e+16"),
@@ -354,7 +485,6 @@ def test_not_a_probability_refused(fn, m, a, b, message):
 def test_probability_slack_passes_rounding():
     # closed forms a few 1e-12 outside [0, 1] are returned, not refused
     assert -1e-11 < p_odd_finite(0, GammaIntensity(100, 1e-3)) < 0.0
-    assert 1.0 < tail(30, GammaIntensity(100, 0.5)) < 1.0 + 1e-12
 
 
 class TestBlockSize:

@@ -1,9 +1,11 @@
-"""Kernel tests: Pochhammer symbols and hypergeometric series.
+"""Kernel tests: Pochhammer symbols, hypergeometric series and the
+incomplete-beta continued fraction.
 
 Brute-force oracles are written out here independently of the library
 paths they check: factorials and explicit products for Pochhammer
-symbols (checked as ``exp(ln_pochhammer)``), and term-by-term summation
-(no recurrence) for the series evaluators.  The chunked summation kernel
+symbols (checked as ``exp(ln_pochhammer)``), term-by-term summation
+(no recurrence) for the series evaluators, and mpmath's incomplete beta
+function at 40 digits for the continued fraction.  The chunked summation kernel
 is held bit for bit to a plain term-by-term loop over the same term
 ratios (``loop_sum``).
 """
@@ -11,6 +13,7 @@ ratios (``loop_sum``).
 import math
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from coxcascade.special_functions import (
     SeriesNonConvergence,
     hyp2f1_one_sum,
     hyp3f2_sum,
+    incomplete_beta_cf,
     ln_pochhammer,
 )
 
@@ -170,7 +174,8 @@ class TestHyp2F1One:
         assert math.isfinite(res.value)
 
     def test_non_convergence_signal(self):
-        # the series behind tail(3) at a=10, b=1e-4: z is within 1e-4 of 1
+        # the 2F1 of the paper's closed form of tail(3) at a=10, b=1e-4:
+        # z is within 1e-4 of 1
         with pytest.raises(SeriesNonConvergence) as err:
             hyp2f1_one_sum(14.0, 5.0, 1.0 / (1.0 + 1e-4))
         assert err.value.terms_used == 100_000
@@ -233,6 +238,62 @@ class TestClassicalIdentities:
         assert delta(0) == 1
         for n in range(1, 11):
             assert delta(n) == 0
+
+
+class TestIncompleteBetaCF:
+    @staticmethod
+    def expected(p, q, x):
+        """I_x(p, q) p B(p, q) / (x**p (1-x)**q) from mpmath's incomplete beta."""
+        with mpmath.workdps(40):
+            p, q, x = mpmath.mpf(p), mpmath.mpf(q), mpmath.mpf(x)
+            value = mpmath.betainc(p, q, 0, x) * p / (x**p * (1 - x) ** q)
+            return float(value)
+
+    # each x lies below (p+1)/(p+q+2), where the fraction is used
+    @pytest.mark.parametrize("p,q,x", [
+        (1.0, 1.0, 0.3), (0.5, 2.0, 0.2), (2.0, 0.5, 0.6), (11.0, 3.0, 0.7),
+        (4.0, 10.0, 0.3), (0.01, 10_001.0, 9.999e-5), (101.0, 0.5, 0.98),
+        (1e3, 1e3, 0.499), (3.0, 1e5, 1e-5),
+    ])
+    def test_against_mpmath(self, p, q, x):
+        assert math.isclose(incomplete_beta_cf(p, q, x), self.expected(p, q, x),
+                            rel_tol=1e-13)
+
+    def test_zero_argument(self):
+        assert incomplete_beta_cf(3.0, 2.0, 0.0) == 1.0
+
+    def test_huge_parameters_do_not_overflow(self):
+        # I_x(p, 1) = x**p makes the fraction 1/(1-x) for every p; the
+        # product (p+k)(p+q+k) alone would overflow at p = 1e300
+        assert math.isclose(incomplete_beta_cf(1e300, 1.0, 0.5), 2.0, rel_tol=1e-12)
+
+    def test_term_cap(self, monkeypatch):
+        monkeypatch.setattr(special_functions, "_MAX_TERMS", 3)
+        with pytest.raises(SeriesNonConvergence,
+                           match=r"^incomplete_beta_cf did not converge within 3 terms"):
+            incomplete_beta_cf(1e3, 1e3, 0.499)
+
+    def test_nan_refused_at_once(self):
+        # p + q overflows, so the first step is inf * 0
+        with pytest.raises(SeriesNonConvergence,
+                           match=r"^incomplete_beta_cf turned nan after 1 terms"):
+            incomplete_beta_cf(1.7e308, 1.7e308, 0.0)
+
+    def test_bound_allows_rounding(self):
+        # a caller's own (p+1)/(p+q+2) may round a few ulps above this one
+        bound = (4.0 + 1.0) / (4.0 + 10.0 + 2.0)
+        assert incomplete_beta_cf(4.0, 10.0, bound * (1.0 + 1e-15)) == pytest.approx(
+            self.expected(4.0, 10.0, bound), rel=1e-13)
+
+    @pytest.mark.parametrize("p,q,x", [(1.0, 1.0, -0.1), (1.0, 1.0, 1.5),
+                                       (1.0, 1.0, math.nan), (0.0, 1.0, 0.5),
+                                       (1.0, -2.0, 0.5), (math.nan, 1.0, 0.5),
+                                       # above (p+1)/(p+q+2) = 0.00985 the value
+                                       # would come out negative
+                                       (1.0, 200.0, 0.5)])
+    def test_domain(self, p, q, x):
+        with pytest.raises(ValueError):
+            incomplete_beta_cf(p, q, x)
 
 
 @given(
@@ -307,7 +368,8 @@ def assert_matches_loop(args2=None, args3=None):
 
 
 def model_arguments(a, b, m):
-    """The 2F1 and 3F2 arguments of ``tail(m)`` and ``p_odd_finite(m)``."""
+    """The 2F1 and 3F2 arguments of the closed forms of ``tail(m)`` and
+    ``p_odd_finite(m)``."""
     c = b + 1.0
     return ((m + a + 1, m + 2, 1.0 / c),
             (m + 2 + a / 2, m + 1.5 + a / 2, m + 2, m + 2.5, 1.0 / c**2))
@@ -405,7 +467,7 @@ class TestChunkedKernelMatchesLoop:
         assert_matches_loop((2.0, 3.0, 0.0), (2.0, 3.0, 4.0, 5.0, 0.0))
 
     def test_term_cap(self):
-        # tail(3) and p_odd_finite(3) at a=10, b=1e-4
+        # the closed forms of tail(3) and p_odd_finite(3) at a=10, b=1e-4
         assert_matches_loop(*model_arguments(10.0, 1e-4, 3))
         assert outcome(hyp2f1_one_sum, 14.0, 5.0, 1.0 / (1.0 + 1e-4))[1] == (
             "hyp2f1_one did not converge within 100000 terms "

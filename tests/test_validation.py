@@ -86,7 +86,10 @@ class TestParityChecks:
 class TestIdentityChecks:
     def test_full_grid_passes(self):
         records = check_partial_sum_identities()
-        assert len(records) == 18  # two identities over a 3x3 grid
+        # two identities and the paper's tail closed form over a 3x3 grid
+        assert len(records) == 27
+        assert {r.name for r in records} == {
+            "partial_sum_identity", "odd_partial_sum_identity", "tail_closed_form"}
         assert all(r.passed for r in records)
         assert max(r.rel_dev for r in records) < 1e-9
 
@@ -187,7 +190,7 @@ class TestReportAndSuites:
         records = run_suites(["identities"])
         assert records
         assert {r.name for r in records} <= {
-            "partial_sum_identity", "odd_partial_sum_identity"
+            "partial_sum_identity", "odd_partial_sum_identity", "tail_closed_form"
         }
 
     def test_reports_are_deterministic(self):
