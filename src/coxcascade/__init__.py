@@ -1,6 +1,6 @@
 """Error scattering model and reconciliation simulator for QKD raw keys.
 
-The package has four layers: a numeric kernel for log-Pochhammer symbols,
+The package has four layers: a numeric kernel for log gamma ratios,
 truncated hypergeometric series and the incomplete-beta continued
 fraction (:mod:`special_functions`);
 the gamma-mixed Poisson error model with closed-form count and parity

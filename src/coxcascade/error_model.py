@@ -15,8 +15,12 @@ several units, which draw their intensities independently: a block of
 ``u`` whole units holds the sum of ``u`` unit counts, the law
 ``GammaIntensity(u * a, b)``.
 
-All probabilities are assembled from log-gamma terms and exponentiated
-once, so large shape parameters and long strings stay in range.  The
+``pmf``, ``tail``, ``cdf`` and ``p_odd_finite`` take their
+negative-binomial factor from one log formula, ``_log_unit_pmf``, and
+exponentiate it once, so large shape parameters and long strings stay in
+range.  Its gamma ratio is
+``special_functions.ln_pochhammer``, Stirling-corrected, which keeps the
+digits that a difference of two huge lgamma values loses.  The
 distribution function and the tail are regularised incomplete beta
 functions, evaluated together by one continued fraction.  An evaluator
 returns a finite float or raises: ``ValueError`` for input outside its
@@ -177,17 +181,11 @@ def pmf(k: int, g: GammaIntensity) -> float:
     spans ``n / f``) is the same law at rate ``b / dt``:
     ``pmf(k, GammaIntensity(a, b * f / n))``.  ``u`` whole units, with
     their independent intensities, hold ``GammaIntensity(u * a, b)``.
-    Refused, as ``tail`` is, when the value is not a probability.
+    The value is ``exp(_log_unit_pmf(k))``, refused, as ``tail`` is, when it
+    is not a probability.
     """
     k = _count(k, "k")
-    a, b = g.a, g.b
-    log_p = (
-        ln_pochhammer(a, k)
-        - math.lgamma(k + 1)
-        + a * (math.log(b) - math.log(b + 1))
-        - k * math.log(b + 1)
-    )
-    return _probability(math.exp(log_p), f"pmf(k={k})", g)
+    return _probability(math.exp(_log_unit_pmf(k, g)), f"pmf(k={k})", g)
 
 
 def tail(m: int, g: GammaIntensity) -> float:
@@ -249,18 +247,24 @@ def _cdf_tail(m: int, g: GammaIntensity) -> tuple[float, float]:
 def _log_unit_pmf(k: int, g: GammaIntensity) -> float:
     """log P(X = k) for one time unit: b**a (a)_k / (k! (b+1)**(a+k)).
 
-    The prefactor of the continued fraction of ``tail`` and ``cdf``
-    (k = m+1) and of the series of ``p_odd_finite``'s correction
-    (k = 2m+3).  ``pmf`` keeps its own arrangement of these
-    terms, which rounds differently: routing either through the other moves
-    pinned bits (``pmf`` would accept a = b = 1e16, and ``p_odd_finite(0)``
-    at a = 10, b = 2 would lose accuracy), so the two stay apart until an
-    accurate prefactor replaces both.
+    ``pmf`` exponentiates it, and so do the prefactors of the continued
+    fraction of ``tail`` and ``cdf`` (k = m+1) and of the series of
+    ``p_odd_finite``'s correction (k = 2m+3).  It is
+
+        log Gamma(a+k) / (Gamma(a) k!) - a log1p(1/b) - k log1p(b),
+
+    and a + k = x + y - 1 for (x, y) = (a, k+1) or (k+1, a), so the gamma
+    ratio is ``ln_pochhammer(x, y - 1)`` - lgamma(y).  x is a unless a is
+    below k: the larger argument goes into the Stirling-corrected ratio,
+    and a tiny a is never rounded by a - 1 where k = 0 would make that
+    matter (Gamma(a) ~ 1/a).  log(1 + 1/b) is log1p(b) - log(b) below
+    b = 1, where 1/b could overflow.
     """
     a, b = g.a, g.b
-    # a*log(b) overflows before lgamma(a) does, so this can be inf - inf
-    # (a ~ 2.5e305); at huge a and b its terms cancel to garbage
-    return a * math.log(b) + ln_pochhammer(a, k) - math.lgamma(k + 1) - (a + k) * math.log(b + 1)
+    x, y = (a, k + 1) if a >= k else (k + 1.0, a)
+    return (ln_pochhammer(x, y - 1) - math.lgamma(y)
+            - a * (math.log1p(1.0 / b) if b >= 1.0 else math.log1p(b) - math.log(b))
+            - k * math.log1p(b))
 
 
 def mean(g: GammaIntensity) -> float:
@@ -298,10 +302,7 @@ def p_odd_finite(m: int, g: GammaIntensity) -> float:
     """
     m = _count(m, "m")
     a, b = g.a, g.b
-    try:
-        z = 1.0 / (b + 1) ** 2
-    except OverflowError:  # b above ~1.34e154: the argument underflows to 0
-        z = 0.0
+    z = (1.0 / (b + 1.0)) ** 2  # underflows to 0 above b ~ 1.34e154
     correction = math.exp(_log_unit_pmf(2 * m + 3, g)) * hyp3f2_sum(
         m + 2 + a / 2.0, m + 1.5 + a / 2.0, m + 2.0, m + 2.5, z
     ).value

@@ -61,10 +61,10 @@ class TestJsonTables:
         assert hex_floats(json.loads(out)) == hex_floats(expected)
 
     def test_shortest_round_trip_text(self, capsys):
-        # 17 significant digits would spell the first float 0.057805099719441921
+        # 17 significant digits would spell the first float 0.057805099719442143
         _, out, _ = run_cli(capsys, "parity", "--a", "10", "--b", "2", "--m", "0",
                             "--format", "json")
-        assert out == ('[{"m": 0, "p_odd_finite": 0.05780509971944192, '
+        assert out == ('[{"m": 0, "p_odd_finite": 0.05780509971944214, '
                        '"p_odd_limit": 0.49951171875}]\n')
 
     @pytest.mark.parametrize("to_file", [False, True])
@@ -394,20 +394,34 @@ class TestEvaluatorErrors:
         assert out == ""
         assert err == "coxcascade pmf: error: gamma shape a must be finite and > 0, got inf\n"
 
-    def test_lost_prefactor_exit_2(self, capsys):
-        # finite input whose log prefactor is inf - inf: refused, not printed
-        code, out, err = run_cli(capsys, "tail", "--a", "2.535e305", "--b", "1e308",
-                                 "--m", "0")
-        assert code == 2
-        assert out == ""
+    def test_lost_prefactor_exit_2(self, capsys, monkeypatch):
+        # the former log prefactor was inf - inf here; the tail is
+        # 1 - (b/(b+1))**a = -expm1(-a/b) to double precision
+        argv = ("tail", "--a", "2.535e305", "--b", "1e308", "--m", "0")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == f"m,probability\n0,{-math.expm1(-2.535e-3):.12g}\n"
+        # a prefactor that is nan is refused, not printed
+        monkeypatch.setattr(error_model, "_log_unit_pmf", lambda k, g: math.nan)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
         assert err == ("coxcascade tail: error: tail(m=0) = nan at a=2.535e+305, "
                        "b=1e+308 is not a probability\n")
 
-    def test_pmf_not_a_probability_exit_2(self, capsys):
-        # at a = b = 1e16 the log prefactor is lost: pmf(3) comes out ~6.5e6
-        code, out, err = run_cli(capsys, "pmf", "--a", "1e16", "--b", "1e16", "--k", "0..3")
+    def test_pmf_not_a_probability_exit_2(self, capsys, monkeypatch):
+        # at a = b = 1e16 the law is Poisson(1) to double precision; the
+        # former log prefactor made pmf(3) ~6.5e6 here
+        argv = ("pmf", "--a", "1e16", "--b", "1e16", "--k", "0..3")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        poisson = [math.exp(-1.0) / math.factorial(k) for k in range(4)]
+        assert out == "k,probability\n" + "".join(
+            f"{k},{p:.12g}\n" for k, p in enumerate(poisson))
+        # a value no probability is near is refused, and nothing is printed
+        monkeypatch.setattr(error_model, "_log_unit_pmf", lambda k, g: 1.0)
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == ("coxcascade pmf: error: pmf(k=3) = 6479514.009990928 at a=1e+16, "
+        assert err == ("coxcascade pmf: error: pmf(k=0) = 2.718281828459045 at a=1e+16, "
                        "b=1e+16 is not a probability\n")
 
     def test_nan_series_exit_2(self, capsys):
@@ -417,26 +431,41 @@ class TestEvaluatorErrors:
         assert err == ("coxcascade parity: error: hyp3f2 turned nan after 2 terms "
                        "(partial sum nan)\n")
 
-    @pytest.mark.parametrize("cmd, value", [("tail", "1.7182818284590446"),
-                                            ("cdf", "-0.7182818284590446")],
-                             ids=["tail", "cdf"])
-    def test_not_a_probability_exit_2(self, capsys, cmd, value):
-        # the log prefactor cancels terms of size ~7e302 and leaves about
-        # e - 1; cdf is refused with it and reports its own value, 1 - tail
-        code, out, err = run_cli(capsys, cmd, "--a", "1e300", "--b", "1e300", "--m", "0")
+    @pytest.mark.parametrize("cmd, value, limit", [
+        ("tail", "1.7182818284590446", -math.expm1(-1.0)),
+        ("cdf", "-0.7182818284590446", math.exp(-1.0))], ids=["tail", "cdf"])
+    def test_not_a_probability_exit_2(self, capsys, monkeypatch, cmd, value, limit):
+        # at a = b = 1e300 the law is Poisson(1); the former log prefactor
+        # cancelled terms of size ~7e302 and came out e times too large
+        argv = (cmd, "--a", "1e300", "--b", "1e300", "--m", "0")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == f"m,probability\n0,{limit:.12g}\n"
+        # that prefactor is refused: cdf with it, reporting its own value,
+        # 1 - tail
+        true_log_pmf = error_model._log_unit_pmf
+        monkeypatch.setattr(error_model, "_log_unit_pmf",
+                            lambda k, g: true_log_pmf(k, g) + 1.0)
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == (f"coxcascade {cmd}: error: {cmd}(m=0) = {value} at a=1e+300, "
                        "b=1e+300 is not a probability\n")
 
     def test_math_overflow_exit_2(self, capsys):
-        # lgamma(a) overflows in pmf's log prefactor
+        # the pmf at a = 3e305, b = 1 underflows, where the former log
+        # prefactor overflowed in lgamma(a)
         code, out, err = run_cli(capsys, "pmf", "--a", "3e305", "--b", "1", "--k", "1")
+        assert (code, out, err) == (0, "k,probability\n1,0\n", "")
+        # with k as large, lgamma of the smaller of a and k + 1 overflows
+        code, out, err = run_cli(capsys, "pmf", "--a", "3e305", "--b", "1",
+                                 "--k", str(3 * 10**305))
         assert code == 2
         assert out == ""
         assert err == "coxcascade pmf: error: math range error\n"
 
     def test_huge_rate_parity_exit_0(self, capsys):
-        # 1/(b+1)**2 overflows for b above ~1.34e154; the correction is then 0
+        # (1/(b+1))**2 underflows to 0 for b above ~1.34e154, and the
+        # correction with it
         code, out, err = run_cli(capsys, "parity", "--a", "1", "--b", "1e200", "--m", "1")
         assert code == 0
         assert err == ""
@@ -729,7 +758,7 @@ class TestSeedDefaulting:
 # records CSV are rendered by the CLI alone; a change to the library
 # behind them must not alter a byte, and a contract change that does moves
 # this pin.
-GOLDEN_OUTPUT_DIGEST = "93b93d74e325998f4243e0a3c06beb9f8b1759ab93871c3e9313751007ceaab7"
+GOLDEN_OUTPUT_DIGEST = "3613a6db1f322b9668daf4ed37fb950257db62297f0ecf0e84e3b3640d236532"
 
 
 class TestGoldenOutputs:

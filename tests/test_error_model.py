@@ -21,6 +21,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxcascade import error_model
 from coxcascade.error_model import (
     ErrorPattern,
     GammaIntensity,
@@ -306,23 +307,6 @@ def negative_binomial_sides(m, a, b):
 ORACLE_A = tuple(10.0 ** e for e in range(-2, 7))
 ORACLE_B = tuple(10.0 ** e for e in range(-6, 7))
 ORACLE_M = (0, 1, 10, 100, 1000, 10_000)
-# Cells that miss 1e-9 relative, all through the log prefactor
-# exp(_log_unit_pmf(m+1)): its lgamma and a*log(b) terms reach ~1.4e7 at
-# a = 1e6, and lgamma(m+2) ~8e4 at m = 1e4, whose rounding (~2e-9 and
-# ~1e-11 absolute in the log) the prefactor keeps.  At a = 0.01, b = 1e-4,
-# m = 1e4 the cdf is computed and is 0.998, so its 2.5e-12 error is 1e-9 of
-# the tail.  With the prefactor from mpmath every cell is within 2e-11.
-PREFACTOR_MISSES = {
-    ("tail", 10_000, 0.01, 1e-4),
-    ("cdf", 1000, 1e6, 1e3), ("tail", 1000, 1e6, 1e3),
-    ("cdf", 1, 1e6, 1e4), ("cdf", 10, 1e6, 1e4),
-    ("cdf", 1, 1e6, 1e5),
-    ("cdf", 0, 1e6, 1e6), ("tail", 0, 1e6, 1e6),
-    ("cdf", 1, 1e6, 1e6), ("tail", 1, 1e6, 1e6),
-    ("tail", 100, 1e6, 1e6),
-}
-
-
 def test_oracle_agrees_with_scipy():
     # the fixed-point oracle against scipy's negative binomial where scipy is
     # good to far better than the 1e-9 asked of the library
@@ -336,7 +320,9 @@ def test_oracle_agrees_with_scipy():
 
 def test_cdf_tail_against_oracle_grid():
     # 702 cells, a in 1e-2..1e6, b in 1e-6..1e6, m in 0..1e4, both sides at
-    # 1e-9 relative; a value that underflows matches only an oracle that does
+    # 1e-9 relative; a value that underflows matches only an oracle that does.
+    # The lgamma differences of the former prefactor missed 11 cells at
+    # a = 1e6 and at a = 0.01, b = 1e-4, m = 1e4
     misses = set()
     for a in ORACLE_A:
         for b in ORACLE_B:
@@ -346,7 +332,7 @@ def test_cdf_tail_against_oracle_grid():
                 for name, got, want in (("cdf", cdf(m, g), c), ("tail", tail(m, g), t)):
                     if not math.isclose(got, want, rel_tol=1e-9, abs_tol=0.0):
                         misses.add((name, m, a, b))
-    assert misses == PREFACTOR_MISSES
+    assert misses == set()
 
 
 @settings(max_examples=200, deadline=None)
@@ -458,28 +444,74 @@ def test_finite_or_refused_over_stiff_grid():
                         fn.__name__, a, b, m, value)
 
 
+def unit_pmf_mp(k, a, b):
+    """P(X = k) from mpmath at 60 digits, (a)_k / k! times
+    exp(-a log1p(1/b) - k log1p(b)), with its rising factorial as a product."""
+    with mpmath.workdps(60):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        return +(mpmath.rf(a, k) / mpmath.factorial(k)
+                 * mpmath.exp(-a * mpmath.log1p(1 / b) - k * mpmath.log1p(b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_a=st.floats(-3.0, 8.0), log_b=st.floats(-6.0, 8.0), k=st.integers(0, 300))
+def test_pmf_against_mpmath(log_a, log_b, k):
+    # one log prefactor for every evaluator; the lgamma differences it
+    # replaced were up to 2.7e-7 off here, at a ~ 1e8
+    a, b = 10.0 ** log_a, 10.0 ** log_b
+    assert math.isclose(pmf(k, GammaIntensity(a, b)), float(unit_pmf_mp(k, a, b)),
+                        rel_tol=1e-11, abs_tol=1e-300)
+
+
+def test_pmf_at_a_subnormal_rate():
+    # 1/b overflows below b ~ 5.6e-309, so log(1 + 1/b) is taken there as
+    # log1p(b) - log(b): pmf(0) stays near 1 and pmf(1) near a (its log,
+    # ~-691, carries ~1e-13 relative rounding)
+    for k in (0, 1):
+        assert math.isclose(pmf(k, GammaIntensity(1e-300, 1e-310)),
+                            float(unit_pmf_mp(k, 1e-300, 1e-310)), rel_tol=1e-12)
+
+
+def prefactor_refusal(fn, m, g, monkeypatch, log_value):
+    """The refusal of ``fn(m, g)`` once the log prefactor reads ``log_value``."""
+    monkeypatch.setattr(error_model, "_log_unit_pmf", lambda k, g: log_value)
+    with pytest.raises(ValueError, match="is not a probability") as refusal:
+        fn(m, g)
+    return str(refusal.value)
+
+
 @pytest.mark.parametrize("fn", [tail, cdf])
-def test_lost_prefactor_refused(fn):
-    # a*log(b) overflows while lgamma(a) does not, so the log prefactor is
-    # inf - inf; the evaluator refuses the nan instead of returning it
-    with pytest.raises(ValueError, match=re.escape(
-            f"{fn.__name__}(m=0) = nan at a=2.535e+305, b=1e+308 is not a probability")):
-        fn(0, GammaIntensity(2.535e305, 1e308))
+def test_lost_prefactor_refused(fn, monkeypatch):
+    # a*log(b) overflowed while lgamma(a) did not, so the former log
+    # prefactor was inf - inf here; the tail is 1 - (b/(b+1))**a
+    g = GammaIntensity(2.535e305, 1e308)
+    expected = {tail: 1 - unit_pmf_mp(0, g.a, g.b), cdf: unit_pmf_mp(0, g.a, g.b)}[fn]
+    assert math.isclose(fn(0, g), float(expected), rel_tol=1e-14)
+    # a prefactor that is nan is refused, not returned
+    assert prefactor_refusal(fn, 0, g, monkeypatch, math.nan) == (
+        f"{fn.__name__}(m=0) = nan at a=2.535e+305, b=1e+308 is not a probability")
 
 
-@pytest.mark.parametrize("fn, m, a, b, message", [
-    # the log prefactors cancel terms of size ~7e302 and ~2e102
-    (tail, 0, 1e300, 1e300, "tail(m=0) = 1.7182818284590446 at a=1e+300, b=1e+300"),
-    # cdf is refused where tail is, and names itself and its own value
-    (cdf, 0, 1e300, 1e300, "cdf(m=0) = -0.7182818284590446 at a=1e+300, b=1e+300"),
-    (tail, 0, 1e100, 1e100, "tail(m=0) = 1.718281828459045 at a=1e+100, b=1e+100"),
-    (p_odd_finite, 0, 1e100, 1e154, "p_odd_finite(m=0) = -1.0 at a=1e+100, b=1e+154"),
-    # a*(log b - log(b+1)) and the lgamma difference lose the log prefactor
-    (pmf, 3, 1e16, 1e16, "pmf(k=3) = 6479514.009990928 at a=1e+16, b=1e+16"),
+@pytest.mark.parametrize("fn, m, a, b, expected", [
+    # the former log prefactors cancelled terms of size ~7e302 and ~2e102
+    # here and came out about e times too large; the values are the
+    # Poisson(1) limits
+    (tail, 0, 1e300, 1e300, -math.expm1(-1.0)),
+    (cdf, 0, 1e300, 1e300, math.exp(-1.0)),
+    (tail, 0, 1e100, 1e100, -math.expm1(-1.0)),
+    # p_odd_finite(0) is pmf(1), ~1e-54; the former prefactor gave -1.0
+    (p_odd_finite, 0, 1e100, 1e154, float(unit_pmf_mp(1, 1e100, 1e154))),
+    (pmf, 3, 1e16, 1e16, float(unit_pmf_mp(3, 1e16, 1e16))),
 ], ids=["tail-1e300", "cdf-1e300", "tail-1e100", "p_odd_finite-1e100-1e154", "pmf-1e16"])
-def test_not_a_probability_refused(fn, m, a, b, message):
-    with pytest.raises(ValueError, match=re.escape(f"{message} is not a probability")):
-        fn(m, GammaIntensity(a, b))
+def test_not_a_probability_refused(fn, m, a, b, expected, monkeypatch):
+    g = GammaIntensity(a, b)
+    assert math.isclose(fn(m, g), expected, rel_tol=1e-14)
+    # a prefactor of e, far from any probability, is refused with the
+    # evaluator's name, its argument and its own value
+    what = f"{fn.__name__}({'k' if fn is pmf else 'm'}={m})"
+    assert re.fullmatch(re.escape(what) + r" = -?[0-9.e+-]+ at " + re.escape(
+        f"a={a!r}, b={b!r} is not a probability"),
+        prefactor_refusal(fn, m, g, monkeypatch, 1.0))
 
 
 def test_probability_slack_passes_rounding():

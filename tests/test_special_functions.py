@@ -3,7 +3,8 @@ incomplete-beta continued fraction.
 
 Brute-force oracles are written out here independently of the library
 paths they check: factorials and explicit products for Pochhammer
-symbols (checked as ``exp(ln_pochhammer)``), term-by-term summation
+symbols (checked as ``exp(ln_pochhammer)``), mpmath's log-gamma at 400
+digits for ``ln_pochhammer`` at real orders, term-by-term summation
 (no recurrence) for the series evaluators, and mpmath's incomplete beta
 function at 40 digits for the continued fraction.  The chunked summation kernel
 is held bit for bit to a plain term-by-term loop over the same term
@@ -114,6 +115,21 @@ class TestPochhammer:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             ln_pochhammer(1.0, -1)
+        with pytest.raises(ValueError, match="x \\+ h > 0"):
+            ln_pochhammer(20.0, -20.5)
+
+    def test_ln_pochhammer_real_order_against_mpmath(self):
+        # log Gamma(x+h)/Gamma(x) on both sides of the Stirling bound (15),
+        # for orders of either sign and x up to 1e300, where lgamma(x)
+        # alone is ~7e302; 400 digits keep the mpmath difference exact
+        with mpmath.workdps(400):
+            for x in (0.3, 7.5, 14.9, 15.0, 15.5, 40.0, 1e6, 1e16, 1e300):
+                for h in (-0.999, -0.5, 0.25, 1.0, 3.0, 17.5, 1000.0, 1e5):
+                    if x + h <= 0.0 or h > x > 100.0:
+                        continue
+                    exact = mpmath.loggamma(x + mpmath.mpf(h)) - mpmath.loggamma(x)
+                    assert abs(ln_pochhammer(x, h) - exact) <= 1e-14 * max(1, abs(exact)), (
+                        x, h)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
     def test_ln_pochhammer_domain(self, bad):

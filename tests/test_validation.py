@@ -104,13 +104,30 @@ class TestAssumptionOne:
         assert p.passed
         assert by_name["assumption1_errors_per_block"].passed
 
-    def test_probability_rises_as_blocks_shrink(self):
-        # with far more units than needed per error, one error per block is
-        # nearly certain
-        records = check_assumption_one(TimeUnitLayout(10), GammaIntensity(0.01, 1.0),
-                                       units=0)
-        p_analytic = pmf(0, GammaIntensity(0.01, 1.0 / 100.0))
-        assert p_analytic < 1.0  # block spans many units' worth of errors
+    def test_probability_depends_on_the_shape_only(self):
+        # the recommended block spans n = f b / a bits, so its error count
+        # follows G(a, b f / n) = G(a, a): P(at most one error) is
+        # (a/(a+1))**a * (2a+1)/(a+1), the same for two rates whose blocks
+        # differ, and it falls towards the Poisson value 2/e as a grows
+        def at_most_one(a, b):
+            records = check_assumption_one(TimeUnitLayout(1000), GammaIntensity(a, b),
+                                           units=50)
+            by_name = {r.name: r for r in records}
+            assert by_name["assumption1_p_at_most_one"].passed
+            return (by_name["assumption1_block_size"].analytic,
+                    by_name["assumption1_p_at_most_one"].analytic)
+
+        def closed_form(a):
+            return (a / (a + 1)) ** a * (2 * a + 1) / (a + 1)
+
+        n_200, p_200 = at_most_one(10, 2)
+        n_100, p_100 = at_most_one(10, 1)
+        assert (n_200, n_100) == (200, 100)
+        assert p_200 == p_100 == pytest.approx(closed_form(10), rel=1e-14)
+        n_shape, p_shape = at_most_one(20, 2)
+        assert n_shape == 100
+        assert p_shape == pytest.approx(closed_form(20), rel=1e-14)
+        assert 2 / math.e < p_shape < p_100
 
 
 class TestSimulatorStatistics:
