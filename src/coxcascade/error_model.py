@@ -22,11 +22,15 @@ range.  Its gamma ratio is
 ``special_functions.ln_pochhammer``, Stirling-corrected, which keeps the
 digits that a difference of two huge lgamma values loses.  The
 distribution function and the tail are regularised incomplete beta
-functions, evaluated together by one continued fraction.  An evaluator
-returns a finite float or raises: ``ValueError`` for input outside its
-domain or a value lost to float arithmetic (``nan``, ``inf``, or a
-probability more than 1e-9 outside [0, 1]), ``SeriesNonConvergence``
-from the series kernel or the continued fraction, ``OverflowError`` from
+functions, evaluated together by one continued fraction.  The
+probability of an odd count up to 2m+1 has two forms: below the mode
+(a-1)/b of the law the sum of the odd pmf terms, which are positive and
+rise towards 2m+1, so nothing cancels; at or above it the paper's
+``p_odd`` minus a 3F2 correction.  An evaluator returns a finite float
+or raises: ``ValueError`` for input outside its domain or a value lost
+to float arithmetic (``nan``, ``inf``, or a probability more than 1e-9
+outside [0, 1]), ``SeriesNonConvergence`` from the series kernel, the
+continued fraction or the odd-term sum, ``OverflowError`` from
 ``math``.
 
 Inputs follow two rules, each checked once where the value enters and
@@ -47,7 +51,13 @@ from operator import lt
 
 import numpy as np
 
-from .special_functions import hyp3f2_sum, incomplete_beta_cf, ln_pochhammer
+from .special_functions import (
+    _MAX_TERMS,
+    SeriesNonConvergence,
+    hyp3f2_sum,
+    incomplete_beta_cf,
+    ln_pochhammer,
+)
 
 __all__ = [
     "ErrorPattern",
@@ -248,8 +258,8 @@ def _log_unit_pmf(k: int, g: GammaIntensity) -> float:
     """log P(X = k) for one time unit: b**a (a)_k / (k! (b+1)**(a+k)).
 
     ``pmf`` exponentiates it, and so do the prefactors of the continued
-    fraction of ``tail`` and ``cdf`` (k = m+1) and of the series of
-    ``p_odd_finite``'s correction (k = 2m+3).  It is
+    fraction of ``tail`` and ``cdf`` (k = m+1) and of ``p_odd_finite``'s
+    odd-term sum (k = 2m+1) and 3F2 correction (k = 2m+3).  It is
 
         log Gamma(a+k) / (Gamma(a) k!) - a log1p(1/b) - k log1p(b),
 
@@ -285,28 +295,64 @@ def p_odd(g: GammaIntensity) -> float:
     positive counts, and the odd-term sum of the pmf refutes it; the
     validation suite records that margin.
     """
-    # log(b/(b+2)) as -log1p(2/b), which does not cancel at large b
-    return -0.5 * math.expm1(-g.a * math.log1p(2.0 / g.b))
+    # log(b/(b+2)) as -log1p(2/b), which does not cancel at large b; below
+    # b = 1, where 2/b could overflow, as log(b) - log(b+2)
+    b = g.b
+    log_ratio = -math.log1p(2.0 / b) if b >= 1.0 else math.log(b) - math.log(b + 2.0)
+    return -0.5 * math.expm1(g.a * log_ratio)
 
 
 def p_odd_finite(m: int, g: GammaIntensity) -> float:
     """Probability of an odd error count that is at most ``2m + 1``.
 
-    The infinite-string value ``p_odd`` minus a correction term
+    Below the mode, where 2m+1 < (a-1)/b, the pmf rises up to 2m+1, and
+    the value is the sum of its odd terms:
+
+        pmf(2m+1) * sum_{j<=m} pmf(2j+1) / pmf(2m+1),
+
+    with the term ratios of ``_odd_head_sum``, each at most 1, so nothing
+    cancels.  Elsewhere it is the infinite-string value ``p_odd`` minus a
+    correction term
 
         C(a, b, m) * 3F2(1, m+2+a/2, m+3/2+a/2; m+2, m+5/2; 1/(b+1)**2),
         C(a, b, m) = b**a Gamma(2m+3+a) / (Gamma(a) (2m+3)! (b+1)**(2m+3+a)).
 
     The correction vanishes as ``m`` grows (the 1/(b+1)**(2m+3) factor
-    dominates since b > 0), so this increases to ``p_odd``.
+    dominates since b > 0), so this increases to ``p_odd``.  For a <= 1
+    the mode is 0, so every ``m`` takes the second form.
     """
     m = _count(m, "m")
     a, b = g.a, g.b
-    z = (1.0 / (b + 1.0)) ** 2  # underflows to 0 above b ~ 1.34e154
-    correction = math.exp(_log_unit_pmf(2 * m + 3, g)) * hyp3f2_sum(
-        m + 2 + a / 2.0, m + 1.5 + a / 2.0, m + 2.0, m + 2.5, z
-    ).value
-    return _probability(p_odd(g) - correction, f"p_odd_finite(m={m})", g)
+    if 2 * m + 1 < (a - 1.0) / b:
+        value = math.exp(_log_unit_pmf(2 * m + 1, g)) * _odd_head_sum(m, a, b)
+    else:
+        z = (1.0 / (b + 1.0)) ** 2  # underflows to 0 above b ~ 1.34e154
+        correction = math.exp(_log_unit_pmf(2 * m + 3, g)) * hyp3f2_sum(
+            m + 2 + a / 2.0, m + 1.5 + a / 2.0, m + 2.0, m + 2.5, z
+        ).value
+        value = p_odd(g) - correction
+    return _probability(value, f"p_odd_finite(m={m})", g)
+
+
+def _odd_head_sum(m: int, a: float, b: float) -> float:
+    """sum_{j<=m} pmf(2j+1) / pmf(2m+1), for 2m+1 below the mode (a-1)/b.
+
+    Summed downward from the term 1 at j = m, each term the one above it
+    times pmf(2j-1) / pmf(2j+1) = (2j)(2j+1)(b+1)**2 / ((a+2j-1)(a+2j)).
+    That ratio is the product of 2j(b+1)/(a+2j-1) and (2j+1)(b+1)/(a+2j),
+    each below 1 because (2j+1) b < a-1, and each is built as a ratio
+    times b+1, so a huge a or b neither overflows nor turns it ``nan``.
+    The terms fall, so the j terms left below the term u at j add at most
+    j*u; the sum stops once that cannot change the total.  It refuses with
+    ``SeriesNonConvergence`` after ``_MAX_TERMS`` terms.
+    """
+    term = total = 1.0
+    for j in range(m, max(m - _MAX_TERMS, -1), -1):
+        if total + j * term == total:  # always at j = 0
+            return total
+        term *= (2 * j / (a + 2 * j - 1) * (b + 1.0)) * ((2 * j + 1) / (a + 2 * j) * (b + 1.0))
+        total += term
+    raise SeriesNonConvergence("p_odd_finite", _MAX_TERMS, total)
 
 
 def recommend_block_size(layout: TimeUnitLayout, g: GammaIntensity) -> int:

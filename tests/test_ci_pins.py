@@ -67,7 +67,8 @@ def test_pinned_outputs(command, digests, capsys, monkeypatch, tmp_path):
 
 
 def test_every_value_check_is_found():
-    assert [command.split()[0] for command, _, _ in VALUES] == ["blocksize", "cdf", "pmf"]
+    assert [command.split()[0] for command, _, _ in VALUES] == ["blocksize", "cdf", "pmf",
+                                                                "parity"]
 
 
 @pytest.mark.parametrize("command, end, value", VALUES, ids=[c for c, _, _ in VALUES])

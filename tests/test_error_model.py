@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coxcascade import error_model
@@ -420,28 +420,51 @@ class TestParityProbabilities:
         # rates, where log(b) - log(b+2) would cancel
         assert math.isclose(p_odd(GammaIntensity(1, b)), 1.0 / (b + 2.0), rel_tol=1e-14)
 
+    def test_subnormal_rate(self):
+        # 2/b overflows below b ~ 1.1e-308, so log(b/(b+2)) is taken there as
+        # log(b) - log(b+2); -log1p(2/b) was -inf and p_odd 0.5, not ~3.57e-298
+        with mpmath.workdps(50):
+            a, b = mpmath.mpf(1e-300), mpmath.mpf(1e-310)
+            expected = float(-mpmath.expm1(a * mpmath.log(b / (b + 2))) / 2)
+        assert math.isclose(p_odd(GammaIntensity(1e-300, 1e-310)), expected, rel_tol=1e-13)
+
     def test_finite_positive_at_large_rate(self):
         assert p_odd_finite(3, GammaIntensity(1, 1e15)) > 0.0
 
 
 def test_finite_or_refused_over_stiff_grid():
     # a closed form either returns a finite number or refuses: at large a
-    # and tiny b the series overflows while its prefactor underflows, and
-    # that product (0 * inf) must never come back as nan; above b ~ 1.34e154
-    # p_odd_finite's series argument 1/(b+1)**2 underflows, which is no
-    # reason to refuse; tail and cdf, from a continued fraction, never refuse
-    for a in (0.5, 100.0):
-        for b in (1e-6, 1e-4, 1e-2, 1.0, 100.0, 1e160, 1e300):
-            g = GammaIntensity(a, b)
-            for m in (0, 30):
-                for fn in (tail, cdf, p_odd_finite):
-                    try:
-                        value = fn(m, g)
-                    except SeriesNonConvergence:
-                        assert fn is p_odd_finite and b < 1e160, (fn.__name__, a, b, m)
-                        continue
-                    assert isinstance(value, float) and math.isfinite(value), (
-                        fn.__name__, a, b, m, value)
+    # and tiny b the 3F2 of p_odd - correction overflows while its
+    # prefactor underflows, and that product (0 * inf) must never come back
+    # as nan; below the mode (a-1)/b p_odd_finite sums its odd terms
+    # instead, so only a <= 1 may refuse; above b ~ 1.34e154 the series
+    # argument 1/(b+1)**2 underflows, which is no reason to refuse; tail
+    # and cdf, from a continued fraction, never refuse
+    points = [(a, b, m) for a in (0.5, 100.0)
+              for b in (1e-6, 1e-4, 1e-2, 1.0, 100.0, 1e160, 1e300) for m in (0, 30)]
+    # the mode is 1e100; (b+1)**2 overflows there and 1/a**2 underflows
+    points += [(1e300, 1e200, m) for m in (0, 1, 30)]
+    for a, b, m in points:
+        g = GammaIntensity(a, b)
+        for fn in (tail, cdf, p_odd_finite):
+            try:
+                value = fn(m, g)
+            except SeriesNonConvergence:
+                assert fn is p_odd_finite and a <= 1 and b < 1e160, (fn.__name__, a, b, m)
+                continue
+            assert isinstance(value, float) and math.isfinite(value), (
+                fn.__name__, a, b, m, value)
+
+
+def test_odd_term_sum_refused_past_the_term_cap():
+    # 2m+1 = 1e14 - 1999 lies just below the mode (a-1)/b = 1e14 - 100, in
+    # a pmf peak with a standard deviation of ~1e8, so the odd terms below
+    # it stay near 1 far beyond the kernel's term cap
+    g = GammaIntensity(1e12, 1e-2)
+    with pytest.raises(SeriesNonConvergence) as refusal:
+        p_odd_finite(5 * 10**13 - 1000, g)
+    assert refusal.value.terms_used == 100_000
+    assert str(refusal.value).startswith("p_odd_finite did not converge within 100000 terms")
 
 
 def unit_pmf_mp(k, a, b):
@@ -470,6 +493,46 @@ def test_pmf_at_a_subnormal_rate():
     for k in (0, 1):
         assert math.isclose(pmf(k, GammaIntensity(1e-300, 1e-310)),
                             float(unit_pmf_mp(k, 1e-300, 1e-310)), rel_tol=1e-12)
+
+
+def odd_sum_mp(m, a, b):
+    """sum_{j<=m} P(X = 2j+1) from mpmath at 40 digits, upward from pmf(1)
+    by the ratio pmf(k+2)/pmf(k) = (a+k)(a+k+1) / ((k+1)(k+2)(b+1)**2)."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        term = total = a * mpmath.exp(-a * mpmath.log1p(1 / b) - mpmath.log1p(b))
+        for k in range(1, 2 * m + 1, 2):
+            term *= (a + k) * (a + k + 1) / ((k + 1) * (k + 2) * (b + 1) ** 2)
+            total += term
+        return +total
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_a=st.floats(0.0, 4.0), log_b=st.floats(-4.0, 3.0), m=st.integers(0, 300))
+def test_p_odd_finite_below_the_mode_against_mpmath(log_a, log_b, m):
+    # 2m+1 below the mode (a-1)/b: the odd terms are summed, where
+    # p_odd - correction cancelled (a negative value at a = 100, b = 1e-3)
+    a, b = 10.0 ** log_a, 10.0 ** log_b
+    assume((a - 1.0) / b > 1.0)
+    m = min(m, math.ceil(((a - 1.0) / b - 1.0) / 2.0) - 1)
+    assert 2 * m + 1 < (a - 1.0) / b
+    assert math.isclose(p_odd_finite(m, GammaIntensity(a, b)), float(odd_sum_mp(m, a, b)),
+                        rel_tol=1e-11, abs_tol=1e-300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_a=st.floats(-3.0, 8.0), log_b=st.floats(-6.0, 8.0), k=st.integers(0, 300))
+def test_evaluators_stay_in_the_unit_interval(log_a, log_b, k):
+    # in [0, 1] itself, not only within _PROBABILITY_SLACK of it; only
+    # p_odd - correction, at or above the mode, may still refuse
+    g = GammaIntensity(10.0 ** log_a, 10.0 ** log_b)
+    for fn in (pmf, tail, cdf, p_odd_finite):
+        try:
+            value = fn(k, g)
+        except SeriesNonConvergence:
+            assert fn is p_odd_finite and 2 * k + 1 >= (g.a - 1.0) / g.b, (fn.__name__, g, k)
+            continue
+        assert 0.0 <= value <= 1.0, (fn.__name__, g, k, value)
 
 
 def prefactor_refusal(fn, m, g, monkeypatch, log_value):
@@ -514,9 +577,14 @@ def test_not_a_probability_refused(fn, m, a, b, expected, monkeypatch):
         prefactor_refusal(fn, m, g, monkeypatch, 1.0))
 
 
-def test_probability_slack_passes_rounding():
-    # closed forms a few 1e-12 outside [0, 1] are returned, not refused
-    assert -1e-11 < p_odd_finite(0, GammaIntensity(100, 1e-3)) < 0.0
+def test_probability_slack_passes_rounding(monkeypatch):
+    # closed forms a few 1e-12 outside [0, 1] are returned, not refused.  No
+    # known input lands there now, so the prefactor is made a hair too large:
+    # at a = b = 1, cdf(0) = pmf(1) * CF(1, 1, 1/2) = 1/4 * 2, and tail(0) is
+    # 1 minus it
+    monkeypatch.setattr(error_model, "_log_unit_pmf", lambda k, g: math.log(0.5) + 1e-12)
+    assert 1.0 < cdf(0, G_UNIT) < 1.0 + 1e-11
+    assert -1e-11 < tail(0, G_UNIT) < 0.0
 
 
 class TestBlockSize:
